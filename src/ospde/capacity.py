@@ -17,18 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .grid import EllipticOperator, Field
+from .grid import EllipticOperator, Field, _readonly
 from .norms import FieldPath
 from .solver import OBSTACLE_OFF, ProblemData, SolveResult, solve_projected
 from .stochastics import CoefficientSet, NoisePath
 
 __all__ = ["CompactSet", "box_set", "smallest_potential", "capacity"]
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
-    a.flags.writeable = False
-    return a
 
 
 @dataclass(frozen=True, eq=False)

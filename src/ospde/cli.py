@@ -9,8 +9,10 @@ capacity        capacity of configured space-time boxes vs. Lebesgue measure
 verify          replay stored artifacts through the identity/estimate checks
 
 Failures exit nonzero and leave a machine-readable error.json naming the
-failing stage (config-error, assumption-failure, solve-failure,
-artifact-mismatch, verify-failure).
+failing stage: config-error 2, assumption-failure 3, solve-failure 4,
+verify-failure 5 (an unexpected error while replaying checks),
+artifact-mismatch 6, artifact-missing 7, internal-error 8 (an unexpected
+error in any other subcommand).
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ _EXIT_CODES = {
     "verify-failure": 5,
     "artifact-mismatch": 6,
     "artifact-missing": 7,
+    "internal-error": 8,
 }
 
 
@@ -79,7 +82,7 @@ def _gate_assumptions(cfg: RunConfig, data) -> None:
 def _solve(cfg: RunConfig, data):
     mode = cfg.solver_mode
     if mode == "projected":
-        return solve_projected(data, **cfg.solver_kwargs())
+        return solve_projected(data)
     if mode == "penalized":
         return solve_penalized(data, cfg.penalty_n, **cfg.solver_kwargs())
     if mode == "unconstrained":
@@ -372,9 +375,10 @@ def main(argv=None) -> int:
         return _fail(out_dir, "config-error", str(exc))
     except SolverError as exc:
         return _fail(out_dir, "solve-failure", str(exc))
-    except Exception as exc:  # pragma: no cover - last-resort reporting
+    except Exception as exc:  # last-resort reporting
         traceback.print_exc()
-        return _fail(out_dir, "verify-failure", f"{type(exc).__name__}: {exc}")
+        stage = "verify-failure" if args.func is cmd_verify else "internal-error"
+        return _fail(out_dir, stage, f"{type(exc).__name__}: {exc}")
 
 
 if __name__ == "__main__":

@@ -170,11 +170,8 @@ class RunConfig:
         return int(self.block("solver").get("penalty_n", 1000))
 
     def solver_kwargs(self) -> dict:
+        """Keyword arguments of ``solve_penalized``; the projected solver has none."""
         s = self.block("solver")
-        if self.solver_mode == "projected":
-            return {"omega": float(s.get("psor_omega", 1.5)),
-                    "tol": float(s.get("psor_tol", 1e-10)),
-                    "max_sweeps": int(s.get("psor_max_sweeps", 100_000))}
         return {"tol": float(s.get("newton_tol", 1e-12)),
                 "max_iters": int(s.get("newton_max_iters", 200))}
 

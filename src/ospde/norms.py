@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigurationError
-from .grid import Field, Grid, gradient_sq, same_grid
+from .grid import Field, Grid, _readonly, gradient_sq, same_grid
 
 __all__ = [
     "FieldPath",
@@ -44,12 +44,6 @@ __all__ = [
     "gradient_norm_22",
     "magnitude_path",
 ]
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
-    a.flags.writeable = False
-    return a
 
 
 @dataclass(frozen=True, eq=False)

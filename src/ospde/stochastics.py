@@ -28,6 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigurationError
+from .grid import _readonly
 from .norms import FieldPath, NormToolbox, dual_sharp_upper, magnitude_path, mixed_norm
 
 __all__ = [
@@ -43,12 +44,6 @@ __all__ = [
 ]
 
 _HEADER = struct.Struct("<qqdQ")  # J, steps, dt, seed
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
-    a.flags.writeable = False
-    return a
 
 
 @dataclass(frozen=True, eq=False)

@@ -98,6 +98,18 @@ class TestSimulate:
         u1 = (out / "sample_001_seed_41" / "u.csv").read_bytes()
         assert u0 == u1
 
+    def test_unexpected_error_is_internal(self, tmp_path, monkeypatch):
+        def broken_save(*args, **kwargs):
+            raise RuntimeError("disk on fire")
+
+        monkeypatch.setattr("ospde.cli.save_run", broken_save)
+        cfg = write_cfg(tmp_path, BASE)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 8
+        err = json.loads((out / "error.json").read_text())
+        assert err["stage"] == "internal-error"
+        assert "RuntimeError: disk on fire" in err["error"]
+
     def test_contraction_gate_blocks_run(self, tmp_path):
         text = BASE.replace("coefficients.preset = lipschitz_mix",
                             "coefficients.preset = contraction_violator\n"
@@ -163,18 +175,32 @@ class TestSubcommands:
         assert set(report["checks"]) == {"ito_square", "skorokhod"}
         assert report["checks"]["skorokhod"]["defect"] <= 1e-8
 
+    def test_unexpected_check_error_is_verify_failure(self, tmp_path, monkeypatch):
+        cfg = write_cfg(tmp_path, BASE)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+
+        def broken_check(*args, **kwargs):
+            raise ValueError("bad replay")
+
+        monkeypatch.setattr("ospde.cli.ito_square_residual", broken_check)
+        code = main(["verify", "--config", str(cfg), "--out", str(out),
+                     "--artifacts", str(out / "sample_000_seed_41")])
+        assert code == 5
+        assert json.loads((out / "error.json").read_text())["stage"] == "verify-failure"
+
     def test_verify_refuses_hash_mismatch(self, tmp_path):
         cfg = write_cfg(tmp_path, BASE)
         out = tmp_path / "out"
         main(["simulate", "--config", str(cfg), "--out", str(out)])
         other = write_cfg(tmp_path, BASE.replace("0.2", "0.25"), "other.cfg")
-        code = main(["verify", "--config", str(other),
+        code = main(["verify", "--config", str(other), "--out", str(out),
                      "--artifacts", str(out / "sample_000_seed_41")])
         assert code == 6
 
     def test_missing_artifacts_explicit_error(self, tmp_path):
         cfg = write_cfg(tmp_path, BASE)
-        code = main(["verify", "--config", str(cfg),
+        code = main(["verify", "--config", str(cfg), "--out", str(tmp_path / "out"),
                      "--artifacts", str(tmp_path / "nowhere")])
         assert code == 7
 
@@ -194,6 +220,7 @@ class TestSubcommands:
         cfg = write_cfg(tmp_path, text)
         out = tmp_path / "out"
         main(["simulate", "--config", str(cfg), "--out", str(out)])
-        code = main(["verify", "--config", str(cfg),
+        code = main(["verify", "--config", str(cfg), "--out", str(out),
                      "--artifacts", str(out / "sample_000_seed_41")])
         assert code == 2
+        assert json.loads((out / "error.json").read_text())["stage"] == "config-error"
