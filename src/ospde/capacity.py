@@ -81,19 +81,6 @@ def box_set(grid, times, frame_indices, intervals) -> CompactSet:
     return CompactSet(grid=grid, times=times, mask=mask)
 
 
-def _zero_coeffs(modes: int) -> CoefficientSet:
-    def f(t, x, y, z):
-        return np.zeros(x.shape[0])
-
-    def g(t, x, y, z):
-        return np.zeros((x.shape[0], x.shape[1]))
-
-    def h(t, x, y, z):
-        return np.zeros((x.shape[0], modes))
-
-    return CoefficientSet(f=f, g=g, h=h, C=0.0, alpha=0.0, beta=0.0, modes=modes)
-
-
 def smallest_potential(op: EllipticOperator, K: CompactSet) -> SolveResult:
     """Least supersolution above the indicator obstacle of K, with its
     measure; deterministic projected solve with zero data."""
@@ -106,7 +93,7 @@ def smallest_potential(op: EllipticOperator, K: CompactSet) -> SolveResult:
         frames[m, marked] = 1.0
     obstacle = FieldPath(grid, K.times, frames)
     noise = NoisePath(J=1, dt=dt, increments=np.zeros((1, steps)), seed=0)
-    data = ProblemData(op=op, xi=Field.zeros(grid), coeffs=_zero_coeffs(1),
+    data = ProblemData(op=op, xi=Field.zeros(grid), coeffs=CoefficientSet.zero(1),
                        obstacle=obstacle, noise=noise)
     return solve_projected(data)
 

@@ -32,9 +32,8 @@ from .config import RunConfig, load_config
 from .errors import AssumptionError, ConfigurationError, SolverError
 from .norms import FieldPath, NormToolbox, dual_sharp_upper, mixed_norm, sharp_norm
 from .persist import load_run, save_run, write_norm_table, write_rows
-from .solver import (SolveResult, skorokhod_defect, solve_penalized,
-                     solve_projected, solve_unconstrained)
-from .stochastics import validate_assumptions
+from .solver import (SolveResult, skorokhod_defect, solve_mode, solve_penalized,
+                     solve_projected)
 from .verify import (apriori_check, comparison_experiment, ito_square_residual,
                      positive_part_bound_check, positive_part_residual,
                      weak_form_residual)
@@ -72,36 +71,18 @@ def _load(args) -> tuple[RunConfig, Path]:
     return cfg, out
 
 
-def _gate_assumptions(cfg: RunConfig, data) -> None:
-    report = validate_assumptions(data.coeffs, data.op.lam, grid=data.op.grid,
-                                  horizon=float(data.times[-1]))
-    if not report.ok:
-        raise StageError("assumption-failure", report.summary())
-
-
-def _solve(cfg: RunConfig, data):
-    mode = cfg.solver_mode
-    if mode == "projected":
-        return solve_projected(data)
-    if mode == "penalized":
-        return solve_penalized(data, cfg.penalty_n, **cfg.solver_kwargs())
-    if mode == "unconstrained":
-        return solve_unconstrained(data)
-    raise StageError("config-error", f"unknown solver.mode '{mode}'")
-
-
 def _run_one_sample(raw_cfg: dict, seed: int, out_dir: str, formats) -> dict:
     """Worker entry: solve one seed and persist its artifacts."""
     cfg = RunConfig(raw=raw_cfg)
     grid = cfg.make_grid()
     op = cfg.make_operator(grid)
     data = cfg.build_problem(seed, grid=grid, op=op)
-    result = _solve(cfg, data)
+    result = solve_mode(data, cfg.solver_mode, cfg.penalty_n)
     defect = skorokhod_defect(result.u, data.obstacle, result.measure)
     T = float(data.times[-1])
     meta = save_run(out_dir, result, config_hash=cfg.hash, seed=seed, grid=grid,
                     solver_mode=cfg.solver_mode,
-                    penalty_n=cfg.penalty_n if cfg.solver_mode == "penalized" else None,
+                    penalty_n=result.diagnostics.get("penalty_level"),
                     formats=formats, noise=data.noise)
     if "csv" in formats:
         toolbox = NormToolbox.for_dim(grid.dim)
@@ -140,11 +121,6 @@ def cmd_simulate(args) -> int:
     formats = tuple(cfg.block("output").get("formats", ["csv", "json"]))
     out.mkdir(parents=True, exist_ok=True)
 
-    # run the assumption gate once up front: no solve artifacts on refusal
-    probe = cfg.build_problem(seeds[0])
-    _gate_assumptions(cfg, probe)
-
-    rows = []
     jobs = [(cfg.raw, seed, str(out / f"sample_{i:03d}_seed_{seed}"), formats)
             for i, seed in enumerate(seeds)]
     workers = int(args.workers or cfg.block("output").get("workers", 1))
@@ -176,7 +152,6 @@ def cmd_penalize_sweep(args) -> int:
     rows = []
     for seed in seeds:
         data = cfg.build_problem(seed, grid=grid, op=op)
-        _gate_assumptions(cfg, data)
         star = solve_projected(data)
         for n in levels:
             pen = solve_penalized(data, n)
@@ -200,9 +175,7 @@ def cmd_compare(args) -> int:
     seeds = cfg.sample_seeds(args.seed, args.samples)
     data1 = cfg.build_problem(seeds[0])
     data2 = cfg2.build_problem(seeds[0])
-    _gate_assumptions(cfg, data1)
-    _gate_assumptions(cfg2, data2)
-    report = comparison_experiment(data1, data2, seeds, solver=cfg.solver_mode,
+    report = comparison_experiment(data1, data2, seeds, mode=cfg.solver_mode,
                                    penalty_n=cfg.penalty_n)
     write_rows(out / "compare.csv", ["sample", "seed", "min_gap"],
                [(i, s, f"{gap:.17g}") for i, (s, gap) in
@@ -226,16 +199,13 @@ def cmd_capacity(args) -> int:
     times = cfg.make_times()
     frame = int(block["frame"])
 
-    rows = []
     if "widths" in block:
         center = float(block.get("center", 0.5))
-        for width in block["widths"]:
-            iv = (center - width / 2.0, center + width / 2.0)
-            K = box_set(grid, times, frame, iv)
-            rows.append((frame, f"{times[frame]:.12g}", f"{iv[0]:.12g}", f"{iv[1]:.12g}",
-                         f"{compute_capacity(op, K):.17g}", f"{K.lebesgue_measure():.17g}"))
+        intervals = [(center - w / 2.0, center + w / 2.0) for w in block["widths"]]
     else:
-        iv = block.get("interval", [0.25, 0.75])
+        intervals = [block.get("interval", [0.25, 0.75])]
+    rows = []
+    for iv in intervals:
         K = box_set(grid, times, frame, iv)
         rows.append((frame, f"{times[frame]:.12g}", f"{iv[0]:.12g}", f"{iv[1]:.12g}",
                      f"{compute_capacity(op, K):.17g}", f"{K.lebesgue_measure():.17g}"))

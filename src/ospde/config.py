@@ -131,11 +131,14 @@ class RunConfig:
             seeds = [int(s) for s in noise["seeds"]]
             if samples_override is not None:
                 seeds = seeds[: int(samples_override)]
-            return seeds
-        base = int(seed_override if seed_override is not None else noise.get("seed", 0))
-        n = int(samples_override if samples_override is not None
-                else noise.get("samples", 1))
-        return [base + i for i in range(n)]
+        else:
+            base = int(seed_override if seed_override is not None else noise.get("seed", 0))
+            n = int(samples_override if samples_override is not None
+                    else noise.get("samples", 1))
+            seeds = [base + i for i in range(n)]
+        if not seeds:
+            raise ConfigurationError("no sample seeds: need at least one sample")
+        return seeds
 
     def build_problem(self, seed: int, grid: Grid | None = None,
                       op: EllipticOperator | None = None) -> ProblemData:
@@ -168,12 +171,6 @@ class RunConfig:
     @property
     def penalty_n(self) -> int:
         return int(self.block("solver").get("penalty_n", 1000))
-
-    def solver_kwargs(self) -> dict:
-        """Keyword arguments of ``solve_penalized``; the projected solver has none."""
-        s = self.block("solver")
-        return {"tol": float(s.get("newton_tol", 1e-12)),
-                "max_iters": int(s.get("newton_max_iters", 200))}
 
 
 def load_config(path) -> RunConfig:

@@ -21,6 +21,11 @@ from .errors import SolverError
 
 __all__ = ["psor", "penalized_solve"]
 
+# Penalized step: stop when the active set repeats and the residual is below
+# _PENALTY_TOL relative to 1 + |q|_inf; give up after _PENALTY_MAX_ITERS passes.
+_PENALTY_TOL = 1e-12
+_PENALTY_MAX_ITERS = 200
+
 
 def psor(B: sp.csr_matrix, q: np.ndarray, psi: np.ndarray, x0: np.ndarray):
     """Exact solve of the LCP (B, q) with lower bound psi.
@@ -61,8 +66,7 @@ def psor(B: sp.csr_matrix, q: np.ndarray, psi: np.ndarray, x0: np.ndarray):
     raise SolverError(f"active-set LCP solve did not settle in {n + 1} passes")
 
 
-def penalized_solve(B: sp.csc_matrix, lu, q: np.ndarray, psi: np.ndarray,
-                    pen: float, tol: float = 1e-12, max_iters: int = 200):
+def penalized_solve(B: sp.csc_matrix, lu, q: np.ndarray, psi: np.ndarray, pen: float):
     """Solve B x - pen * (x - psi)^- = q by active-set iteration.
 
     ``lu`` is a prefactorization of B used for the unconstrained start.
@@ -73,7 +77,7 @@ def penalized_solve(B: sp.csc_matrix, lu, q: np.ndarray, psi: np.ndarray,
     scale = 1.0 + float(np.abs(q).max(initial=0.0))
     x = lu.solve(q)
     active = x < psi
-    for it in range(1, max_iters + 1):
+    for it in range(1, _PENALTY_MAX_ITERS + 1):
         if active.any():
             d = np.where(active, pen, 0.0)
             M = B + sp.diags(d)
@@ -82,7 +86,7 @@ def penalized_solve(B: sp.csc_matrix, lu, q: np.ndarray, psi: np.ndarray,
             x = lu.solve(q)
         resid = B @ x - pen * np.maximum(psi - x, 0.0) - q
         new_active = x < psi
-        if np.array_equal(new_active, active) and np.abs(resid).max() <= tol * scale:
+        if np.array_equal(new_active, active) and np.abs(resid).max() <= _PENALTY_TOL * scale:
             return x, it, float(np.abs(resid).max())
         active = new_active
-    raise SolverError(f"penalized step did not converge in {max_iters} iterations")
+    raise SolverError(f"penalized step did not converge in {_PENALTY_MAX_ITERS} iterations")

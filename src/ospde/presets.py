@@ -46,16 +46,7 @@ def _p(params: dict, key: str, default):
 
 
 def _coeff_zero(grid: Grid, J: int, params: dict) -> CoefficientSet:
-    def f(t, x, y, z):
-        return np.zeros(x.shape[0])
-
-    def g(t, x, y, z):
-        return np.zeros((x.shape[0], x.shape[1]))
-
-    def h(t, x, y, z):
-        return np.zeros((x.shape[0], J))
-
-    return CoefficientSet(f=f, g=g, h=h, C=0.0, alpha=0.0, beta=0.0, modes=J)
+    return CoefficientSet.zero(J)
 
 
 def _coeff_lipschitz_mix(grid: Grid, J: int, params: dict) -> CoefficientSet:

@@ -56,6 +56,7 @@ __all__ = [
     "solve_unconstrained",
     "solve_penalized",
     "solve_projected",
+    "solve_mode",
     "skorokhod_defect",
     "OBSTACLE_OFF",
 ]
@@ -292,10 +293,17 @@ def solve_random_pde(op: EllipticOperator, source: FieldPath) -> FieldPath:
     return FieldPath(grid, source.times, frames)
 
 
-def _march(data: ProblemData, advance: Callable) -> tuple[np.ndarray, np.ndarray, dict]:
-    """Common time loop: explicit sources, then per-step ``advance``."""
+def _march(data: ProblemData, advance: Callable) -> SolveResult:
+    """Common solve: refuse data outside the hypotheses, factor the step
+    once, then march with explicit sources and the per-step ``advance``.
+
+    ``advance(ws, k, rhs, psi, diag)`` returns the interior state at
+    t_{k+1} and the measure density of step k.
+    """
+    _require_assumptions(data)
     grid = data.op.grid
     dt = data.dt
+    ws = _StepOperator(data.op, dt)
     frames = np.zeros((data.steps + 1, grid.n_nodes))
     frames[0] = data.xi.values
     weights = np.zeros((data.steps, grid.n_interior))
@@ -307,32 +315,27 @@ def _march(data: ProblemData, advance: Callable) -> tuple[np.ndarray, np.ndarray
         f_int, g_int, h_int = _evaluate_coeffs(data.coeffs, t_k, x_int, y_int, z_int)
         rhs = _source_rhs(grid, dt, frames[k], f_int, g_int, h_int, inc[:, k])
         psi = grid.restrict(data.obstacle.frames[k + 1])
-        u_next, w_k = advance(k, rhs, psi, grid.restrict(frames[k]), diag)
+        u_next, w_k = advance(ws, k, rhs, psi, diag)
         frames[k + 1] = grid.extend(u_next)
         weights[k] = w_k
-    return frames, weights, diag
-
-
-def solve_unconstrained(data: ProblemData) -> SolveResult:
-    """Plain semi-implicit scheme; the obstacle is ignored entirely."""
-    _require_assumptions(data)
-    ws = _StepOperator(data.op, data.dt)
-    n_int = data.op.grid.n_interior
-
-    def advance(k, rhs, psi, u_prev, diag):
-        diag["iterations"].append(0)
-        return ws.solve(rhs), np.zeros(n_int)
-
-    frames, weights, diag = _march(data, advance)
     return SolveResult(
-        u=FieldPath(data.op.grid, data.times, frames),
-        measure=DiscreteMeasure(data.op.grid, data.times, weights),
+        u=FieldPath(grid, data.times, frames),
+        measure=DiscreteMeasure(grid, data.times, weights),
         diagnostics=diag,
     )
 
 
-def solve_penalized(data: ProblemData, n: int,
-                    tol: float = 1e-12, max_iters: int = 200) -> SolveResult:
+def solve_unconstrained(data: ProblemData) -> SolveResult:
+    """Plain semi-implicit scheme; the obstacle is ignored entirely."""
+
+    def advance(ws, k, rhs, psi, diag):
+        diag["iterations"].append(0)
+        return ws.solve(rhs), np.zeros_like(rhs)
+
+    return _march(data, advance)
+
+
+def solve_penalized(data: ProblemData, n: int) -> SolveResult:
     """Penalized scheme with implicit reaction n (u - S)^-.
 
     Measure weights at step k are n * (u_{k+1} - S_{k+1})^-, which is
@@ -340,27 +343,20 @@ def solve_penalized(data: ProblemData, n: int,
     """
     if n < 1:
         raise ConfigurationError(f"penalization level must be >= 1, got {n}")
-    _require_assumptions(data)
-    ws = _StepOperator(data.op, data.dt)
     pen = data.dt * float(n)
 
-    def advance(k, rhs, psi, u_prev, diag):
+    def advance(ws, k, rhs, psi, diag):
         try:
-            u_next, iters, resid = penalized_solve(ws.B, ws.lu, rhs, psi, pen,
-                                                   tol=tol, max_iters=max_iters)
+            u_next, iters, resid = penalized_solve(ws.B, ws.lu, rhs, psi, pen)
         except SolverError as exc:
             raise SolverError(f"penalized step {k} failed: {exc}") from exc
         diag["iterations"].append(iters)
         diag["residuals"].append(resid)
         return u_next, float(n) * np.maximum(psi - u_next, 0.0)
 
-    frames, weights, diag = _march(data, advance)
-    diag["penalty_level"] = int(n)
-    return SolveResult(
-        u=FieldPath(data.op.grid, data.times, frames),
-        measure=DiscreteMeasure(data.op.grid, data.times, weights),
-        diagnostics=diag,
-    )
+    result = _march(data, advance)
+    result.diagnostics["penalty_level"] = int(n)
+    return result
 
 
 def solve_projected(data: ProblemData) -> SolveResult:
@@ -373,11 +369,9 @@ def solve_projected(data: ProblemData) -> SolveResult:
     residual divided by dt; the recorded iteration count is the number of
     active-set passes.
     """
-    _require_assumptions(data)
-    ws = _StepOperator(data.op, data.dt)
     dt = data.dt
 
-    def advance(k, rhs, psi, u_prev, diag):
+    def advance(ws, k, rhs, psi, diag):
         u_free = ws.solve(rhs)
         if np.all(u_free >= psi):
             diag["iterations"].append(0)
@@ -389,12 +383,20 @@ def solve_projected(data: ProblemData) -> SolveResult:
         diag["iterations"].append(passes)
         return u_next, np.maximum(ws.B @ u_next - rhs, 0.0) / dt
 
-    frames, weights, diag = _march(data, advance)
-    return SolveResult(
-        u=FieldPath(data.op.grid, data.times, frames),
-        measure=DiscreteMeasure(data.op.grid, data.times, weights),
-        diagnostics=diag,
-    )
+    return _march(data, advance)
+
+
+def solve_mode(data: ProblemData, mode: str, penalty_n: int = 1000) -> SolveResult:
+    """Solve with the scheme named by ``mode`` (the config's ``solver.mode``):
+    ``projected``, ``penalized`` at level ``penalty_n``, or ``unconstrained``."""
+    if mode == "projected":
+        return solve_projected(data)
+    if mode == "penalized":
+        return solve_penalized(data, penalty_n)
+    if mode == "unconstrained":
+        return solve_unconstrained(data)
+    raise ConfigurationError(f"unknown solver.mode '{mode}'; "
+                             "available: projected, penalized, unconstrained")
 
 
 def skorokhod_defect(u: FieldPath, obstacle: FieldPath, nu: DiscreteMeasure) -> float:

@@ -135,6 +135,21 @@ class CoefficientSet:
         m = x.shape[0]
         return np.asarray(self.h(t, x, np.zeros(m), np.zeros((m, x.shape[1]))), dtype=float)
 
+    @classmethod
+    def zero(cls, modes: int) -> "CoefficientSet":
+        """f = g = h = 0 with all Lipschitz constants 0."""
+
+        def f(t, x, y, z):
+            return np.zeros(x.shape[0])
+
+        def g(t, x, y, z):
+            return np.zeros((x.shape[0], x.shape[1]))
+
+        def h(t, x, y, z):
+            return np.zeros((x.shape[0], modes))
+
+        return cls(f=f, g=g, h=h, C=0.0, alpha=0.0, beta=0.0, modes=modes)
+
 
 @dataclass
 class CheckItem:

@@ -33,8 +33,7 @@ import numpy as np
 from .errors import AssumptionError, ConfigurationError
 from .grid import node_gradient, same_grid
 from .norms import FieldPath, NormToolbox, dual_sharp_upper, gradient_norm_22, magnitude_path, mixed_norm
-from .solver import (ProblemData, SolveResult, solve_linear_spde, solve_penalized,
-                     solve_projected)
+from .solver import ProblemData, SolveResult, solve_linear_spde, solve_mode
 from .stochastics import sample_noise
 
 __all__ = [
@@ -144,6 +143,19 @@ def _phi_frames(data: ProblemData, phi) -> np.ndarray:
     return frames
 
 
+def _step_coefficients(data: ProblemData, u: np.ndarray, k: int):
+    """f and g at the updated state u[k + 1], h at the previous state u[k],
+    all at time t_k, on every node."""
+    grid = data.op.grid
+    t_k = float(data.times[k])
+    y_new, z_new = u[k + 1], node_gradient(grid, u[k + 1])
+    f_new = np.asarray(data.coeffs.f(t_k, grid.coords, y_new, z_new), dtype=float)
+    g_new = np.asarray(data.coeffs.g(t_k, grid.coords, y_new, z_new), dtype=float)
+    y_old, z_old = u[k], node_gradient(grid, u[k])
+    h_old = np.asarray(data.coeffs.h(t_k, grid.coords, y_old, z_old), dtype=float)
+    return f_new, g_new, h_old
+
+
 def weak_form_residual(result: SolveResult, data: ProblemData, phi) -> ResidualReport:
     """Residual of the weak balance against one test function.
 
@@ -161,14 +173,7 @@ def weak_form_residual(result: SolveResult, data: ProblemData, phi) -> ResidualR
 
     out = np.zeros(data.steps)
     for k in range(data.steps):
-        t_k = float(data.times[k])
-        # coefficients at the updated state; noise coefficient predictably
-        y_new, z_new = u[k + 1], node_gradient(grid, u[k + 1])
-        f_new = np.asarray(data.coeffs.f(t_k, grid.coords, y_new, z_new), dtype=float)
-        g_new = np.asarray(data.coeffs.g(t_k, grid.coords, y_new, z_new), dtype=float)
-        y_old, z_old = u[k], node_gradient(grid, u[k])
-        h_old = np.asarray(data.coeffs.h(t_k, grid.coords, y_old, z_old), dtype=float)
-
+        f_new, g_new, h_old = _step_coefficients(data, u, k)
         phi_grad = node_gradient(grid, phi_f[k + 1])[grid.interior]
         r = (_inner(grid, u[k + 1], phi_f[k + 1]) - _inner(grid, u[k], phi_f[k])
              - _inner(grid, u[k], phi_f[k + 1] - phi_f[k])
@@ -194,13 +199,7 @@ def _square_identity_residual(name, result, data, positive_part: bool) -> Residu
         return np.maximum(v, 0.0) if positive_part else v
 
     for k in range(data.steps):
-        t_k = float(data.times[k])
-        y_new, z_new = u[k + 1], node_gradient(grid, u[k + 1])
-        f_new = np.asarray(data.coeffs.f(t_k, grid.coords, y_new, z_new), dtype=float)
-        g_new = np.asarray(data.coeffs.g(t_k, grid.coords, y_new, z_new), dtype=float)
-        y_old, z_old = u[k], node_gradient(grid, u[k])
-        h_old = np.asarray(data.coeffs.h(t_k, grid.coords, y_old, z_old), dtype=float)
-
+        f_new, g_new, h_old = _step_coefficients(data, u, k)
         v_new = part(u[k + 1])
         v_old = part(u[k])
         vi = grid.restrict(v_new)
@@ -381,11 +380,12 @@ def _probe_ordering(data1: ProblemData, data2: ProblemData, result1: SolveResult
 
 
 def comparison_experiment(data1: ProblemData, data2: ProblemData,
-                          seeds: Sequence[int], solver: str = "projected",
+                          seeds: Sequence[int], mode: str = "projected",
                           penalty_n: int = 1000) -> ComparisonReport:
     """Solve both problems on shared noise per seed and report the smallest
     nodewise gap u2 - u1 over all samples, steps and interior nodes.
 
+    ``mode`` and ``penalty_n`` select the scheme as in ``solve_mode``.
     Preconditions (ordered initial data and obstacles, drift ordering along
     the first trajectory, identical flux/noise coefficients and operator)
     are probed; a violation refuses the experiment.
@@ -395,14 +395,8 @@ def comparison_experiment(data1: ProblemData, data2: ProblemData,
         noise = sample_noise(data1.noise.J, data1.noise.dt, data1.noise.steps, int(seed))
         d1 = data1.with_noise(noise)
         d2 = data2.with_noise(noise)
-        if solver == "projected":
-            r1 = solve_projected(d1)
-            r2 = solve_projected(d2)
-        elif solver == "penalized":
-            r1 = solve_penalized(d1, penalty_n)
-            r2 = solve_penalized(d2, penalty_n)
-        else:
-            raise ConfigurationError(f"unknown comparison solver '{solver}'")
+        r1 = solve_mode(d1, mode, penalty_n)
+        r2 = solve_mode(d2, mode, penalty_n)
         if idx == 0:
             _probe_ordering(d1, d2, r1)
         grid = d1.op.grid

@@ -7,19 +7,6 @@ from ospde.solver import OBSTACLE_OFF, ProblemData
 from ospde.stochastics import CoefficientSet, NoisePath, sample_noise
 
 
-def zero_coeffs(modes=1):
-    def f(t, x, y, z):
-        return np.zeros(x.shape[0])
-
-    def g(t, x, y, z):
-        return np.zeros((x.shape[0], x.shape[1]))
-
-    def h(t, x, y, z):
-        return np.zeros((x.shape[0], modes))
-
-    return CoefficientSet(f=f, g=g, h=h, C=0.0, alpha=0.0, beta=0.0, modes=modes)
-
-
 def mix_coeffs(modes=2, f_base=1.0, f_shift=0.0, f_sin=0.5, f_grad=0.2,
                g_sin=0.2, h_base=0.3, h_sin=0.2):
     """The standard Lipschitz test nonlinearities (alpha = beta = 0)."""

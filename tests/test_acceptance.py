@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from conftest import (mix_coeffs, refine_noise, signed_coeffs, standard_problem,
-                      state_free_coeffs, unconstrained_problem, zero_coeffs)
+                      state_free_coeffs, unconstrained_problem)
 
 from ospde.capacity import box_set, capacity
 from ospde.errors import AssumptionError
@@ -137,7 +137,7 @@ def test_criterion_5_positive_part_identity():
     def f_one(t, x, y, z):
         return np.ones(x.shape[0])
 
-    z = zero_coeffs(2)
+    z = CoefficientSet.zero(2)
     cs = CoefficientSet(f=f_one, g=z.g, h=z.h, C=0.0, alpha=0.0, beta=0.0, modes=2)
     data = unconstrained_problem(cells=64, steps=128, coeffs=cs)
     data = data.with_noise(NoisePath(J=2, dt=data.dt,
@@ -236,7 +236,7 @@ def test_criterion_8_estimate_stability():
 
 
 def test_criterion_9_assumption_gate():
-    z = zero_coeffs(2)
+    z = CoefficientSet.zero(2)
 
     def gated(alpha, beta):
         bad = CoefficientSet(

@@ -32,6 +32,11 @@ verify.checks = ["ito_square", "skorokhod"]
 """
 
 
+VIOLATOR = BASE.replace("coefficients.preset = lipschitz_mix",
+                        "coefficients.preset = contraction_violator\n"
+                        "coefficients.alpha = 1.0")
+
+
 def write_cfg(tmp_path, text, name="run.cfg"):
     p = tmp_path / name
     p.write_text(text)
@@ -62,6 +67,12 @@ class TestConfigParsing:
     def test_missing_block_rejected(self):
         with pytest.raises(ConfigurationError, match="grid"):
             RunConfig(raw={"time": {"T": 1, "steps": 2}, "noise": {}})
+
+    def test_empty_seed_list_rejected(self, tmp_path):
+        text = BASE.replace("noise.seed = 41", "noise.seeds = []")
+        cfg = load_config(write_cfg(tmp_path, text))
+        with pytest.raises(ConfigurationError, match="no sample seeds"):
+            cfg.sample_seeds()
 
     def test_hash_is_stable_and_sensitive(self, tmp_path):
         c1 = load_config(write_cfg(tmp_path, BASE))
@@ -110,15 +121,26 @@ class TestSimulate:
         assert err["stage"] == "internal-error"
         assert "RuntimeError: disk on fire" in err["error"]
 
-    def test_contraction_gate_blocks_run(self, tmp_path):
-        text = BASE.replace("coefficients.preset = lipschitz_mix",
-                            "coefficients.preset = contraction_violator\n"
-                            "coefficients.alpha = 1.0")
-        cfg = write_cfg(tmp_path, text)
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_contraction_gate_blocks_run(self, tmp_path, workers):
+        cfg = write_cfg(tmp_path, VIOLATOR)
         out = tmp_path / "out"
-        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 3
+        assert main(["simulate", "--config", str(cfg), "--out", str(out),
+                     "--samples", "2", "--workers", str(workers)]) == 3
         err = json.loads((out / "error.json").read_text())
         assert err["stage"] == "assumption-failure"
+        assert not list(out.glob("sample_*"))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_unknown_solver_mode_is_config_error(self, tmp_path, workers):
+        cfg = write_cfg(tmp_path, BASE.replace("solver.mode = projected",
+                                               "solver.mode = psor"))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out),
+                     "--samples", "2", "--workers", str(workers)]) == 2
+        err = json.loads((out / "error.json").read_text())
+        assert err["stage"] == "config-error"
+        assert "unknown solver.mode 'psor'" in err["error"]
         assert not list(out.glob("sample_*"))
 
     def test_round_trip_matches_solution(self, tmp_path):
@@ -153,6 +175,29 @@ class TestSubcommands:
                      "--out", str(out), "--samples", "2"]) == 0
         rows = read_csv(out / "compare.csv")
         assert all(float(r["min_gap"]) == 0.0 for r in rows)
+
+    def test_compare_refuses_violating_second_config(self, tmp_path):
+        cfg = write_cfg(tmp_path, BASE)
+        cfg2 = write_cfg(tmp_path, VIOLATOR, "violator.cfg")
+        out = tmp_path / "cmp"
+        assert main(["compare", "--config", str(cfg), "--config2", str(cfg2),
+                     "--out", str(out), "--samples", "2"]) == 3
+        err = json.loads((out / "error.json").read_text())
+        assert err["stage"] == "assumption-failure"
+        assert "contraction" in err["error"]
+        assert not (out / "compare.csv").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "compare", "penalize-sweep"])
+    def test_zero_samples_is_config_error(self, tmp_path, command):
+        cfg = write_cfg(tmp_path, BASE)
+        out = tmp_path / "out"
+        argv = [command, "--config", str(cfg), "--out", str(out), "--samples", "0"]
+        if command == "compare":
+            argv += ["--config2", str(cfg)]
+        assert main(argv) == 2
+        err = json.loads((out / "error.json").read_text())
+        assert err["stage"] == "config-error"
+        assert "no sample seeds" in err["error"]
 
     def test_capacity_table(self, tmp_path):
         text = (BASE.replace("solver.mode = projected", "")

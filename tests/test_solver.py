@@ -5,15 +5,15 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from conftest import mix_coeffs, standard_problem, state_free_coeffs, zero_coeffs
+from conftest import mix_coeffs, standard_problem, state_free_coeffs
 
 from ospde.errors import AssumptionError, ConfigurationError
 from ospde.grid import Field, assemble_operator, build_grid, divergence
 from ospde.norms import FieldPath, mixed_norm
 from ospde.solver import (OBSTACLE_OFF, DiscreteMeasure, DominatorData, ProblemData,
-                          skorokhod_defect, solve_linear_spde, solve_penalized,
-                          solve_projected, solve_random_pde, solve_unconstrained,
-                          step_linear)
+                          skorokhod_defect, solve_linear_spde, solve_mode,
+                          solve_penalized, solve_projected, solve_random_pde,
+                          solve_unconstrained, step_linear)
 from ospde.stochastics import CoefficientSet, NoisePath, sample_noise
 
 
@@ -55,7 +55,7 @@ class TestAgainstAnalyticOracles:
             times = np.arange(steps + 1) * dt
             data = ProblemData(
                 op=op, xi=Field.from_function(g, lambda x: np.sin(np.pi * x[:, 0])),
-                coeffs=zero_coeffs(1),
+                coeffs=CoefficientSet.zero(1),
                 obstacle=FieldPath.constant(g, times, OBSTACLE_OFF),
                 noise=NoisePath(J=1, dt=dt, increments=np.zeros((1, steps)), seed=0))
             res = solve_unconstrained(data)
@@ -89,7 +89,7 @@ class TestAgainstAnalyticOracles:
         for seed in range(300):
             noise = sample_noise(2, dt, steps, 81_000 + seed)
             data = ProblemData(
-                op=op, xi=Field.zeros(g), coeffs=zero_coeffs(2),
+                op=op, xi=Field.zeros(g), coeffs=CoefficientSet.zero(2),
                 obstacle=FieldPath.constant(g, times, OBSTACLE_OFF), noise=noise,
                 dominator=DominatorData(initial=Field.zeros(g), h=hprof))
             path = solve_linear_spde(data)
@@ -125,7 +125,7 @@ class TestSolveLinearSpde:
         for seed in range(200):
             noise = sample_noise(J, dt, steps, 5000 + seed)
             data = ProblemData(
-                op=op, xi=Field.zeros(grid), coeffs=zero_coeffs(J),
+                op=op, xi=Field.zeros(grid), coeffs=CoefficientSet.zero(J),
                 obstacle=FieldPath.constant(grid, times, OBSTACLE_OFF), noise=noise,
                 dominator=DominatorData(initial=Field.zeros(grid), h=hprof))
             terminal.append(solve_linear_spde(data).frames[-1])
@@ -251,7 +251,7 @@ class TestConstrainedSolvers:
         assert np.array_equal(r1.u.frames, r3.u.frames)
 
     def test_contraction_gate_refuses(self):
-        z = zero_coeffs(2)
+        z = CoefficientSet.zero(2)
         bad = CoefficientSet(f=z.f, g=lambda t, x, y, z_: 1.0 * z_, h=z.h,
                              C=0.0, alpha=1.0, beta=0.0, modes=2)
         data = standard_problem(cells=16, steps=16, coeffs=bad)
@@ -259,6 +259,21 @@ class TestConstrainedSolvers:
             solve_projected(data)
         with pytest.raises(AssumptionError):
             solve_penalized(data, 10)
+        with pytest.raises(AssumptionError):
+            solve_unconstrained(data)
+
+    def test_solve_mode_dispatch(self):
+        data = standard_problem(cells=16, steps=16)
+        direct = {"projected": solve_projected(data),
+                  "penalized": solve_penalized(data, 50),
+                  "unconstrained": solve_unconstrained(data)}
+        for mode, want in direct.items():
+            got = solve_mode(data, mode, penalty_n=50)
+            assert np.array_equal(got.u.frames, want.u.frames)
+            assert np.array_equal(got.measure.weights, want.measure.weights)
+            assert got.diagnostics == want.diagnostics
+        with pytest.raises(ConfigurationError, match="unknown solver.mode 'psor'"):
+            solve_mode(data, "psor")
 
     def test_deterministic_obstacle_first_order_in_h(self):
         # deterministic obstacle heat flow vs the same scheme on a 4x finer
@@ -275,7 +290,7 @@ class TestConstrainedSolvers:
                 # the flat obstacle starts above sin(pi x) near the boundary
                 data = ProblemData(
                     op=op, xi=Field.from_function(grid, lambda x: np.sin(np.pi * x[:, 0])),
-                    coeffs=zero_coeffs(1),
+                    coeffs=CoefficientSet.zero(1),
                     obstacle=FieldPath.constant(grid, times, 0.2), noise=noise)
             return grid, solve_projected(data)
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import standard_problem, state_free_coeffs, zero_coeffs
+from conftest import standard_problem, state_free_coeffs
 
 from ospde.errors import ConfigurationError
 from ospde.grid import build_grid
@@ -65,7 +65,7 @@ class TestValidateAssumptions:
         assert rep.items["H4"].passed
 
     def test_contraction_boundary_fails(self):
-        cs = zero_coeffs()
+        cs = CoefficientSet.zero(1)
         cs = CoefficientSet(f=cs.f, g=cs.g, h=cs.h, C=0.0, alpha=0.5, beta=0.0, modes=1)
         rep = validate_assumptions(cs, lam=0.5)  # 2 alpha = 1.0 = 2 lambda
         assert not rep.items["H4"].passed
@@ -75,7 +75,7 @@ class TestValidateAssumptions:
         def f(t, x, y, z):
             return y  # quotient 1 against declared C = 0
 
-        z = zero_coeffs()
+        z = CoefficientSet.zero(1)
         cs = CoefficientSet(f=f, g=z.g, h=z.h, C=0.0, alpha=0.0, beta=0.0, modes=1)
         rep = validate_assumptions(cs, lam=1.0)
         assert not rep.items["H1-f"].passed
@@ -93,7 +93,7 @@ class TestValidateAssumptions:
                 assert rep2.items[name].passed
 
     def test_report_dict_shape(self):
-        rep = validate_assumptions(zero_coeffs(), lam=1.0)
+        rep = validate_assumptions(CoefficientSet.zero(1), lam=1.0)
         d = rep.as_dict()
         assert set(d) == {"H1-f", "H2-g-y", "H2-g-z", "H3-h-y", "H3-h-z", "H4", "purity"}
 
@@ -108,7 +108,7 @@ class TestCheckIntegrability:
         assert rep.samples == 1
 
     def test_zero_point_drift_vanishes(self):
-        data = standard_problem(cells=16, steps=32, coeffs=zero_coeffs(2))
+        data = standard_problem(cells=16, steps=32, coeffs=CoefficientSet.zero(2))
         tb = NormToolbox.for_dim(1)
         rep = check_integrability(data, tb, t=float(data.times[-1]))
         assert rep.estimates["f0_dual_sharp_sq"] == 0.0
@@ -125,7 +125,7 @@ class TestCheckIntegrability:
             amp = 0.0 if t == 0.0 else t ** -0.25
             return amp * np.sin(np.pi * x[:, 0])
 
-        z = zero_coeffs(2)
+        z = CoefficientSet.zero(2)
         cs = CoefficientSet(f=f, g=z.g, h=z.h, C=0.0, alpha=0.0, beta=0.0, modes=2)
         data = standard_problem(cells=16, steps=2048, T=1.0, coeffs=cs,
                                 obstacle_level=-1e6, xi_offset=0.3)

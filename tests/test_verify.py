@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import (mix_coeffs, refine_noise, signed_coeffs, standard_problem,
-                      state_free_coeffs, unconstrained_problem, zero_coeffs)
+                      state_free_coeffs, unconstrained_problem)
 
 from ospde.errors import AssumptionError, ConfigurationError
 from ospde.grid import Field, build_grid
@@ -59,7 +59,7 @@ class TestWeakForm:
 
 class TestItoSquare:
     def test_zero_problem(self):
-        data = unconstrained_problem(cells=16, steps=16, coeffs=zero_coeffs(2),
+        data = unconstrained_problem(cells=16, steps=16, coeffs=CoefficientSet.zero(2),
                                      xi_fn=lambda x: np.zeros(x.shape[0]))
         res = solve_unconstrained(data)
         rep = ito_square_residual(res, data)
@@ -111,7 +111,7 @@ class TestPositivePart:
         def f_neg(t, x, y, z):
             return -1.0 - 0.1 * np.sin(y)
 
-        z = zero_coeffs(2)
+        z = CoefficientSet.zero(2)
         cs = CoefficientSet(f=f_neg, g=z.g, h=z.h, C=0.1, alpha=0.0, beta=0.0, modes=2)
         data = unconstrained_problem(cells=24, steps=32, coeffs=cs,
                                      xi_fn=lambda x: -np.sin(np.pi * x[:, 0]))
@@ -127,7 +127,7 @@ class TestPositivePart:
         def f_one(t, x, y, z):
             return np.ones(x.shape[0])
 
-        z = zero_coeffs(2)
+        z = CoefficientSet.zero(2)
         cs = CoefficientSet(f=f_one, g=z.g, h=z.h, C=0.0, alpha=0.0, beta=0.0, modes=2)
         data = unconstrained_problem(cells=32, steps=64, coeffs=cs)
         data = data.with_noise(NoisePath(J=2, dt=data.dt,
@@ -159,7 +159,7 @@ class TestEstimates:
     def test_zero_data_degenerate(self):
         import dataclasses
         grid = build_grid(1, (0.0, 1.0), 16)
-        data = standard_problem(cells=16, steps=16, coeffs=zero_coeffs(2),
+        data = standard_problem(cells=16, steps=16, coeffs=CoefficientSet.zero(2),
                                 obstacle_level=OBSTACLE_OFF,
                                 dominator=DominatorData(initial=Field.zeros(grid)))
         data = dataclasses.replace(
@@ -189,7 +189,7 @@ class TestEstimates:
         def f_neg(t, x, y, z):
             return -0.2 + 0.1 * np.sin(y) - 0.1
 
-        z = zero_coeffs(2)
+        z = CoefficientSet.zero(2)
         cs = CoefficientSet(f=f_neg, g=z.g, h=z.h, C=0.1, alpha=0.0, beta=0.0, modes=2)
         grid = build_grid(1, (0.0, 1.0), 24)
         dom = DominatorData(initial=Field.zeros(grid))
