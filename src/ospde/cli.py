@@ -31,7 +31,7 @@ from .capacity import box_set, capacity as compute_capacity
 from .config import RunConfig, load_config
 from .errors import AssumptionError, ConfigurationError, SolverError
 from .norms import FieldPath, NormToolbox, dual_sharp_upper, mixed_norm, sharp_norm
-from .persist import load_run, save_run, write_norm_table, write_rows
+from .persist import load_run, save_run, write_rows
 from .solver import (SolveResult, skorokhod_defect, solve_mode, solve_penalized,
                      solve_projected)
 from .verify import (apriori_check, comparison_experiment, ito_square_residual,
@@ -71,7 +71,7 @@ def _load(args) -> tuple[RunConfig, Path]:
     return cfg, out
 
 
-def _run_one_sample(raw_cfg: dict, seed: int, out_dir: str, formats) -> dict:
+def _run_one_sample(raw_cfg: dict, seed: int, out_dir: str, keep_noise: bool) -> dict:
     """Worker entry: solve one seed and persist its artifacts."""
     cfg = RunConfig(raw=raw_cfg)
     grid = cfg.make_grid()
@@ -80,20 +80,16 @@ def _run_one_sample(raw_cfg: dict, seed: int, out_dir: str, formats) -> dict:
     result = solve_mode(data, cfg.solver_mode, cfg.penalty_n)
     defect = skorokhod_defect(result.u, data.obstacle, result.measure)
     T = float(data.times[-1])
+    toolbox = NormToolbox.for_dim(grid.dim)
+    norms = [("mixed", 2, "inf", T, mixed_norm(result.u, 2, math.inf, T)),
+             ("mixed", 2, 2, T, mixed_norm(result.u, 2, 2, T)),
+             ("mixed", 2, 1, T, mixed_norm(result.u, 2, 1, T)),
+             ("sharp", "", "", T, sharp_norm(result.u, T, toolbox)),
+             ("dual_sharp_upper", "", "", T, dual_sharp_upper(result.u, T, toolbox))]
     meta = save_run(out_dir, result, config_hash=cfg.hash, seed=seed, grid=grid,
                     solver_mode=cfg.solver_mode,
                     penalty_n=result.diagnostics.get("penalty_level"),
-                    formats=formats, noise=data.noise)
-    if "csv" in formats:
-        toolbox = NormToolbox.for_dim(grid.dim)
-        entries = [("mixed", 2, "inf", T, mixed_norm(result.u, 2, math.inf, T)),
-                   ("mixed", 2, 2, T, mixed_norm(result.u, 2, 2, T)),
-                   ("mixed", 2, 1, T, mixed_norm(result.u, 2, 1, T)),
-                   ("sharp", "", "", T, sharp_norm(result.u, T, toolbox)),
-                   ("dual_sharp_upper", "", "", T,
-                    dual_sharp_upper(result.u, T, toolbox))]
-        write_norm_table(Path(out_dir) / "norms.csv", f"seed_{seed}", entries,
-                         config_hash=cfg.hash)
+                    norms=norms, noise=data.noise if keep_noise else None)
     return {
         "seed": seed,
         "directory": str(out_dir),
@@ -115,13 +111,21 @@ def _aggregate(rows: list[dict]) -> dict:
     return out
 
 
+# The CSV and JSON artifacts are always written; naming them is allowed, and
+# only "noise" adds a file (noise.bin).
+_FORMATS = ("csv", "json", "noise")
+
+
 def cmd_simulate(args) -> int:
     cfg, out = _load(args)
     seeds = cfg.sample_seeds(args.seed, args.samples)
-    formats = tuple(cfg.block("output").get("formats", ["csv", "json"]))
+    formats = cfg.block("output").get("formats", [])
+    if not isinstance(formats, list) or any(f not in _FORMATS for f in formats):
+        raise StageError("config-error", f"output.formats {formats!r} must be a list "
+                                         f"drawn from {list(_FORMATS)}")
     out.mkdir(parents=True, exist_ok=True)
 
-    jobs = [(cfg.raw, seed, str(out / f"sample_{i:03d}_seed_{seed}"), formats)
+    jobs = [(cfg.raw, seed, str(out / f"sample_{i:03d}_seed_{seed}"), "noise" in formats)
             for i, seed in enumerate(seeds)]
     workers = int(args.workers or cfg.block("output").get("workers", 1))
     if workers > 1 and len(jobs) > 1:
@@ -157,12 +161,11 @@ def cmd_penalize_sweep(args) -> int:
             pen = solve_penalized(data, n)
             dist = mixed_norm(FieldPath(grid, data.times, pen.u.frames - star.u.frames),
                               2, math.inf, T)
-            rows.append((seed, n, f"{dist:.17g}",
-                         f"{skorokhod_defect(pen.u, data.obstacle, pen.measure):.17g}",
-                         f"{pen.measure.total_mass():.17g}"))
+            rows.append((seed, n, dist, skorokhod_defect(pen.u, data.obstacle, pen.measure),
+                         pen.measure.total_mass()))
     write_rows(out / "penalize_sweep.csv",
                ["seed", "n", "distance_to_projected", "skorokhod_defect", "measure_mass"],
-               rows, config_hash=cfg.hash)
+               "%d,%d,%.17g,%.17g,%.17g", rows, config_hash=cfg.hash)
     print(f"penalize-sweep: {len(levels)} level(s) x {len(seeds)} seed(s) -> "
           f"{out / 'penalize_sweep.csv'}")
     return 0
@@ -177,8 +180,8 @@ def cmd_compare(args) -> int:
     data2 = cfg2.build_problem(seeds[0])
     report = comparison_experiment(data1, data2, seeds, mode=cfg.solver_mode,
                                    penalty_n=cfg.penalty_n)
-    write_rows(out / "compare.csv", ["sample", "seed", "min_gap"],
-               [(i, s, f"{gap:.17g}") for i, (s, gap) in
+    write_rows(out / "compare.csv", ["sample", "seed", "min_gap"], "%d,%d,%.17g",
+               [(i, s, gap) for i, (s, gap) in
                 enumerate(zip(report.seeds, report.per_sample))],
                config_hash=cfg.hash)
     with open(out / "compare_summary.json", "w", encoding="utf-8") as fh:
@@ -207,11 +210,11 @@ def cmd_capacity(args) -> int:
     rows = []
     for iv in intervals:
         K = box_set(grid, times, frame, iv)
-        rows.append((frame, f"{times[frame]:.12g}", f"{iv[0]:.12g}", f"{iv[1]:.12g}",
-                     f"{compute_capacity(op, K):.17g}", f"{K.lebesgue_measure():.17g}"))
+        rows.append((frame, times[frame], iv[0], iv[1], compute_capacity(op, K),
+                     K.lebesgue_measure()))
     write_rows(out / "capacity.csv",
-               ["frame", "time", "lo", "hi", "capacity", "lebesgue_measure"], rows,
-               config_hash=cfg.hash)
+               ["frame", "time", "lo", "hi", "capacity", "lebesgue_measure"],
+               "%d,%.12g,%.12g,%.12g,%.17g,%.17g", rows, config_hash=cfg.hash)
     print(f"capacity: {len(rows)} row(s) -> {out / 'capacity.csv'}")
     return 0
 

@@ -69,21 +69,22 @@ def psor(B: sp.csr_matrix, q: np.ndarray, psi: np.ndarray, x0: np.ndarray):
 def penalized_solve(B: sp.csc_matrix, lu, q: np.ndarray, psi: np.ndarray, pen: float):
     """Solve B x - pen * (x - psi)^- = q by active-set iteration.
 
-    ``lu`` is a prefactorization of B used for the unconstrained start.
+    ``lu`` is a prefactorization of B; its unconstrained solve is the start
+    and is reused on every pass whose active set is empty.
     Returns (x, iterations, residual_inf).
     """
     q = np.asarray(q, dtype=float)
     psi = np.asarray(psi, dtype=float)
     scale = 1.0 + float(np.abs(q).max(initial=0.0))
-    x = lu.solve(q)
-    active = x < psi
+    x_free = lu.solve(q)
+    active = x_free < psi
     for it in range(1, _PENALTY_MAX_ITERS + 1):
         if active.any():
             d = np.where(active, pen, 0.0)
             M = B + sp.diags(d)
             x = spla.spsolve(M.tocsc(), q + d * psi)
         else:
-            x = lu.solve(q)
+            x = x_free
         resid = B @ x - pen * np.maximum(psi - x, 0.0) - q
         new_active = x < psi
         if np.array_equal(new_active, active) and np.abs(resid).max() <= _PENALTY_TOL * scale:

@@ -1,20 +1,33 @@
-"""Artifact persistence: per-sample CSV/JSON files with stable schemas.
+"""Artifact persistence: one CSV row writer, one CSV table reader.
 
-Every artifact file embeds the config hash -- JSON files as a field, CSV
-files as a leading ``# config_hash=...`` comment line -- and replaying
-verification against a mismatched hash is refused.
+A sample directory always holds ``metadata.json``, ``u.csv``,
+``measure.csv`` and ``norms.csv``, plus ``noise.bin`` when the noise is
+passed in.  Every file embeds the config hash -- JSON files as a field, CSV
+files as a leading ``# config_hash=...`` line -- and loading against a
+mismatched hash is refused.
+
+Every CSV table is a header plus a ``%``-format row declared once and
+written by ``write_rows``: the hash line ends in LF, the header and data
+rows in CRLF, which is what ``csv.writer`` emits.
 
 u.csv columns: step, time, node, x[, y], value -- one row per node per
 frame.  measure.csv columns: step, time, node, weight -- weights are
 densities per space-time cell; the row's time is t_{k+1}, the frame whose
 constraint produced the weight at step k.  Interior nodes only (weights
-vanish identically on the boundary).
+vanish identically on the boundary).  norms.csv columns: run_id,
+norm_name, p, q, t, value; dual-norm entries are named
+``dual_sharp_upper``: reported values bound the true infimum norm from
+above.
+
+``load_run`` refuses (``ConfigurationError``) a table whose hash line,
+header or numbers do not parse, or that does not hold each (step, node)
+exactly once.
 """
 
 from __future__ import annotations
 
-import csv
 import json
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -25,37 +38,44 @@ from .norms import FieldPath
 from .solver import DiscreteMeasure, SolveResult
 from .stochastics import save_noise
 
-__all__ = ["save_run", "load_run", "write_norm_table", "write_rows"]
+__all__ = ["save_run", "load_run", "write_rows"]
+
+_MEASURE_HEADER = ("step", "time", "node", "weight")
+_MEASURE_FMT = "%d,%.12g,%d,%.17g"
 
 
-def write_rows(path, header, rows, config_hash: str | None = None) -> None:
+def _u_schema(dim: int) -> tuple[tuple[str, ...], str]:
+    """Header and row format of u.csv on a ``dim``-dimensional grid."""
+    header = ("step", "time", "node", *"xy"[:dim], "value")
+    return header, "%d,%.12g,%d," + "%.12g," * dim + "%.17g"
+
+
+def write_rows(path, header, fmt: str, rows, config_hash: str | None = None) -> None:
+    """Write a CSV table: the hash line, the header, then ``fmt % row`` per row."""
+    line = fmt + "\r\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         if config_hash is not None:
             fh.write(f"# config_hash={config_hash}\n")
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(line % row for row in rows)
 
 
-def _read_csv(path, expected_hash: str | None = None):
-    with open(path, newline="", encoding="utf-8") as fh:
-        first = fh.readline()
-        if first.startswith("#"):
-            if expected_hash is not None and f"config_hash={expected_hash}" not in first:
-                raise ConfigurationError(
-                    f"{Path(path).name} embeds a different config hash; refusing to load")
-        else:
-            fh.seek(0)
-        yield from csv.DictReader(fh)
+def _frame_rows(times, columns, frames):
+    """(step, time, *columns, value) rows, built one frame at a time."""
+    for k, (t, frame) in enumerate(zip(times, frames)):
+        yield from zip(repeat(k), repeat(t), *columns, frame.tolist())
 
 
 def save_run(directory, result: SolveResult, *, config_hash: str, seed: int,
              grid: Grid, solver_mode: str, penalty_n: int | None = None,
-             formats=("csv", "json"), noise=None) -> dict:
-    """Write metadata.json, u.csv and measure.csv; returns the metadata."""
+             norms=(), noise=None) -> dict:
+    """Write the sample directory; returns the metadata.
+
+    ``norms`` holds (norm_name, p, q, t, value) entries; ``noise`` is
+    written to noise.bin when given.
+    """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    times = result.u.times
     meta = {
         "config_hash": config_hash,
         "seed": int(seed),
@@ -71,26 +91,67 @@ def save_run(directory, result: SolveResult, *, config_hash: str, seed: int,
     with open(directory / "metadata.json", "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2)
 
-    if "csv" in formats:
-        header = ["step", "time", "node", "x"] + (["y"] if grid.dim == 2 else []) + ["value"]
-        rows = []
-        for k in range(times.size):
-            frame = result.u.frames[k]
-            for node in range(grid.n_nodes):
-                coords = [f"{c:.12g}" for c in grid.coords[node]]
-                rows.append([k, f"{times[k]:.12g}", node, *coords, f"{frame[node]:.17g}"])
-        write_rows(directory / "u.csv", header, rows, config_hash=config_hash)
-
-        rows = []
-        for k in range(result.measure.weights.shape[0]):
-            row_w = result.measure.weights[k]
-            for pos, node in enumerate(grid.interior):
-                rows.append([k, f"{times[k + 1]:.12g}", int(node), f"{row_w[pos]:.17g}"])
-        write_rows(directory / "measure.csv", ["step", "time", "node", "weight"],
-                   rows, config_hash=config_hash)
-    if noise is not None and "noise" in formats:
+    times = result.u.times.tolist()
+    nodes = (range(grid.n_nodes), *grid.coords.T.tolist())
+    write_rows(directory / "u.csv", *_u_schema(grid.dim),
+               _frame_rows(times, nodes, result.u.frames), config_hash=config_hash)
+    write_rows(directory / "measure.csv", _MEASURE_HEADER, _MEASURE_FMT,
+               _frame_rows(times[1:], (grid.interior.tolist(),), result.measure.weights),
+               config_hash=config_hash)
+    write_rows(directory / "norms.csv", ("run_id", "norm_name", "p", "q", "t", "value"),
+               "%s,%s,%s,%s,%.12g,%.17g", ((f"seed_{seed}", *entry) for entry in norms),
+               config_hash=config_hash)
+    if noise is not None:
         save_noise(noise, directory / "noise.bin")
     return meta
+
+
+def _read_table(path, header, expected_hash: str | None = None) -> np.ndarray:
+    """The rows of a CSV table as a 2D float array, after the hash line and
+    header checks."""
+    name = Path(path).name
+    with open(path, encoding="utf-8") as fh:
+        line = fh.readline()
+        if line.startswith("#"):
+            if expected_hash is not None and f"config_hash={expected_hash}" not in line:
+                raise ConfigurationError(
+                    f"{name} embeds a different config hash; refusing to load")
+            line = fh.readline()
+        if line.rstrip("\r\n") != ",".join(header):
+            raise ConfigurationError(f"{name} header {line.rstrip()!r} is not "
+                                     f"{','.join(header)!r}; refusing to load")
+        try:
+            table = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise ConfigurationError(f"{name} is malformed ({exc}); refusing to load") from None
+    if table.shape[1] != len(header):
+        raise ConfigurationError(f"{name} rows do not have the {len(header)} columns "
+                                 f"of its header; refusing to load")
+    return table
+
+
+def _scatter(path, header, expected_hash, steps: int, nodes: np.ndarray,
+             n_nodes: int) -> np.ndarray:
+    """Read a (step, time, node, ..., value) table into a (steps, nodes.size)
+    array whose column j holds node ``nodes[j]``; every (step, node) pair must
+    appear exactly once."""
+    table = _read_table(path, header, expected_hash)
+    step, node = table[:, 0], table[:, 2]
+    column = np.full(n_nodes, -1)
+    column[nodes] = np.arange(nodes.size)
+    in_range = ((step == np.floor(step)) & (step >= 0) & (step < steps)
+                & (node == np.floor(node)) & (node >= 0) & (node < n_nodes))
+    col = column[node.astype(np.intp)] if in_range.all() else None
+    if col is None or (col < 0).any():
+        raise ConfigurationError(f"{Path(path).name} names a step or node outside "
+                                 f"the run; refusing to load")
+    flat = step.astype(np.intp) * nodes.size + col
+    if not (np.bincount(flat, minlength=steps * nodes.size) == 1).all():
+        raise ConfigurationError(f"{Path(path).name} does not hold each (step, node) "
+                                 f"exactly once; refusing to load")
+    out = np.empty(steps * nodes.size)
+    out[flat] = table[:, -1]
+    return out.reshape(steps, nodes.size)
 
 
 def load_run(directory, grid: Grid, expected_hash: str | None = None):
@@ -103,29 +164,10 @@ def load_run(directory, grid: Grid, expected_hash: str | None = None):
             f"artifact config hash {meta.get('config_hash')!r} does not match "
             f"the supplied config ({expected_hash!r}); refusing to verify")
     steps = int(meta["steps"])
-    dt = float(meta["dt"])
-    times = np.arange(steps + 1) * dt
+    times = np.arange(steps + 1) * float(meta["dt"])
 
-    frames = np.zeros((steps + 1, grid.n_nodes))
-    for row in _read_csv(directory / "u.csv", expected_hash):
-        frames[int(row["step"]), int(row["node"])] = float(row["value"])
-    u = FieldPath(grid, times, frames)
-
-    weights = np.zeros((steps, grid.n_interior))
-    pos_of = {int(node): i for i, node in enumerate(grid.interior)}
-    for row in _read_csv(directory / "measure.csv", expected_hash):
-        weights[int(row["step"]), pos_of[int(row["node"])]] = float(row["weight"])
-    measure = DiscreteMeasure(grid, times, weights)
-    return u, measure, meta
-
-
-def write_norm_table(path, run_id: str, entries, config_hash: str | None = None) -> None:
-    """Norm table rows: (run_id, norm_name, p, q, t, value).
-
-    Dual-norm entries are named ``dual_sharp_upper``: reported values bound
-    the true infimum norm from above.
-    """
-    rows = [(run_id, name, p, q, f"{t:.12g}", f"{v:.17g}")
-            for name, p, q, t, v in entries]
-    write_rows(path, ["run_id", "norm_name", "p", "q", "t", "value"], rows,
-               config_hash=config_hash)
+    frames = _scatter(directory / "u.csv", _u_schema(grid.dim)[0], expected_hash,
+                      steps + 1, np.arange(grid.n_nodes), grid.n_nodes)
+    weights = _scatter(directory / "measure.csv", _MEASURE_HEADER, expected_hash,
+                       steps, grid.interior, grid.n_nodes)
+    return FieldPath(grid, times, frames), DiscreteMeasure(grid, times, weights), meta

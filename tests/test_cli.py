@@ -259,6 +259,41 @@ class TestSubcommands:
         fresh = sample_noise(2, 0.1 / 32, 32, 41)
         assert np.array_equal(stored.increments, fresh.increments)
 
+    @pytest.mark.parametrize("edit", ["drop_last_frame", "rename_header"])
+    def test_verify_refuses_malformed_artifacts(self, tmp_path, edit):
+        cfg = write_cfg(tmp_path, BASE)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        u_csv = out / "sample_000_seed_41" / "u.csv"
+        lines = u_csv.read_text().splitlines()
+        if edit == "drop_last_frame":
+            lines = [ln for ln in lines if not ln.startswith("32,")]
+        else:
+            lines[1] = lines[1].replace("value", "u")
+        u_csv.write_text("\n".join(lines) + "\n")
+        code = main(["verify", "--config", str(cfg), "--out", str(out),
+                     "--artifacts", str(out / "sample_000_seed_41")])
+        assert code == 6
+        assert json.loads((out / "error.json").read_text())["stage"] == "artifact-mismatch"
+
+    def test_unknown_output_format_is_config_error(self, tmp_path):
+        cfg = write_cfg(tmp_path, BASE + 'output.formats = ["csv", "nosie"]\n')
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        err = json.loads((out / "error.json").read_text())
+        assert err["stage"] == "config-error" and "nosie" in err["error"]
+        assert not list(out.glob("sample_*"))
+
+    def test_csv_written_whatever_the_formats(self, tmp_path):
+        cfg = write_cfg(tmp_path, BASE + 'output.formats = ["json"]\n')
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        sample = out / "sample_000_seed_41"
+        assert {p.name for p in sample.iterdir()} == {
+            "metadata.json", "u.csv", "measure.csv", "norms.csv"}
+        assert main(["verify", "--config", str(cfg), "--out", str(out),
+                     "--artifacts", str(sample)]) == 0
+
     def test_unknown_check_rejected(self, tmp_path):
         text = BASE.replace('verify.checks = ["ito_square", "skorokhod"]',
                             'verify.checks = ["nonsense"]')
