@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .capacity import box_set, capacity as compute_capacity
-from .config import RunConfig, load_config
+from .config import RunConfig, coerce, load_config
 from .errors import AssumptionError, ConfigurationError, SolverError
 from .norms import FieldPath, NormToolbox, dual_sharp_upper, mixed_norm, sharp_norm
 from .persist import load_run, save_run, write_rows
@@ -127,7 +127,7 @@ def cmd_simulate(args) -> int:
 
     jobs = [(cfg.raw, seed, str(out / f"sample_{i:03d}_seed_{seed}"), "noise" in formats)
             for i, seed in enumerate(seeds)]
-    workers = int(args.workers or cfg.block("output").get("workers", 1))
+    workers = args.workers or coerce(int, "output.workers", cfg.block("output").get("workers", 1))
     if workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_run_one_sample, *zip(*jobs)))
@@ -146,8 +146,9 @@ def cmd_simulate(args) -> int:
 def cmd_penalize_sweep(args) -> int:
     cfg, out = _load(args)
     out.mkdir(parents=True, exist_ok=True)
-    levels = ([int(v) for v in args.n_values.split(",")] if args.n_values
-              else [int(v) for v in cfg.block("solver").get("sweep_n", [10, 100, 1000, 10000])])
+    levels = ([coerce(int, "--n-values", v) for v in args.n_values.split(",")] if args.n_values
+              else [coerce(int, "solver.sweep_n", v)
+                    for v in cfg.block("solver").get("sweep_n", [10, 100, 1000, 10000])])
     seeds = cfg.sample_seeds(args.seed, args.samples)
     grid = cfg.make_grid()
     op = cfg.make_operator(grid)
@@ -200,7 +201,7 @@ def cmd_capacity(args) -> int:
     grid = cfg.make_grid()
     op = cfg.make_operator(grid)
     times = cfg.make_times()
-    frame = int(block["frame"])
+    frame = coerce(int, "capacity.frame", block["frame"])
 
     if "widths" in block:
         center = float(block.get("center", 0.5))

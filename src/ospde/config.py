@@ -21,7 +21,7 @@ from .presets import (make_coefficients, make_dominator, make_initial, make_obst
 from .solver import ProblemData
 from .stochastics import sample_noise
 
-__all__ = ["RunConfig", "parse_config_text", "load_config", "config_hash"]
+__all__ = ["RunConfig", "parse_config_text", "load_config", "config_hash", "coerce"]
 
 
 def parse_config_text(text: str) -> dict:
@@ -58,6 +58,14 @@ def config_hash(raw: dict) -> str:
     ).hexdigest()
 
 
+def coerce(kind, key: str, value):
+    """``kind(value)``, or a ConfigurationError naming the config key ``key``."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigurationError(f"{key} = {value!r} is not a valid {kind.__name__}") from None
+
+
 def _params(block: dict, *skip: str) -> dict:
     return {k: v for k, v in block.items() if k not in skip}
 
@@ -80,7 +88,7 @@ class RunConfig:
         t = self.raw["time"]
         if "T" not in t or "steps" not in t:
             raise ConfigurationError("config needs time.T and time.steps")
-        if float(t["T"]) <= 0 or int(t["steps"]) < 1:
+        if coerce(float, "time.T", t["T"]) <= 0 or coerce(int, "time.steps", t["steps"]) < 1:
             raise ConfigurationError("time.T must be positive and time.steps >= 1")
 
     @property
@@ -97,14 +105,14 @@ class RunConfig:
 
     def make_grid(self) -> Grid:
         g = self.raw["grid"]
-        return build_grid(int(g["dim"]), g["extent"], g["counts"])
+        return build_grid(coerce(int, "grid.dim", g["dim"]), g["extent"], g["counts"])
 
     def make_operator(self, grid: Grid) -> EllipticOperator:
         op = self.block("operator")
         profile = op.get("profile", "constant")
         a = operator_profile(profile, grid, _params(op, "profile", "lambda", "Lambda"))
-        lam = float(op.get("lambda", 1.0))
-        Lam = float(op.get("Lambda", lam if np.ndim(a) == 0 else 1.0))
+        lam = coerce(float, "operator.lambda", op.get("lambda", 1.0))
+        Lam = coerce(float, "operator.Lambda", op.get("Lambda", lam if np.ndim(a) == 0 else 1.0))
         return assemble_operator(grid, a, lam, Lam)
 
     def make_times(self) -> np.ndarray:
@@ -123,18 +131,19 @@ class RunConfig:
 
     @property
     def noise_modes(self) -> int:
-        return int(self.block("noise").get("J", 8))
+        return coerce(int, "noise.J", self.block("noise").get("J", 8))
 
     def sample_seeds(self, seed_override=None, samples_override=None) -> list[int]:
         noise = self.block("noise")
         if "seeds" in noise and seed_override is None:
-            seeds = [int(s) for s in noise["seeds"]]
+            seeds = [coerce(int, "noise.seeds", s) for s in noise["seeds"]]
             if samples_override is not None:
                 seeds = seeds[: int(samples_override)]
         else:
-            base = int(seed_override if seed_override is not None else noise.get("seed", 0))
+            base = int(seed_override if seed_override is not None
+                       else coerce(int, "noise.seed", noise.get("seed", 0)))
             n = int(samples_override if samples_override is not None
-                    else noise.get("samples", 1))
+                    else coerce(int, "noise.samples", noise.get("samples", 1)))
             seeds = [base + i for i in range(n)]
         if not seeds:
             raise ConfigurationError("no sample seeds: need at least one sample")
@@ -170,7 +179,7 @@ class RunConfig:
 
     @property
     def penalty_n(self) -> int:
-        return int(self.block("solver").get("penalty_n", 1000))
+        return coerce(int, "solver.penalty_n", self.block("solver").get("penalty_n", 1000))
 
 
 def load_config(path) -> RunConfig:

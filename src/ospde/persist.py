@@ -19,14 +19,16 @@ norm_name, p, q, t, value; dual-norm entries are named
 ``dual_sharp_upper``: reported values bound the true infimum norm from
 above.
 
-``load_run`` refuses (``ConfigurationError``) a table whose hash line,
-header or numbers do not parse, or that does not hold each (step, node)
-exactly once.
+``load_run`` refuses (``ConfigurationError``) a ``metadata.json`` that is
+not a JSON object with an integer ``steps`` >= 1, a positive ``dt`` and an
+integer ``seed``, and a table whose hash line, header or numbers do not
+parse, or that does not hold each (step, node) exactly once.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from itertools import repeat
 from pathlib import Path
 
@@ -158,13 +160,22 @@ def load_run(directory, grid: Grid, expected_hash: str | None = None):
     """Load a stored run back into (FieldPath, DiscreteMeasure, metadata)."""
     directory = Path(directory)
     with open(directory / "metadata.json", "r", encoding="utf-8") as fh:
-        meta = json.load(fh)
+        try:
+            meta = json.load(fh)
+        except ValueError:
+            meta = None
+    if not isinstance(meta, dict):
+        raise ConfigurationError("metadata.json is not a JSON object; refusing to load")
     if expected_hash is not None and meta.get("config_hash") != expected_hash:
         raise ConfigurationError(
             f"artifact config hash {meta.get('config_hash')!r} does not match "
             f"the supplied config ({expected_hash!r}); refusing to verify")
-    steps = int(meta["steps"])
-    times = np.arange(steps + 1) * float(meta["dt"])
+    steps, dt, seed = (meta.get(key) for key in ("steps", "dt", "seed"))
+    if not (type(steps) is int and steps >= 1 and type(seed) is int
+            and type(dt) in (int, float) and 0 < dt < math.inf):
+        raise ConfigurationError(f"metadata.json has steps = {steps!r}, dt = {dt!r}, "
+                                 f"seed = {seed!r}; refusing to load")
+    times = np.arange(steps + 1) * float(dt)
 
     frames = _scatter(directory / "u.csv", _u_schema(grid.dim)[0], expected_hash,
                       steps + 1, np.arange(grid.n_nodes), grid.n_nodes)

@@ -41,7 +41,7 @@ import scipy.sparse.linalg as spla
 from .errors import AssumptionError, ConfigurationError, SolverError
 from .grid import (EllipticOperator, Field, _readonly, divergence, energy_values,
                    node_gradient, same_grid)
-from .lcp import penalized_solve, psor
+from .lcp import psor
 from .norms import FieldPath, NormToolbox, dual_sharp_upper, magnitude_path, mixed_norm
 from .stochastics import CoefficientSet, NoisePath, validate_assumptions
 
@@ -297,8 +297,8 @@ def _march(data: ProblemData, advance: Callable) -> SolveResult:
     """Common solve: refuse data outside the hypotheses, factor the step
     once, then march with explicit sources and the per-step ``advance``.
 
-    ``advance(ws, k, rhs, psi, diag)`` returns the interior state at
-    t_{k+1} and the measure density of step k.
+    ``advance(ws, rhs, psi)`` returns the interior state at t_{k+1}, the
+    measure density of step k and its active-set pass count.
     """
     _require_assumptions(data)
     grid = data.op.grid
@@ -307,7 +307,7 @@ def _march(data: ProblemData, advance: Callable) -> SolveResult:
     frames = np.zeros((data.steps + 1, grid.n_nodes))
     frames[0] = data.xi.values
     weights = np.zeros((data.steps, grid.n_interior))
-    diag: dict = {"iterations": [], "residuals": []}
+    iterations = []
     inc = data.noise.increments
     for k in range(data.steps):
         t_k = float(data.times[k])
@@ -315,22 +315,25 @@ def _march(data: ProblemData, advance: Callable) -> SolveResult:
         f_int, g_int, h_int = _evaluate_coeffs(data.coeffs, t_k, x_int, y_int, z_int)
         rhs = _source_rhs(grid, dt, frames[k], f_int, g_int, h_int, inc[:, k])
         psi = grid.restrict(data.obstacle.frames[k + 1])
-        u_next, w_k = advance(ws, k, rhs, psi, diag)
+        try:
+            u_next, w_k, passes = advance(ws, rhs, psi)
+        except SolverError as exc:
+            raise SolverError(f"step {k} failed: {exc}") from exc
         frames[k + 1] = grid.extend(u_next)
         weights[k] = w_k
+        iterations.append(passes)
     return SolveResult(
         u=FieldPath(grid, data.times, frames),
         measure=DiscreteMeasure(grid, data.times, weights),
-        diagnostics=diag,
+        diagnostics={"iterations": iterations},
     )
 
 
 def solve_unconstrained(data: ProblemData) -> SolveResult:
     """Plain semi-implicit scheme; the obstacle is ignored entirely."""
 
-    def advance(ws, k, rhs, psi, diag):
-        diag["iterations"].append(0)
-        return ws.solve(rhs), np.zeros_like(rhs)
+    def advance(ws, rhs, psi):
+        return ws.solve(rhs), np.zeros_like(rhs), 0
 
     return _march(data, advance)
 
@@ -345,14 +348,9 @@ def solve_penalized(data: ProblemData, n: int) -> SolveResult:
         raise ConfigurationError(f"penalization level must be >= 1, got {n}")
     pen = data.dt * float(n)
 
-    def advance(ws, k, rhs, psi, diag):
-        try:
-            u_next, iters, resid = penalized_solve(ws.B, ws.lu, rhs, psi, pen)
-        except SolverError as exc:
-            raise SolverError(f"penalized step {k} failed: {exc}") from exc
-        diag["iterations"].append(iters)
-        diag["residuals"].append(resid)
-        return u_next, float(n) * np.maximum(psi - u_next, 0.0)
+    def advance(ws, rhs, psi):
+        u_next, passes = psor(ws.B, ws.lu, rhs, psi, pen)
+        return u_next, float(n) * np.maximum(psi - u_next, 0.0), passes
 
     result = _march(data, advance)
     result.diagnostics["penalty_level"] = int(n)
@@ -362,26 +360,19 @@ def solve_penalized(data: ProblemData, n: int) -> SolveResult:
 def solve_projected(data: ProblemData) -> SolveResult:
     """Projected (complementarity) scheme: the discrete constrained limit.
 
-    Each step first tries the exact unconstrained solve; if feasible it is
-    the unique LCP solution (zero reaction).  Otherwise the exact
-    active-set solve starts from the contact set of that unconstrained
-    iterate.  The reaction density is the positive part of the step
-    residual divided by dt; the recorded iteration count is the number of
-    active-set passes.
+    Each step is the exact active-set solve of the step's complementarity
+    problem (``lcp.psor`` at infinite penalty).  The reaction density is the
+    positive part of the step residual divided by dt, and zero on a step
+    whose unconstrained solve is already feasible; the recorded iteration
+    count is the number of active-set passes.
     """
     dt = data.dt
 
-    def advance(ws, k, rhs, psi, diag):
-        u_free = ws.solve(rhs)
-        if np.all(u_free >= psi):
-            diag["iterations"].append(0)
-            return u_free, np.zeros_like(u_free)
-        try:
-            u_next, passes = psor(ws.B, rhs, psi, u_free)
-        except SolverError as exc:
-            raise SolverError(f"projected step {k} failed: {exc}") from exc
-        diag["iterations"].append(passes)
-        return u_next, np.maximum(ws.B @ u_next - rhs, 0.0) / dt
+    def advance(ws, rhs, psi):
+        u_next, passes = psor(ws.B, ws.lu, rhs, psi)
+        if not passes:
+            return u_next, np.zeros_like(u_next), 0
+        return u_next, np.maximum(ws.B @ u_next - rhs, 0.0) / dt, passes
 
     return _march(data, advance)
 

@@ -143,6 +143,19 @@ class TestSimulate:
         assert "unknown solver.mode 'psor'" in err["error"]
         assert not list(out.glob("sample_*"))
 
+    @pytest.mark.parametrize("key, line, argv", [
+        pytest.param(key, line, argv, id=key) for key, line, argv in [
+            ("time.steps", 'time.steps = "eight"', ["simulate"]),
+            ("noise.J", 'noise.J = "two"', ["simulate"]),
+            ("solver.penalty_n", 'solver.penalty_n = "big"', ["simulate"]),
+            ("--n-values", "", ["penalize-sweep", "--n-values", "10,abc"])]])
+    def test_unparsable_value_is_config_error(self, tmp_path, capsys, key, line, argv):
+        cfg = write_cfg(tmp_path, BASE + line + "\n")
+        code = main([*argv, "--config", str(cfg), "--out", str(tmp_path / "out")])
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert code == 2 and err["stage"] == "config-error"
+        assert err["error"].startswith(f"{key} = ")
+
     def test_round_trip_matches_solution(self, tmp_path):
         cfg_path = write_cfg(tmp_path, BASE)
         out = tmp_path / "out"
@@ -275,6 +288,25 @@ class TestSubcommands:
                      "--artifacts", str(out / "sample_000_seed_41")])
         assert code == 6
         assert json.loads((out / "error.json").read_text())["stage"] == "artifact-mismatch"
+
+    @pytest.mark.parametrize("edit", [
+        lambda meta: {k: v for k, v in meta.items() if k != "steps"},
+        lambda meta: {k: v for k, v in meta.items() if k != "seed"},
+        lambda meta: {**meta, "dt": "0.003"},
+        lambda meta: None,
+    ], ids=["no_steps", "no_seed", "dt_text", "not_json"])
+    def test_verify_refuses_bad_metadata(self, tmp_path, edit):
+        cfg = write_cfg(tmp_path, BASE)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        path = out / "sample_000_seed_41" / "metadata.json"
+        meta = edit(json.loads(path.read_text()))
+        path.write_text("{not json" if meta is None else json.dumps(meta))
+        code = main(["verify", "--config", str(cfg), "--out", str(out),
+                     "--artifacts", str(out / "sample_000_seed_41")])
+        assert code == 6
+        err = json.loads((out / "error.json").read_text())
+        assert err["stage"] == "artifact-mismatch" and "metadata.json" in err["error"]
 
     def test_unknown_output_format_is_config_error(self, tmp_path):
         cfg = write_cfg(tmp_path, BASE + 'output.formats = ["csv", "nosie"]\n')

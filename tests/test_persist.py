@@ -51,23 +51,33 @@ def test_round_trip_is_bitwise(tmp_path, grid):
 
 
 # SHA-256 of the files `simulate` writes for the BASE config of test_cli
-# (1D, 16 cells, 32 steps, seed 41).  Readers outside the package and the
-# benchmark's smoke tests parse these bytes, so the schema must not drift.
+# (1D, 16 cells, 32 steps, seed 41), in each constrained solver mode.
+# Readers outside the package and the benchmark's smoke tests parse these
+# bytes, so the schema must not drift.
 PINNED = {
-    "u.csv": "0c02549d9333aa6bf4e66701726a941cc472b63b15c9983a0be984c89bedbb95",
-    "measure.csv": "56a812dc7a734c9249e4299e07d7c8f495bddb56fa3d85054e7523e0d546afb7",
-    "norms.csv": "d8c5b70c2972ab782eda36a7dade0c438fbcda0e4a95ae27b677cd715b4942c4",
+    "projected": {
+        "u.csv": "0c02549d9333aa6bf4e66701726a941cc472b63b15c9983a0be984c89bedbb95",
+        "measure.csv": "56a812dc7a734c9249e4299e07d7c8f495bddb56fa3d85054e7523e0d546afb7",
+        "norms.csv": "d8c5b70c2972ab782eda36a7dade0c438fbcda0e4a95ae27b677cd715b4942c4",
+    },
+    "penalized": {
+        "u.csv": "8f239903f56c24cb5fd4b20ea1d28ee919b1ed3904eac55eb678c6b5ea412418",
+        "measure.csv": "136dbac003e9e264d2ac58f8ec219468c977a4bd2e634fc0fd4cb984bfabf24a",
+        "norms.csv": "feaa402dfef175e310624fa96cc6e6061ed9a7902054fbc1ed6906eefd9fbeab",
+    },
 }
 
 
-def test_csv_bytes_are_pinned(tmp_path):
+@pytest.mark.parametrize("mode", sorted(PINNED))
+def test_csv_bytes_are_pinned(tmp_path, mode):
     out = tmp_path / "out"
-    assert main(["simulate", "--config", str(write_cfg(tmp_path, BASE)),
+    text = BASE.replace("solver.mode = projected", f"solver.mode = {mode}")
+    assert main(["simulate", "--config", str(write_cfg(tmp_path, text)),
                  "--out", str(out)]) == 0
     sample = out / "sample_000_seed_41"
     digests = {name: hashlib.sha256((sample / name).read_bytes()).hexdigest()
-               for name in PINNED}
-    assert digests == PINNED
+               for name in PINNED[mode]}
+    assert digests == PINNED[mode]
     first, header = (sample / "u.csv").read_bytes().split(b"\n")[:2]
     assert first.startswith(b"# config_hash=") and not first.endswith(b"\r")
     assert header == b"step,time,node,x,value\r"
