@@ -14,8 +14,7 @@ from .norms import (FieldPath, NormToolbox, dual_sharp_upper, gradient_norm_22,
                     mixed_norm, pairing, sharp_norm)
 from .solver import (OBSTACLE_OFF, DiscreteMeasure, DominatorData, ProblemData,
                      SolveResult, skorokhod_defect, solve_linear_spde, solve_mode,
-                     solve_penalized, solve_projected, solve_random_pde, solve_unconstrained,
-                     step_linear)
+                     solve_penalized, solve_projected, solve_random_pde, solve_unconstrained)
 from .stochastics import (CoefficientSet, NoisePath, check_integrability, load_noise,
                           sample_noise, save_noise, validate_assumptions)
 from .verify import (ComparisonReport, EstimateReport, ResidualReport, apriori_check,

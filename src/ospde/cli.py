@@ -28,8 +28,8 @@ from pathlib import Path
 import numpy as np
 
 from .capacity import box_set, capacity as compute_capacity
-from .config import RunConfig, coerce, load_config
-from .errors import AssumptionError, ConfigurationError, SolverError
+from .config import RunConfig, load_config
+from .errors import AssumptionError, ConfigurationError, SolverError, coerce
 from .norms import FieldPath, NormToolbox, dual_sharp_upper, mixed_norm, sharp_norm
 from .persist import load_run, save_run, write_rows
 from .solver import (SolveResult, skorokhod_defect, solve_mode, solve_penalized,

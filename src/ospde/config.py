@@ -14,14 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, coerce
 from .grid import EllipticOperator, Grid, assemble_operator, build_grid
 from .presets import (make_coefficients, make_dominator, make_initial, make_obstacle,
                       operator_profile)
 from .solver import ProblemData
 from .stochastics import sample_noise
 
-__all__ = ["RunConfig", "parse_config_text", "load_config", "config_hash", "coerce"]
+__all__ = ["RunConfig", "parse_config_text", "load_config", "config_hash"]
 
 
 def parse_config_text(text: str) -> dict:
@@ -56,14 +56,6 @@ def config_hash(raw: dict) -> str:
     return hashlib.sha256(
         json.dumps(raw, sort_keys=True, separators=(",", ":")).encode()
     ).hexdigest()
-
-
-def coerce(kind, key: str, value):
-    """``kind(value)``, or a ConfigurationError naming the config key ``key``."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise ConfigurationError(f"{key} = {value!r} is not a valid {kind.__name__}") from None
 
 
 def _params(block: dict, *skip: str) -> dict:
@@ -136,6 +128,8 @@ class RunConfig:
     def sample_seeds(self, seed_override=None, samples_override=None) -> list[int]:
         noise = self.block("noise")
         if "seeds" in noise and seed_override is None:
+            if not isinstance(noise["seeds"], list):
+                raise ConfigurationError(f"noise.seeds = {noise['seeds']!r} is not a list of seeds")
             seeds = [coerce(int, "noise.seeds", s) for s in noise["seeds"]]
             if samples_override is not None:
                 seeds = seeds[: int(samples_override)]

@@ -11,3 +11,11 @@ class AssumptionError(RuntimeError):
 
 class SolverError(RuntimeError):
     """A linear solve or iterative scheme failed to converge."""
+
+
+def coerce(kind, key: str, value):
+    """``kind(value)``, or a ConfigurationError naming the config key ``key``."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigurationError(f"{key} = {value!r} is not a valid {kind.__name__}") from None

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, coerce
 from .grid import Field, Grid
 from .norms import FieldPath
 from .solver import OBSTACLE_OFF, DominatorData
@@ -38,8 +38,10 @@ def mode_weights(J: int) -> np.ndarray:
     return w / np.linalg.norm(w)
 
 
-def _p(params: dict, key: str, default):
-    return float(params.get(key, default))
+def _reader(section: str, params: dict):
+    """``p(key, default)``: the block's ``key`` (or the default) as a float;
+    a value that is not one is a ConfigurationError naming ``section.key``."""
+    return lambda key, default: coerce(float, f"{section}.{key}", params.get(key, default))
 
 
 # -- coefficient presets ------------------------------------------------------
@@ -56,16 +58,17 @@ def _coeff_lipschitz_mix(grid: Grid, J: int, params: dict) -> CoefficientSet:
     g = (g_sin tanh(y)) e1 + g_grad clip(z)
     h_j = w_j (h_base cos(pi x1) + h_sin sin(y)) + [j = 0] h_grad clip(z1)
     """
-    f_base = _p(params, "f_base", 1.0)
-    f_shift = _p(params, "f_shift", 0.0)
-    f_sin = _p(params, "f_sin", 0.5)
-    f_grad = _p(params, "f_grad", 0.2)
-    g_sin = _p(params, "g_sin", 0.2)
-    g_grad = _p(params, "g_grad", 0.0)
-    h_base = _p(params, "h_base", 0.3)
-    h_sin = _p(params, "h_sin", 0.2)
-    h_grad = _p(params, "h_grad", 0.0)
-    clip = _p(params, "clip", 1e6)
+    p = _reader("coefficients", params)
+    f_base = p("f_base", 1.0)
+    f_shift = p("f_shift", 0.0)
+    f_sin = p("f_sin", 0.5)
+    f_grad = p("f_grad", 0.2)
+    g_sin = p("g_sin", 0.2)
+    g_grad = p("g_grad", 0.0)
+    h_base = p("h_base", 0.3)
+    h_sin = p("h_sin", 0.2)
+    h_grad = p("h_grad", 0.0)
+    clip = p("clip", 1e6)
     w = mode_weights(J)
 
     def f(t, x, y, z):
@@ -90,10 +93,11 @@ def _coeff_lipschitz_mix(grid: Grid, J: int, params: dict) -> CoefficientSet:
 def _coeff_state_free(grid: Grid, J: int, params: dict) -> CoefficientSet:
     """State-independent data: f = f_base sin(pi x1) + f_const,
     g = g_amp sin(2 pi x1) e1, h_j = w_j h_amp cos(pi x1)."""
-    f_base = _p(params, "f_base", 1.0)
-    f_const = _p(params, "f_const", 0.0)
-    g_amp = _p(params, "g_amp", 0.3)
-    h_amp = _p(params, "h_amp", 0.4)
+    p = _reader("coefficients", params)
+    f_base = p("f_base", 1.0)
+    f_const = p("f_const", 0.0)
+    g_amp = p("g_amp", 0.3)
+    h_amp = p("h_amp", 0.4)
     w = mode_weights(J)
 
     def f(t, x, y, z):
@@ -113,8 +117,9 @@ def _coeff_state_free(grid: Grid, J: int, params: dict) -> CoefficientSet:
 def _coeff_contraction_violator(grid: Grid, J: int, params: dict) -> CoefficientSet:
     """Gradient-coupled maps whose declared constants break (or exactly
     meet) the contraction property; used to exercise the refusal gate."""
-    alpha = _p(params, "alpha", 1.0)
-    beta = _p(params, "beta", 0.0)
+    p = _reader("coefficients", params)
+    alpha = p("alpha", 1.0)
+    beta = p("beta", 0.0)
 
     def f(t, x, y, z):
         return np.zeros(x.shape[0])
@@ -155,12 +160,14 @@ def _obstacle_none(grid, times, params):
 
 
 def _obstacle_constant(grid, times, params):
-    return FieldPath.constant(grid, times, _p(params, "level", 0.2))
+    p = _reader("obstacle", params)
+    return FieldPath.constant(grid, times, p("level", 0.2))
 
 
 def _obstacle_sine(grid, times, params):
-    amp = _p(params, "amplitude", 0.2)
-    offset = _p(params, "offset", 0.0)
+    p = _reader("obstacle", params)
+    amp = p("amplitude", 0.2)
+    offset = p("offset", 0.0)
     values = amp * np.sin(np.pi * grid.coords[:, 0]) + offset
     return FieldPath.constant(grid, times, values)
 
@@ -189,13 +196,15 @@ def _initial_zero(grid, params):
 
 
 def _initial_sine_pi(grid, params):
-    amp = _p(params, "amplitude", 1.0)
-    offset = _p(params, "offset", 0.0)
+    p = _reader("initial", params)
+    amp = p("amplitude", 1.0)
+    offset = p("offset", 0.0)
     return Field.from_function(grid, lambda x: amp * np.sin(np.pi * x[:, 0]) + offset)
 
 
 def _initial_sine_2pi(grid, params):
-    amp = _p(params, "amplitude", 1.0)
+    p = _reader("initial", params)
+    amp = p("amplitude", 1.0)
     return Field.from_function(grid, lambda x: amp * np.sin(2 * np.pi * x[:, 0]))
 
 
@@ -221,9 +230,11 @@ def make_initial(name: str, grid: Grid, params: dict | None = None) -> Field:
 def _dominator_constant_source(grid, times, J, xi, params):
     """S' driven by a constant source from the problem's own initial state
     (or a configured level); g' = h' = 0."""
-    source = _p(params, "source", 2.0)
+    p = _reader("dominator", params)
+    source = p("source", 2.0)
     start = params.get("start", "xi")
-    initial = xi if start == "xi" else Field(grid, np.full(grid.n_nodes, float(start)))
+    initial = (xi if start == "xi" else
+               Field(grid, np.full(grid.n_nodes, coerce(float, "dominator.start", start))))
     f = np.full((len(times), grid.n_nodes), source)
     return DominatorData(initial=initial, f=f, g=None, h=None)
 
@@ -231,8 +242,9 @@ def _dominator_constant_source(grid, times, J, xi, params):
 def _dominator_noisy(grid, times, J, xi, params):
     """S' driven by a constant source plus the same mode profile as the
     state-free noise preset."""
-    source = _p(params, "source", 2.0)
-    h_amp = _p(params, "h_amp", 0.3)
+    p = _reader("dominator", params)
+    source = p("source", 2.0)
+    h_amp = p("h_amp", 0.3)
     w = mode_weights(J)
     f = np.full((len(times), grid.n_nodes), source)
     base = h_amp * np.cos(np.pi * grid.coords[:, 0])
@@ -268,12 +280,16 @@ def make_dominator(name: str | None, grid: Grid, times, J: int, xi: Field,
 
 def _profile_constant(grid, params):
     a = params.get("a", 1.0)
-    return np.asarray(a, dtype=float)
+    try:
+        return np.asarray(a, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigurationError(f"operator.a = {a!r} is not a number or a matrix") from None
 
 
 def _profile_cosine_1d(grid, params):
-    base = _p(params, "base", 1.0)
-    amp = _p(params, "amplitude", 0.5)
+    p = _reader("operator", params)
+    base = p("base", 1.0)
+    amp = p("amplitude", 0.5)
 
     def a(centers):
         return (base + amp * np.cos(np.pi * centers[:, 0])).reshape(-1, 1, 1)

@@ -41,7 +41,7 @@ import scipy.sparse.linalg as spla
 from .errors import AssumptionError, ConfigurationError, SolverError
 from .grid import (EllipticOperator, Field, _readonly, divergence, energy_values,
                    node_gradient, same_grid)
-from .lcp import psor
+from .lcp import StepMatrix, psor
 from .norms import FieldPath, NormToolbox, dual_sharp_upper, magnitude_path, mixed_norm
 from .stochastics import CoefficientSet, NoisePath, validate_assumptions
 
@@ -50,7 +50,6 @@ __all__ = [
     "ProblemData",
     "DiscreteMeasure",
     "SolveResult",
-    "step_linear",
     "solve_linear_spde",
     "solve_random_pde",
     "solve_unconstrained",
@@ -161,17 +160,19 @@ class SolveResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-class _StepOperator:
-    """Prefactorized implicit step matrix B = I + dt * K on interior nodes."""
+class _StepOperator(StepMatrix):
+    """Prefactorized implicit step matrix B = I + dt * K on interior nodes,
+    with the pattern every obstacle step of the solve edits."""
 
     def __init__(self, op: EllipticOperator, dt: float):
         n = op.grid.n_interior
-        self.B = (sp.identity(n, format="csr") + dt * op.stiffness).tocsr()
-        self.B.sort_indices()
+        B = (sp.identity(n, format="csr") + dt * op.stiffness).tocsr()
+        B.sort_indices()
         try:
-            self.lu = spla.splu(self.B.tocsc())
+            lu = spla.splu(B.tocsc())
         except RuntimeError as exc:  # singular / not SPD
             raise SolverError(f"implicit step matrix factorization failed: {exc}") from exc
+        super().__init__(B, lu)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         return self.lu.solve(rhs)
@@ -189,25 +190,6 @@ def _source_rhs(grid, dt, u_full, f_int=None, g_int=None, h_int=None, dB=None):
     if h_int is not None and dB is not None:
         rhs += h_int @ dB
     return rhs
-
-
-def step_linear(op: EllipticOperator, dt: float, state: Field,
-                f=None, g=None, h=None, dB=None) -> Field:
-    """One semi-implicit step with explicit sources sampled at full nodes.
-
-    ``f`` is (n_nodes,), ``g`` (n_nodes, d), ``h`` (n_nodes, J) paired with
-    the increment vector ``dB`` (J,).
-    """
-    if dt <= 0:
-        raise ConfigurationError(f"dt must be positive, got {dt}")
-    grid = op.grid
-    ws = _StepOperator(op, dt)
-    f_int = grid.restrict(np.asarray(f, dtype=float)) if f is not None else None
-    g_int = np.asarray(g, dtype=float)[grid.interior] if g is not None else None
-    h_int = np.asarray(h, dtype=float)[grid.interior] if h is not None else None
-    rhs = _source_rhs(grid, dt, state.values, f_int, g_int, h_int,
-                      np.asarray(dB, dtype=float) if dB is not None else None)
-    return Field(grid, grid.extend(ws.solve(rhs)))
 
 
 def _evaluate_coeffs(coeffs, t, x_int, y_int, z_int):
@@ -349,7 +331,7 @@ def solve_penalized(data: ProblemData, n: int) -> SolveResult:
     pen = data.dt * float(n)
 
     def advance(ws, rhs, psi):
-        u_next, passes = psor(ws.B, ws.lu, rhs, psi, pen)
+        u_next, passes = psor(ws, rhs, psi, pen)
         return u_next, float(n) * np.maximum(psi - u_next, 0.0), passes
 
     result = _march(data, advance)
@@ -369,7 +351,7 @@ def solve_projected(data: ProblemData) -> SolveResult:
     dt = data.dt
 
     def advance(ws, rhs, psi):
-        u_next, passes = psor(ws.B, ws.lu, rhs, psi)
+        u_next, passes = psor(ws, rhs, psi)
         if not passes:
             return u_next, np.zeros_like(u_next), 0
         return u_next, np.maximum(ws.B @ u_next - rhs, 0.0) / dt, passes

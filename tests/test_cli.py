@@ -148,6 +148,11 @@ class TestSimulate:
             ("time.steps", 'time.steps = "eight"', ["simulate"]),
             ("noise.J", 'noise.J = "two"', ["simulate"]),
             ("solver.penalty_n", 'solver.penalty_n = "big"', ["simulate"]),
+            ("obstacle.level", 'obstacle.level = "high"', ["simulate"]),
+            ("operator.a", 'operator.a = "stiff"', ["simulate"]),
+            ("dominator.start", 'dominator.preset = constant_source\ndominator.start = "top"',
+             ["simulate"]),
+            ("noise.seeds", "noise.seeds = 5", ["simulate"]),
             ("--n-values", "", ["penalize-sweep", "--n-values", "10,abc"])]])
     def test_unparsable_value_is_config_error(self, tmp_path, capsys, key, line, argv):
         cfg = write_cfg(tmp_path, BASE + line + "\n")

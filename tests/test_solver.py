@@ -13,35 +13,58 @@ from ospde.norms import FieldPath, mixed_norm
 from ospde.solver import (OBSTACLE_OFF, DiscreteMeasure, DominatorData, ProblemData,
                           skorokhod_defect, solve_linear_spde, solve_mode,
                           solve_penalized, solve_projected, solve_random_pde,
-                          solve_unconstrained, step_linear)
+                          solve_unconstrained)
 from ospde.stochastics import CoefficientSet, NoisePath, sample_noise
 
 
-class TestStepLinear:
+def source_problem(grid, op, dt, steps, f=None, g=None):
+    """Noise-free data from zero with state-free sources ``f(x)`` (n,) and
+    ``g(x)`` (n, d) and no obstacle."""
+    def zero_f(t, x, y, z):
+        return np.zeros(x.shape[0])
+
+    def zero_g(t, x, y, z):
+        return np.zeros(x.shape)
+
+    def zero_h(t, x, y, z):
+        return np.zeros((x.shape[0], 1))
+
+    times = np.arange(steps + 1) * dt
+    coeffs = CoefficientSet(
+        f=(lambda t, x, y, z: f(x)) if f is not None else zero_f,
+        g=(lambda t, x, y, z: g(x)) if g is not None else zero_g,
+        h=zero_h, C=0.0, alpha=0.0, beta=0.0, modes=1)
+    return ProblemData(op=op, xi=Field.zeros(grid), coeffs=coeffs,
+                       obstacle=FieldPath.constant(grid, times, OBSTACLE_OFF),
+                       noise=NoisePath(J=1, dt=dt, increments=np.zeros((1, steps)), seed=0))
+
+
+class TestUnconstrainedSources:
     def test_zero_everything(self, grid64, op64):
-        out = step_linear(op64, 0.01, Field.zeros(grid64))
-        assert np.all(out.values == 0.0)
+        res = solve_unconstrained(source_problem(grid64, op64, 0.01, 4))
+        assert np.all(res.u.frames == 0.0)
 
     def test_single_step_flux_formula(self, grid64, op64):
         # one step from zero with only a flux source equals
         # dt * (I + dt K)^{-1} div_h g, checked against a direct solve
-        rng = np.random.default_rng(1)
         dt = 0.01
+
+        def flux(x):
+            return np.cos(7.0 * x) + 0.5 * x * x
+
+        res = solve_unconstrained(source_problem(grid64, op64, dt, 1, g=flux))
         gfield = np.zeros((grid64.n_nodes, 1))
-        gfield[grid64.interior, 0] = rng.normal(size=grid64.n_interior)
-        out = step_linear(op64, dt, Field.zeros(grid64), g=gfield)
+        gfield[grid64.interior] = flux(grid64.coords[grid64.interior])
         B = sp.identity(grid64.n_interior) + dt * op64.stiffness
         expected = spla.spsolve(B.tocsc(), dt * grid64.restrict(divergence(grid64, gfield)))
-        assert np.allclose(grid64.restrict(out.values), expected, atol=1e-14)
+        assert np.abs(grid64.restrict(res.u.frames[1])).max() > 1e-3
+        assert np.allclose(grid64.restrict(res.u.frames[1]), expected, atol=1e-14)
 
     def test_constant_drift_reaches_steady_state(self, grid64, op64):
-        dt = 1.0 / 500
-        state = Field.zeros(grid64)
-        ones = np.ones(grid64.n_nodes)
-        for _ in range(4000):
-            state = step_linear(op64, dt, state, f=ones)
+        res = solve_unconstrained(source_problem(grid64, op64, 1.0 / 500, 4000,
+                                                 f=lambda x: np.ones(x.shape[0])))
         steady = spla.spsolve(op64.stiffness.tocsc(), np.ones(grid64.n_interior))
-        assert np.abs(grid64.restrict(state.values) - steady).max() < 1e-8
+        assert np.abs(grid64.restrict(res.u.frames[-1]) - steady).max() < 1e-8
 
 
 class TestAgainstAnalyticOracles:
