@@ -204,8 +204,12 @@ def cmd_capacity(args) -> int:
     frame = coerce(int, "capacity.frame", block["frame"])
 
     if "widths" in block:
-        center = float(block.get("center", 0.5))
-        intervals = [(center - w / 2.0, center + w / 2.0) for w in block["widths"]]
+        center = coerce(float, "capacity.center", block.get("center", 0.5))
+        widths = block["widths"]
+        if not isinstance(widths, list):
+            raise StageError("config-error", f"capacity.widths = {widths!r} is not a list")
+        widths = [coerce(float, f"capacity.widths[{i}]", w) for i, w in enumerate(widths)]
+        intervals = [(center - w / 2.0, center + w / 2.0) for w in widths]
     else:
         intervals = [block.get("interval", [0.25, 0.75])]
     rows = []

@@ -10,7 +10,12 @@ class AssumptionError(RuntimeError):
 
 
 class SolverError(RuntimeError):
-    """A linear solve or iterative scheme failed to converge."""
+    """A linear solve or iterative scheme failed to converge; ``column`` is
+    the failing column of a batched solve, when there is one."""
+
+    def __init__(self, message: str, column: int | None = None):
+        super().__init__(message)
+        self.column = column
 
 
 def coerce(kind, key: str, value):

@@ -416,41 +416,43 @@ def energy_values(op: EllipticOperator, values: np.ndarray) -> float:
 
 
 def node_gradient(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Centered nodal gradient, (n_nodes, dim); boundary rows are zero."""
-    v = np.asarray(values, dtype=float).reshape(grid.shape)
-    out = np.zeros((grid.n_nodes, grid.dim))
+    """Centered nodal gradient, (..., n_nodes, dim) of values (..., n_nodes):
+    leading axes stack independent samples; boundary rows are zero."""
+    v = np.asarray(values, dtype=float)
+    lead = v.shape[:-1]
+    v = v.reshape(lead + grid.shape)
+    out = np.zeros(lead + (grid.n_nodes, grid.dim))
     for a in range(grid.dim):
         g = np.zeros_like(v)
-        sl_lo = [slice(None)] * grid.dim
-        sl_hi = [slice(None)] * grid.dim
-        sl_mid = [slice(None)] * grid.dim
-        sl_lo[a] = slice(0, -2)
-        sl_hi[a] = slice(2, None)
-        sl_mid[a] = slice(1, -1)
+        sl_lo, sl_hi, sl_mid = ([Ellipsis] + [slice(None)] * grid.dim for _ in range(3))
+        sl_lo[a + 1] = slice(0, -2)
+        sl_hi[a + 1] = slice(2, None)
+        sl_mid[a + 1] = slice(1, -1)
         g[tuple(sl_mid)] = (v[tuple(sl_hi)] - v[tuple(sl_lo)]) / (2 * grid.spacing[a])
-        out[:, a] = g.reshape(-1)
-    out[grid.boundary] = 0.0
+        out[..., a] = g.reshape(lead + (grid.n_nodes,))
+    out[..., grid.boundary, :] = 0.0
     return out
 
 
 def divergence(grid: Grid, vec: np.ndarray) -> np.ndarray:
     """Centered divergence of a nodal vector field, zero-extended at the
     boundary; the exact negative transpose of ``node_gradient`` under the
-    cell-measure inner product on interior nodes."""
-    w = np.array(vec, dtype=float).reshape(grid.n_nodes, grid.dim)
-    w[grid.boundary] = 0.0
-    out = np.zeros(grid.shape)
+    cell-measure inner product on interior nodes.  ``vec`` is (n_nodes, dim),
+    or (..., n_nodes, dim) with leading axes stacking samples."""
+    w = np.array(vec, dtype=float)
+    lead = w.shape[:-2]
+    w = w.reshape(lead + (grid.n_nodes, grid.dim))
+    w[..., grid.boundary, :] = 0.0
+    out = np.zeros(lead + grid.shape)
     for a in range(grid.dim):
-        comp = w[:, a].reshape(grid.shape)
-        sl_lo = [slice(None)] * grid.dim
-        sl_hi = [slice(None)] * grid.dim
-        sl_mid = [slice(None)] * grid.dim
-        sl_lo[a] = slice(0, -2)
-        sl_hi[a] = slice(2, None)
-        sl_mid[a] = slice(1, -1)
+        comp = w[..., a].reshape(lead + grid.shape)
+        sl_lo, sl_hi, sl_mid = ([Ellipsis] + [slice(None)] * grid.dim for _ in range(3))
+        sl_lo[a + 1] = slice(0, -2)
+        sl_hi[a + 1] = slice(2, None)
+        sl_mid[a + 1] = slice(1, -1)
         out[tuple(sl_mid)] += (comp[tuple(sl_hi)] - comp[tuple(sl_lo)]) / (2 * grid.spacing[a])
-    flat = out.reshape(-1)
-    flat[grid.boundary] = 0.0
+    flat = out.reshape(lead + (grid.n_nodes,))
+    flat[..., grid.boundary] = 0.0
     return flat
 
 

@@ -22,14 +22,17 @@ above.
 ``load_run`` refuses (``ConfigurationError``) a ``metadata.json`` that is
 not a JSON object with an integer ``steps`` >= 1, a positive ``dt`` and an
 integer ``seed``, and a table whose hash line, header or numbers do not
-parse, or that does not hold each (step, node) exactly once.
+parse, or that does not hold each (step, node) exactly once.  It parses a
+table in blocks of rows and scatters each block into place, so a load never
+holds the whole table as numbers.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from itertools import repeat
+import warnings
+from itertools import islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -108,9 +111,16 @@ def save_run(directory, result: SolveResult, *, config_hash: str, seed: int,
     return meta
 
 
-def _read_table(path, header, expected_hash: str | None = None) -> np.ndarray:
-    """The rows of a CSV table as a 2D float array, after the hash line and
-    header checks."""
+# Rows parsed per np.loadtxt call.  Reading a table in blocks bounds the
+# transient arrays of a load by the block, not by the table: a 30 MB u.csv
+# read whole made the process's peak memory depend on where the allocator
+# happened to place the table.
+_BLOCK_ROWS = 1 << 14
+
+
+def _read_table(path, header, expected_hash: str | None = None):
+    """The rows of a CSV table as 2D float arrays of at most _BLOCK_ROWS
+    rows each, after the hash line and header checks."""
     name = Path(path).name
     with open(path, encoding="utf-8") as fh:
         line = fh.readline()
@@ -122,14 +132,19 @@ def _read_table(path, header, expected_hash: str | None = None) -> np.ndarray:
         if line.rstrip("\r\n") != ",".join(header):
             raise ConfigurationError(f"{name} header {line.rstrip()!r} is not "
                                      f"{','.join(header)!r}; refusing to load")
-        try:
-            table = np.loadtxt(fh, delimiter=",", ndmin=2)
-        except ValueError as exc:
-            raise ConfigurationError(f"{name} is malformed ({exc}); refusing to load") from None
-    if table.shape[1] != len(header):
-        raise ConfigurationError(f"{name} rows do not have the {len(header)} columns "
-                                 f"of its header; refusing to load")
-    return table
+        while block := list(islice(fh, _BLOCK_ROWS)):
+            try:
+                with warnings.catch_warnings():  # numpy warns on a block of blank lines
+                    warnings.simplefilter("ignore", UserWarning)
+                    table = np.loadtxt(block, delimiter=",", ndmin=2)
+            except ValueError as exc:
+                raise ConfigurationError(f"{name} is malformed ({exc}); refusing to load") from None
+            if not table.size:
+                continue
+            if table.shape[1] != len(header):
+                raise ConfigurationError(f"{name} rows do not have the {len(header)} columns "
+                                         f"of its header; refusing to load")
+            yield table
 
 
 def _scatter(path, header, expected_hash, steps: int, nodes: np.ndarray,
@@ -137,22 +152,24 @@ def _scatter(path, header, expected_hash, steps: int, nodes: np.ndarray,
     """Read a (step, time, node, ..., value) table into a (steps, nodes.size)
     array whose column j holds node ``nodes[j]``; every (step, node) pair must
     appear exactly once."""
-    table = _read_table(path, header, expected_hash)
-    step, node = table[:, 0], table[:, 2]
     column = np.full(n_nodes, -1)
     column[nodes] = np.arange(nodes.size)
-    in_range = ((step == np.floor(step)) & (step >= 0) & (step < steps)
-                & (node == np.floor(node)) & (node >= 0) & (node < n_nodes))
-    col = column[node.astype(np.intp)] if in_range.all() else None
-    if col is None or (col < 0).any():
-        raise ConfigurationError(f"{Path(path).name} names a step or node outside "
-                                 f"the run; refusing to load")
-    flat = step.astype(np.intp) * nodes.size + col
-    if not (np.bincount(flat, minlength=steps * nodes.size) == 1).all():
+    out = np.empty(steps * nodes.size)
+    seen = np.zeros(steps * nodes.size, dtype=np.intp)
+    for table in _read_table(path, header, expected_hash):
+        step, node = table[:, 0], table[:, 2]
+        in_range = ((step == np.floor(step)) & (step >= 0) & (step < steps)
+                    & (node == np.floor(node)) & (node >= 0) & (node < n_nodes))
+        col = column[node.astype(np.intp)] if in_range.all() else None
+        if col is None or (col < 0).any():
+            raise ConfigurationError(f"{Path(path).name} names a step or node outside "
+                                     f"the run; refusing to load")
+        flat = step.astype(np.intp) * nodes.size + col
+        seen += np.bincount(flat, minlength=seen.size)
+        out[flat] = table[:, -1]
+    if not (seen == 1).all():
         raise ConfigurationError(f"{Path(path).name} does not hold each (step, node) "
                                  f"exactly once; refusing to load")
-    out = np.empty(steps * nodes.size)
-    out[flat] = table[:, -1]
     return out.reshape(steps, nodes.size)
 
 

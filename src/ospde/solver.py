@@ -22,6 +22,14 @@ Obstacle enforcement comes in two flavors sharing this skeleton:
   density is r / dt.  This realizes the constrained limit directly and
   serves as the oracle for penalization sweeps.
 
+Every scheme runs one march, ``solve_batch``, over a batch of noise paths
+that ``prepare_batch`` has checked: the paths' states are stacked, and
+the gate, the step factorization and each step's coefficient evaluation
+and obstacle solve are shared by the batch.  A single solve (``solve_mode``
+and the ``solve_*`` schemes) is a batch of one; ``comparison_experiment``
+marches all its seeds at once.  Either way each path's numbers are those
+of marching it alone, bit for bit.
+
 Measure weights are densities per unit space-time volume: total mass is
 sum(weights) * cell_measure * dt.  The weight at step k binds to the frame
 at t_{k+1} (the time whose constraint produced it); all quadratures against
@@ -32,7 +40,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -50,12 +58,16 @@ __all__ = [
     "ProblemData",
     "DiscreteMeasure",
     "SolveResult",
+    "Batch",
+    "BatchResult",
     "solve_linear_spde",
     "solve_random_pde",
     "solve_unconstrained",
     "solve_penalized",
     "solve_projected",
     "solve_mode",
+    "prepare_batch",
+    "solve_batch",
     "skorokhod_defect",
     "OBSTACLE_OFF",
 ]
@@ -179,24 +191,32 @@ class _StepOperator(StepMatrix):
 
 
 def _source_rhs(grid, dt, u_full, f_int=None, g_int=None, h_int=None, dB=None):
-    """Interior right-hand side u_k + dt f + dt div g + h dB."""
+    """Interior right-hand side u_k + dt f + dt div g + h dB of one state
+    (n_nodes,), or of S states (S, n_nodes) with every term stacked alike."""
     rhs = grid.restrict(u_full).copy()
     if f_int is not None:
         rhs += dt * f_int
     if g_int is not None:
-        g_full = np.zeros((grid.n_nodes, grid.dim))
-        g_full[grid.interior] = g_int
+        g_full = np.zeros(rhs.shape[:-1] + (grid.n_nodes, grid.dim))
+        g_full[..., grid.interior, :] = g_int
         rhs += dt * grid.restrict(divergence(grid, g_full))
     if h_int is not None and dB is not None:
-        rhs += h_int @ dB
+        if rhs.ndim == 1:
+            rhs += h_int @ dB
+        else:  # one matmul per sample: the product a single solve forms
+            for r, h, b in zip(rhs, h_int, dB):
+                r += h @ b
     return rhs
 
 
 def _evaluate_coeffs(coeffs, t, x_int, y_int, z_int):
-    f = np.asarray(coeffs.f(t, x_int, y_int, z_int), dtype=float)
-    g = np.asarray(coeffs.g(t, x_int, y_int, z_int), dtype=float)
-    h = np.asarray(coeffs.h(t, x_int, y_int, z_int), dtype=float)
-    return f, g, h
+    """f (S, n), g (S, n, d) and h (S, n, J) at S stacked interior states
+    y_int (S, n), z_int (S, n, d); ``x_int`` holds the nodes of all S,
+    (S * n, d).  The maps see the S * n nodes as one stack of rows."""
+    y = y_int.reshape(-1)
+    z = z_int.reshape(y.size, -1)
+    return [np.asarray(fn(t, x_int, y, z), dtype=float).reshape(y_int.shape + tail)
+            for fn, tail in ((coeffs.f, ()), (coeffs.g, z.shape[1:]), (coeffs.h, (coeffs.modes,)))]
 
 
 def _require_assumptions(data: ProblemData) -> None:
@@ -205,13 +225,6 @@ def _require_assumptions(data: ProblemData) -> None:
     if not report.ok:
         raise AssumptionError("assumption validation failed; refusing to solve\n"
                               + report.summary())
-
-
-def _interior_state(grid, u_full):
-    x_int = grid.coords[grid.interior]
-    y_int = grid.restrict(u_full)
-    z_int = node_gradient(grid, u_full)[grid.interior]
-    return x_int, y_int, z_int
 
 
 def solve_linear_spde(data: ProblemData, diagnostics: dict | None = None) -> FieldPath:
@@ -275,49 +288,140 @@ def solve_random_pde(op: EllipticOperator, source: FieldPath) -> FieldPath:
     return FieldPath(grid, source.times, frames)
 
 
-def _march(data: ProblemData, advance: Callable) -> SolveResult:
-    """Common solve: refuse data outside the hypotheses, factor the step
-    once, then march with explicit sources and the per-step ``advance``.
+@dataclass
+class BatchResult:
+    """One problem solved on S noise paths: frames (S, steps + 1, n_nodes)
+    and measure weights (S, steps, n_interior), one row per path.
+    ``diagnostics["iterations"]`` lists the active-set passes of every step,
+    path after path; ``factorizations`` counts the obstacle step's sparse
+    solves and ``feasible_steps`` the steps that needed no pass."""
 
-    ``advance(ws, rhs, psi)`` returns the interior state at t_{k+1}, the
-    measure density of step k and its active-set pass count.
+    grid: object
+    times: np.ndarray
+    frames: np.ndarray
+    weights: np.ndarray
+    diagnostics: dict = field(default_factory=dict)
+
+
+def _scheme(mode: str, penalty_n: int, dt: float) -> tuple[Callable, dict]:
+    """The per-step ``advance(ws, rhs, psi)`` of the scheme named by
+    ``mode`` (see ``solve_projected``, ``solve_penalized`` and
+    ``solve_unconstrained``) and the diagnostics it adds.  ``rhs`` is an
+    (n, S) block; ``advance`` returns the interior states at t_{k+1} (n, S),
+    the measure densities of step k (n, S) and the active-set passes (S,).
     """
+    if mode == "projected":
+        def advance(ws, rhs, psi):
+            u_next, passes = psor(ws, rhs, psi)
+            reaction = np.maximum(ws.B @ u_next - rhs, 0.0) / dt
+            return u_next, np.where(passes > 0, reaction, 0.0), passes
+
+        return advance, {}
+    if mode == "penalized":
+        if penalty_n < 1:
+            raise ConfigurationError(f"penalization level must be >= 1, got {penalty_n}")
+        pen = dt * float(penalty_n)
+
+        def advance(ws, rhs, psi):
+            u_next, passes = psor(ws, rhs, psi, pen)
+            return u_next, float(penalty_n) * np.maximum(psi[:, None] - u_next, 0.0), passes
+
+        return advance, {"penalty_level": int(penalty_n)}
+    if mode == "unconstrained":
+        def advance(ws, rhs, psi):
+            return ws.solve(rhs), np.zeros_like(rhs), np.zeros(rhs.shape[1], dtype=int)
+
+        return advance, {}
+    raise ConfigurationError(f"unknown solver.mode '{mode}'; "
+                             "available: projected, penalized, unconstrained")
+
+
+@dataclass(frozen=True, eq=False)
+class Batch:
+    """One problem and S noise paths that passed every refusal a solve makes
+    before it marches: scheme, noise shapes and the hypotheses gate.  Made by
+    ``prepare_batch``, marched by ``solve_batch``."""
+
+    data: ProblemData
+    noises: tuple
+    advance: Callable
+    diagnostics: dict
+
+
+def prepare_batch(data: ProblemData, noises: Sequence[NoisePath], mode: str = "projected",
+                  penalty_n: int = 1000) -> Batch:
+    """Check a solve of ``data`` on every path of ``noises`` with the scheme
+    named by ``mode`` (as in ``solve_mode``): refuse an unknown scheme, a
+    path that does not fit the problem, or data outside the hypotheses."""
+    advance, extra = _scheme(mode, penalty_n, data.dt)
+    if not noises:
+        raise ConfigurationError("a batch needs at least one noise path")
+    for noise in noises:
+        if (noise.increments.shape != data.noise.increments.shape
+                or abs(noise.dt - data.dt) > 1e-12 * data.dt):
+            raise ConfigurationError(
+                f"noise of seed {noise.seed} does not fit the problem's modes and steps")
     _require_assumptions(data)
+    return Batch(data, tuple(noises), advance, extra)
+
+
+def solve_batch(batch: Batch) -> BatchResult:
+    """March every path of a prepared batch at once: factor the step once,
+    then advance all paths together with explicit sources.
+
+    The states of the S paths are stacked: the coefficient maps run once per
+    step on their S * n interior nodes, and the scheme's ``advance`` receives
+    the right-hand sides as one (n, S) block.  Each path's numbers are, bit
+    for bit, those of marching it alone.  A failed step names its seed.
+    """
+    data, noises = batch.data, batch.noises
     grid = data.op.grid
     dt = data.dt
+    S = len(noises)
     ws = _StepOperator(data.op, dt)
-    frames = np.zeros((data.steps + 1, grid.n_nodes))
-    frames[0] = data.xi.values
-    weights = np.zeros((data.steps, grid.n_interior))
-    iterations = []
-    inc = data.noise.increments
+    frames = np.zeros((S, data.steps + 1, grid.n_nodes))
+    frames[:, 0] = data.xi.values
+    weights = np.zeros((S, data.steps, grid.n_interior))
+    iterations = np.zeros((S, data.steps), dtype=int)
+    inc = np.stack([noise.increments for noise in noises])
+    x_int = np.tile(grid.coords[grid.interior], (S, 1))
     for k in range(data.steps):
-        t_k = float(data.times[k])
-        x_int, y_int, z_int = _interior_state(grid, frames[k])
-        f_int, g_int, h_int = _evaluate_coeffs(data.coeffs, t_k, x_int, y_int, z_int)
-        rhs = _source_rhs(grid, dt, frames[k], f_int, g_int, h_int, inc[:, k])
+        u = frames[:, k]
+        y_int = grid.restrict(u)
+        z_int = node_gradient(grid, u)[:, grid.interior]
+        f, g, h = _evaluate_coeffs(data.coeffs, float(data.times[k]), x_int, y_int, z_int)
+        rhs = _source_rhs(grid, dt, u, f, g, h, inc[:, :, k])
         psi = grid.restrict(data.obstacle.frames[k + 1])
         try:
-            u_next, w_k, passes = advance(ws, rhs, psi)
+            u_next, w_k, passes = batch.advance(ws, rhs.T, psi)
         except SolverError as exc:
-            raise SolverError(f"step {k} failed: {exc}") from exc
-        frames[k + 1] = grid.extend(u_next)
-        weights[k] = w_k
-        iterations.append(passes)
-    return SolveResult(
-        u=FieldPath(grid, data.times, frames),
-        measure=DiscreteMeasure(grid, data.times, weights),
-        diagnostics={"iterations": iterations},
-    )
+            seed = noises[exc.column].seed
+            raise SolverError(f"step {k} failed for seed {seed}: {exc}",
+                              column=exc.column) from exc
+        frames[:, k + 1, grid.interior] = u_next.T
+        weights[:, k] = w_k.T
+        iterations[:, k] = passes
+    return BatchResult(grid, data.times, frames, weights, diagnostics={
+        "iterations": iterations.ravel().tolist(),
+        "factorizations": ws.factorizations,
+        "feasible_steps": int(np.count_nonzero(iterations == 0)),
+        **batch.diagnostics,
+    })
+
+
+def solve_mode(data: ProblemData, mode: str, penalty_n: int = 1000) -> SolveResult:
+    """Solve with the scheme named by ``mode`` (the config's ``solver.mode``):
+    ``projected``, ``penalized`` at level ``penalty_n``, or ``unconstrained``.
+    This is a batch of one path, ``data.noise``."""
+    batch = solve_batch(prepare_batch(data, [data.noise], mode, penalty_n))
+    return SolveResult(u=FieldPath(batch.grid, batch.times, batch.frames[0]),
+                       measure=DiscreteMeasure(batch.grid, batch.times, batch.weights[0]),
+                       diagnostics=batch.diagnostics)
 
 
 def solve_unconstrained(data: ProblemData) -> SolveResult:
     """Plain semi-implicit scheme; the obstacle is ignored entirely."""
-
-    def advance(ws, rhs, psi):
-        return ws.solve(rhs), np.zeros_like(rhs), 0
-
-    return _march(data, advance)
+    return solve_mode(data, "unconstrained")
 
 
 def solve_penalized(data: ProblemData, n: int) -> SolveResult:
@@ -326,17 +430,7 @@ def solve_penalized(data: ProblemData, n: int) -> SolveResult:
     Measure weights at step k are n * (u_{k+1} - S_{k+1})^-, which is
     exactly the reaction density the step applied.
     """
-    if n < 1:
-        raise ConfigurationError(f"penalization level must be >= 1, got {n}")
-    pen = data.dt * float(n)
-
-    def advance(ws, rhs, psi):
-        u_next, passes = psor(ws, rhs, psi, pen)
-        return u_next, float(n) * np.maximum(psi - u_next, 0.0), passes
-
-    result = _march(data, advance)
-    result.diagnostics["penalty_level"] = int(n)
-    return result
+    return solve_mode(data, "penalized", n)
 
 
 def solve_projected(data: ProblemData) -> SolveResult:
@@ -348,28 +442,7 @@ def solve_projected(data: ProblemData) -> SolveResult:
     whose unconstrained solve is already feasible; the recorded iteration
     count is the number of active-set passes.
     """
-    dt = data.dt
-
-    def advance(ws, rhs, psi):
-        u_next, passes = psor(ws, rhs, psi)
-        if not passes:
-            return u_next, np.zeros_like(u_next), 0
-        return u_next, np.maximum(ws.B @ u_next - rhs, 0.0) / dt, passes
-
-    return _march(data, advance)
-
-
-def solve_mode(data: ProblemData, mode: str, penalty_n: int = 1000) -> SolveResult:
-    """Solve with the scheme named by ``mode`` (the config's ``solver.mode``):
-    ``projected``, ``penalized`` at level ``penalty_n``, or ``unconstrained``."""
-    if mode == "projected":
-        return solve_projected(data)
-    if mode == "penalized":
-        return solve_penalized(data, penalty_n)
-    if mode == "unconstrained":
-        return solve_unconstrained(data)
-    raise ConfigurationError(f"unknown solver.mode '{mode}'; "
-                             "available: projected, penalized, unconstrained")
+    return solve_mode(data, "projected")
 
 
 def skorokhod_defect(u: FieldPath, obstacle: FieldPath, nu: DiscreteMeasure) -> float:

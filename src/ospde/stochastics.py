@@ -14,9 +14,11 @@ instead of approximately truncated.
 
 Coefficient maps f, g, h take vectorized arguments
 ``(t: float, x: (m, d), y: (m,), z: (m, d))`` and return arrays shaped
-``(m,)``, ``(m, d)`` and ``(m, J)``.  Declared Lipschitz metadata is
-validated probabilistically on seeded random probes; maps must be pure
-(probed by double evaluation).
+``(m,)``, ``(m, d)`` and ``(m, J)``.  Each row is one node: a map must act
+row by row, because a batched solve hands it the interior nodes of several
+samples stacked into one array.  Declared Lipschitz metadata is validated
+probabilistically on seeded random probes; maps must be pure (probed by
+double evaluation).
 """
 
 from __future__ import annotations
@@ -113,6 +115,14 @@ class CoefficientSet:
     property 2 alpha + beta^2 < 2 lambda against the operator's coercivity
     is what keeps the implicit-explicit stepping (and the underlying
     estimates) well posed.
+
+    Each map receives m rows of (x, y, z) and returns m rows, shaped (m,),
+    (m, d) and (m, J).  A row's value may depend on that row alone: the
+    solver marches several samples at once by stacking the interior nodes
+    of all of them along the row axis, so one call may see the same node
+    many times with different states, and each sample's numbers must come
+    out as they would from a call on its own rows.  Every shipped preset
+    (elementwise numpy on the columns of x, y and z) does this.
     """
 
     f: Callable

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import pairwise
 from typing import Sequence
 
 import numpy as np
@@ -33,7 +34,8 @@ import numpy as np
 from .errors import AssumptionError, ConfigurationError
 from .grid import node_gradient, same_grid
 from .norms import FieldPath, NormToolbox, dual_sharp_upper, gradient_norm_22, magnitude_path, mixed_norm
-from .solver import ProblemData, SolveResult, solve_linear_spde, solve_mode
+from .solver import (ProblemData, SolveResult, prepare_batch, solve_batch,
+                     solve_linear_spde)
 from .stochastics import sample_noise
 
 __all__ = [
@@ -143,16 +145,27 @@ def _phi_frames(data: ProblemData, phi) -> np.ndarray:
     return frames
 
 
-def _step_coefficients(data: ProblemData, u: np.ndarray, k: int):
-    """f and g at the updated state u[k + 1], h at the previous state u[k],
-    all at time t_k, on every node."""
+# Frames per node_gradient call when a check walks a path: a stacked call
+# costs little more than a one-frame call, and the block bounds its memory.
+_GRADIENT_BLOCK = 16
+
+
+def _gradients(grid, frames: np.ndarray):
+    """``node_gradient`` of each frame in turn, computed a block at a time."""
+    for start in range(0, len(frames), _GRADIENT_BLOCK):
+        yield from node_gradient(grid, frames[start:start + _GRADIENT_BLOCK])
+
+
+def _step_coefficients(data: ProblemData, u: np.ndarray, k: int, z_old: np.ndarray,
+                       z_new: np.ndarray):
+    """f and g at the updated state u[k + 1] (gradient z_new), h at the
+    previous state u[k] (gradient z_old), all at time t_k, on every node."""
     grid = data.op.grid
     t_k = float(data.times[k])
-    y_new, z_new = u[k + 1], node_gradient(grid, u[k + 1])
+    y_new = u[k + 1]
     f_new = np.asarray(data.coeffs.f(t_k, grid.coords, y_new, z_new), dtype=float)
     g_new = np.asarray(data.coeffs.g(t_k, grid.coords, y_new, z_new), dtype=float)
-    y_old, z_old = u[k], node_gradient(grid, u[k])
-    h_old = np.asarray(data.coeffs.h(t_k, grid.coords, y_old, z_old), dtype=float)
+    h_old = np.asarray(data.coeffs.h(t_k, grid.coords, u[k], z_old), dtype=float)
     return f_new, g_new, h_old
 
 
@@ -172,9 +185,10 @@ def weak_form_residual(result: SolveResult, data: ProblemData, phi) -> ResidualR
     weights = result.measure.weights
 
     out = np.zeros(data.steps)
-    for k in range(data.steps):
-        f_new, g_new, h_old = _step_coefficients(data, u, k)
-        phi_grad = node_gradient(grid, phi_f[k + 1])[grid.interior]
+    walk = zip(pairwise(_gradients(grid, u)), _gradients(grid, phi_f[1:]))
+    for k, ((z_old, z_new), phi_z) in enumerate(walk):
+        f_new, g_new, h_old = _step_coefficients(data, u, k, z_old, z_new)
+        phi_grad = phi_z[grid.interior]
         r = (_inner(grid, u[k + 1], phi_f[k + 1]) - _inner(grid, u[k], phi_f[k])
              - _inner(grid, u[k], phi_f[k + 1] - phi_f[k])
              + dt * grid.cell_measure * float(grid.restrict(u[k + 1]) @ (K @ grid.restrict(phi_f[k + 1])))
@@ -195,15 +209,14 @@ def _square_identity_residual(name, result, data, positive_part: bool) -> Residu
     u = result.u.frames
     out = np.zeros(data.steps)
 
-    def part(v):
-        return np.maximum(v, 0.0) if positive_part else v
-
-    for k in range(data.steps):
-        f_new, g_new, h_old = _step_coefficients(data, u, k)
-        v_new = part(u[k + 1])
-        v_old = part(u[k])
+    v = np.maximum(u, 0.0) if positive_part else u
+    walk = zip(pairwise(_gradients(grid, u)), _gradients(grid, v[1:]))
+    for k, ((z_old, z_new), v_z) in enumerate(walk):
+        f_new, g_new, h_old = _step_coefficients(data, u, k, z_old, z_new)
+        v_new = v[k + 1]
+        v_old = v[k]
         vi = grid.restrict(v_new)
-        v_grad = node_gradient(grid, v_new)[grid.interior]
+        v_grad = v_z[grid.interior]
         r = (_norm_sq(grid, v_new) - _norm_sq(grid, v_old)
              + _norm_sq(grid, v_new - v_old)                       # realized bracket
              + 2 * dt * grid.cell_measure * float(vi @ (K @ vi))
@@ -270,9 +283,8 @@ def _estimate(name, results, datas, t, toolbox, positive: bool,
         fbar = np.zeros_like(sp)
         gbar = np.zeros((sp.shape[0], grid.n_nodes, grid.dim))
         hbar = np.zeros((sp.shape[0], grid.n_nodes, data.noise.J))
-        for k in range(sp.shape[0]):
+        for k, (y, z) in enumerate(zip(sp, _gradients(grid, sp))):
             t_k = float(times[k])
-            y, z = sp[k], node_gradient(grid, sp[k])
             fbar[k] = np.asarray(data.coeffs.f(t_k, grid.coords, y, z), float) - fp[k]
             gbar[k] = np.asarray(data.coeffs.g(t_k, grid.coords, y, z), float) - gp[k]
             hbar[k] = np.asarray(data.coeffs.h(t_k, grid.coords, y, z), float) - hp[k]
@@ -350,21 +362,27 @@ class ComparisonReport:
                 "seeds": self.seeds}
 
 
-def _probe_ordering(data1: ProblemData, data2: ProblemData, result1: SolveResult) -> None:
-    grid = data1.op.grid
+def _static_ordering(data1: ProblemData, data2: ProblemData) -> None:
+    """Preconditions that need no solve: ordered initial data and obstacles,
+    one operator."""
     tol = 1e-10
     if np.any(data1.xi.values > data2.xi.values + tol):
         raise AssumptionError("comparison precondition violated: initial conditions "
                               "are not ordered")
     if np.any(data1.obstacle.frames > data2.obstacle.frames + tol):
         raise AssumptionError("comparison precondition violated: obstacles are not ordered")
-    if not same_grid(grid, data2.op.grid) or not np.allclose(data1.op.a, data2.op.a,
-                                                             rtol=0, atol=1e-12):
+    if not same_grid(data1.op.grid, data2.op.grid) or not np.allclose(
+            data1.op.a, data2.op.a, rtol=0, atol=1e-12):
         raise AssumptionError("comparison precondition violated: operators differ")
-    u = result1.u.frames
-    for k in range(data1.steps):
+
+
+def _trajectory_ordering(data1: ProblemData, data2: ProblemData, u: np.ndarray) -> None:
+    """Drift ordering and identical flux and noise coefficients along one
+    trajectory ``u`` (steps + 1, n_nodes) of the first problem."""
+    grid = data1.op.grid
+    tol = 1e-10
+    for k, (y, z) in enumerate(zip(u[:-1], _gradients(grid, u[:-1]))):
         t_k = float(data1.times[k])
-        y, z = u[k], node_gradient(grid, u[k])
         f1 = np.asarray(data1.coeffs.f(t_k, grid.coords, y, z), float)
         f2 = np.asarray(data2.coeffs.f(t_k, grid.coords, y, z), float)
         if np.any(f1 > f2 + tol):
@@ -385,22 +403,25 @@ def comparison_experiment(data1: ProblemData, data2: ProblemData,
     """Solve both problems on shared noise per seed and report the smallest
     nodewise gap u2 - u1 over all samples, steps and interior nodes.
 
-    ``mode`` and ``penalty_n`` select the scheme as in ``solve_mode``.
-    Preconditions (ordered initial data and obstacles, drift ordering along
-    the first trajectory, identical flux/noise coefficients and operator)
-    are probed; a violation refuses the experiment.
+    ``mode`` and ``penalty_n`` select the scheme as in ``solve_mode``.  The
+    noise of every seed is drawn first.  Preconditions are probed before
+    the solves they would waste: ordered initial data and obstacles, one
+    operator and both problems' assumption gates before any solve; drift
+    ordering and identical flux and noise coefficients along the first
+    seed's trajectory of problem 1 before problem 2 is solved.  A violation
+    refuses the experiment.  Each problem marches all seeds as one batch
+    (``solve_batch``); every seed's gap is bit for bit that of solving it
+    alone.
     """
-    gaps = []
-    for idx, seed in enumerate(seeds):
-        noise = sample_noise(data1.noise.J, data1.noise.dt, data1.noise.steps, int(seed))
-        d1 = data1.with_noise(noise)
-        d2 = data2.with_noise(noise)
-        r1 = solve_mode(d1, mode, penalty_n)
-        r2 = solve_mode(d2, mode, penalty_n)
-        if idx == 0:
-            _probe_ordering(d1, d2, r1)
-        grid = d1.op.grid
-        gap = (r2.u.frames[:, grid.interior] - r1.u.frames[:, grid.interior]).min()
-        gaps.append(float(gap))
-    return ComparisonReport(min_gap=float(min(gaps)), per_sample=gaps,
+    noises = [sample_noise(data1.noise.J, data1.noise.dt, data1.noise.steps, int(seed))
+              for seed in seeds]
+    _static_ordering(data1, data2)
+    batch1, batch2 = (prepare_batch(d, noises, mode, penalty_n) for d in (data1, data2))
+    frames1 = solve_batch(batch1).frames  # only the frames: weights would add to the peak
+    _trajectory_ordering(data1, data2, frames1[0])
+    frames2 = solve_batch(batch2).frames
+    interior = data1.op.grid.interior
+    gaps = [float((u2[:, interior] - u1[:, interior]).min())
+            for u1, u2 in zip(frames1, frames2)]
+    return ComparisonReport(min_gap=min(gaps), per_sample=gaps,
                             seeds=[int(s) for s in seeds])

@@ -228,6 +228,21 @@ class TestSubcommands:
         assert {"capacity", "lebesgue_measure"} <= set(rows[0])
         assert float(rows[0]["capacity"]) > 0
 
+    @pytest.mark.parametrize("entry, key", [
+        ('capacity.center = "mid"\ncapacity.widths = [0.2]', "capacity.center"),
+        ('capacity.widths = [0.2, "wide"]', "capacity.widths[1]"),
+        ("capacity.widths = 0.2", "capacity.widths"),
+    ])
+    def test_capacity_bad_box_is_config_error(self, tmp_path, entry, key):
+        text = BASE.replace("solver.mode = projected", "") + f"capacity.frame = 16\n{entry}\n"
+        cfg = write_cfg(tmp_path, text)
+        out = tmp_path / "cap"
+        assert main(["capacity", "--config", str(cfg), "--out", str(out)]) == 2
+        err = json.loads((out / "error.json").read_text())
+        assert err["stage"] == "config-error"
+        assert err["error"].startswith(f"{key} = ")
+        assert not (out / "capacity.csv").exists()
+
     def test_verify_replays_artifacts(self, tmp_path):
         cfg = write_cfg(tmp_path, BASE)
         out = tmp_path / "out"

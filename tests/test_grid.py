@@ -216,6 +216,21 @@ class TestDiscreteCalculus:
         grad = node_gradient(grid64, rng.normal(size=grid64.n_nodes))
         assert np.all(grad[grid64.boundary] == 0.0)
 
+    @pytest.mark.parametrize("dim, counts", [(1, 16), (2, (7, 9))])
+    def test_batch_axis_matches_each_sample(self, dim, counts):
+        extent = (0.0, 1.0) if dim == 1 else [(0, 1), (0, 2)]
+        g = build_grid(dim, extent, counts)
+        rng = np.random.default_rng(7)
+        u = rng.normal(size=(2, 3, g.n_nodes))
+        w = rng.normal(size=(5, g.n_nodes, g.dim))
+        grad = node_gradient(g, u)
+        div = divergence(g, w)
+        assert grad.shape == (2, 3, g.n_nodes, g.dim) and div.shape == (5, g.n_nodes)
+        for idx in np.ndindex(2, 3):
+            assert grad[idx].tobytes() == node_gradient(g, u[idx]).tobytes()
+        for s in range(5):
+            assert div[s].tobytes() == divergence(g, w[s]).tobytes()
+
 
 class TestSobolevRatio:
     def test_d1_bound_200_random_fields(self):

@@ -158,3 +158,63 @@ def test_passes_build_no_matrix_from_another(monkeypatch, pen):
     x, passes = psor(step, q, psi, pen)
     # projected: one CSC per pass, made from the masked arrays; penalized: none
     assert built == ([("csc_matrix", "tuple")] * passes if pen == math.inf else [])
+
+
+@st.composite
+def step_block(draw):
+    """A step problem with a block of right-hand sides: the drawn column,
+    fresh random ones, feasible ones (their unconstrained solve clears psi)
+    and duplicates, in a drawn order."""
+    B, lu, q, psi, pen = draw(step_problem())
+    n = q.size
+    values = st.floats(-5.0, 5.0, allow_nan=False)
+    feasible = B @ (np.maximum(psi, 0.0) + 1.0)
+    columns = [q]
+    for kind in draw(st.lists(st.sampled_from(["fresh", "feasible", "duplicate"]),
+                              min_size=1, max_size=6)):
+        if kind == "fresh":
+            columns.append(np.array(draw(st.lists(values, min_size=n, max_size=n))))
+        elif kind == "feasible":
+            columns.append(feasible)
+        else:
+            columns.append(columns[draw(st.integers(0, len(columns) - 1))])
+    order = draw(st.permutations(range(len(columns))))
+    return B, lu, np.column_stack([columns[i] for i in order]), psi, pen
+
+
+@given(step_block())
+@settings(max_examples=200, deadline=None)
+def test_block_solves_each_column_as_alone(problem):
+    B, lu, Q, psi, pen = problem
+    x, passes = psor(StepMatrix(B, lu), Q, psi, pen)
+    assert x.shape == Q.shape and passes.shape == (Q.shape[1],)
+    for s in range(Q.shape[1]):
+        x_s, passes_s = psor(StepMatrix(B, lu), Q[:, s], psi, pen)
+        assert x[:, s].tobytes() == x_s.tobytes()
+        assert passes[s] == passes_s
+
+
+@pytest.mark.parametrize("pen", [math.inf, 10.0], ids=["projected", "penalized"])
+def test_block_shares_one_solve_per_distinct_set(monkeypatch, pen):
+    step, q, psi, pen = _contact_step(pen)
+    counter = _CountingSpla()
+    monkeypatch.setattr(lcp, "spla", counter)
+    x, passes = psor(step, q, psi, pen)
+    alone = counter.calls
+    feasible = step.B @ (np.maximum(psi, 0.0) + 1.0)
+    counter.calls = 0
+    step.factorizations = 0
+    X, P = psor(step, np.column_stack([q, feasible, q, q]), psi, pen)
+    assert counter.calls == step.factorizations == alone
+    assert P.tolist() == [passes, 0, passes, passes]
+    assert X[:, 2].tobytes() == x.tobytes()
+
+
+@pytest.mark.parametrize("pen", [math.inf, 10.0], ids=["projected", "penalized"])
+def test_failing_column_is_named(monkeypatch, pen):
+    step, q, psi, pen = _contact_step(pen)
+    feasible = step.B @ (np.maximum(psi, 0.0) + 1.0)
+    monkeypatch.setattr(lcp, "_TOL", 0.0)
+    with pytest.raises(SolverError, match="above the stop") as info:
+        psor(step, np.column_stack([feasible, feasible, q]), psi, pen)
+    assert info.value.column == 2

@@ -6,6 +6,7 @@ import hashlib
 import numpy as np
 import pytest
 
+import ospde.persist as persist
 from ospde.cli import main
 from ospde.errors import ConfigurationError
 from ospde.grid import build_grid
@@ -88,7 +89,7 @@ def _edit_lines(path, edit):
     path.write_text("\n".join(edit(lines)) + "\n")
 
 
-@pytest.mark.parametrize("name, edit, match", [
+MALFORMED = [
     pytest.param("u.csv", lambda ls: ls[:-3], "exactly once", id="u-rows-missing"),
     pytest.param("u.csv", lambda ls: ls + ls[-1:], "exactly once", id="u-row-repeated"),
     pytest.param("u.csv", lambda ls: [ls[0], ls[1].replace("value", "val"), *ls[2:]],
@@ -101,7 +102,10 @@ def _edit_lines(path, edit):
                  "outside", id="measure-boundary-node"),
     pytest.param("measure.csv", lambda ls: ls[:2] + [ln.rsplit(",", 1)[0] for ln in ls[2:]],
                  "columns", id="measure-column-dropped"),
-])
+]
+
+
+@pytest.mark.parametrize("name, edit, match", MALFORMED)
 def test_malformed_table_refused(tmp_path, name, edit, match):
     grid = build_grid(1, (0.0, 1.0), 8)
     save_run(tmp_path, edge_result(grid), config_hash="abc", seed=3, grid=grid,
@@ -119,3 +123,31 @@ def test_hash_line_mismatch_refused(tmp_path):
                 lambda ls: ["# config_hash=other"] + ls[1:])
     with pytest.raises(ConfigurationError, match="different config hash"):
         load_run(tmp_path, grid, expected_hash="abc")
+
+
+# A table is read in blocks of rows; these run the round trip and every
+# refusal with blocks far smaller than the tables, so rows, repeats and
+# errors fall on block boundaries.
+@pytest.mark.parametrize("grid", [build_grid(1, (0.0, 1.0), 8),
+                                  build_grid(2, [(0.0, 1.0), (0.0, 2.0)], (3, 4))],
+                         ids=["1d", "2d"])
+def test_round_trip_in_small_blocks(tmp_path, monkeypatch, grid):
+    monkeypatch.setattr(persist, "_BLOCK_ROWS", 5)
+    test_round_trip_is_bitwise(tmp_path, grid)
+
+
+@pytest.mark.parametrize("name, edit, match", MALFORMED)
+def test_malformed_table_refused_in_small_blocks(tmp_path, monkeypatch, name, edit, match):
+    monkeypatch.setattr(persist, "_BLOCK_ROWS", 5)
+    test_malformed_table_refused(tmp_path, name, edit, match)
+
+
+def test_blank_lines_are_skipped(tmp_path, monkeypatch):
+    monkeypatch.setattr(persist, "_BLOCK_ROWS", 5)
+    grid = build_grid(1, (0.0, 1.0), 8)
+    result = edge_result(grid)
+    save_run(tmp_path, result, config_hash="abc", seed=3, grid=grid,
+             solver_mode="projected")
+    _edit_lines(tmp_path / "u.csv", lambda ls: ls[:9] + [""] * 12 + ls[9:] + [""])
+    u, _, _ = load_run(tmp_path, grid, expected_hash="abc")
+    assert np.array_equal(bits(u.frames), bits(result.u.frames))

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,12 +8,13 @@ import scipy.sparse.linalg as spla
 
 from conftest import mix_coeffs, standard_problem, state_free_coeffs
 
-from ospde.errors import AssumptionError, ConfigurationError
+import ospde.lcp as lcp
+from ospde.errors import AssumptionError, ConfigurationError, SolverError
 from ospde.grid import Field, assemble_operator, build_grid, divergence
 from ospde.norms import FieldPath, mixed_norm
 from ospde.solver import (OBSTACLE_OFF, DiscreteMeasure, DominatorData, ProblemData,
-                          skorokhod_defect, solve_linear_spde, solve_mode,
-                          solve_penalized, solve_projected, solve_random_pde,
+                          prepare_batch, skorokhod_defect, solve_batch, solve_linear_spde,
+                          solve_mode, solve_penalized, solve_projected, solve_random_pde,
                           solve_unconstrained)
 from ospde.stochastics import CoefficientSet, NoisePath, sample_noise
 
@@ -348,3 +350,62 @@ class TestProblemData:
         data = standard_problem(cells=16, steps=32, dominator=dom)
         with pytest.warns(UserWarning, match="dominator"):
             solve_linear_spde(data)
+
+
+def contact_problem():
+    """A 1D problem whose projected and penalized solves touch the obstacle
+    0.5 sin(pi x) - 0.1 on some steps and not on others."""
+    x = build_grid(1, (0.0, 1.0), 16).coords[:, 0]
+    return standard_problem(cells=16, steps=32, obstacle_values=0.5 * np.sin(np.pi * x) - 0.1)
+
+
+class TestBatch:
+    @pytest.mark.parametrize("mode", ["projected", "penalized", "unconstrained"])
+    def test_each_path_as_solved_alone(self, mode):
+        data = contact_problem()
+        seeds = [5, 0, 5, 2]
+        noises = [sample_noise(2, data.dt, data.steps, s) for s in seeds]
+        batch = solve_batch(prepare_batch(data, noises, mode, 100))
+        K = data.steps
+        for s, noise in enumerate(noises):
+            alone = solve_mode(data.with_noise(noise), mode, 100)
+            assert batch.frames[s].tobytes() == alone.u.frames.tobytes()
+            assert batch.weights[s].tobytes() == alone.measure.weights.tobytes()
+            assert batch.diagnostics["iterations"][s * K:(s + 1) * K] == \
+                alone.diagnostics["iterations"]
+
+    @pytest.mark.parametrize("mode", ["projected", "penalized"])
+    def test_counters(self, monkeypatch, mode):
+        calls = []
+        spsolve = lcp.spla.spsolve
+
+        class CountingSpla:
+            def __getattr__(self, name):
+                return getattr(spla, name)
+
+            def spsolve(self, *args, **kwargs):
+                calls.append(1)
+                return spsolve(*args, **kwargs)
+
+        monkeypatch.setattr(lcp, "spla", CountingSpla())
+        result = solve_mode(contact_problem(), mode, 100)
+        iterations = result.diagnostics["iterations"]
+        assert 0 < result.diagnostics["feasible_steps"] == iterations.count(0) < len(iterations)
+        assert result.diagnostics["factorizations"] == len(calls) > 0
+
+    def test_failed_step_names_step_and_seed(self, monkeypatch):
+        data = contact_problem()
+        seeds = [1, 5, 0]   # alone, seed 0 fails first, at step 19
+        noises = [sample_noise(2, data.dt, data.steps, s) for s in seeds]
+        monkeypatch.setattr(lcp, "_TOL", 0.0)
+        with pytest.raises(SolverError) as info:
+            solve_batch(prepare_batch(data, noises, "projected"))
+        found = re.match(r"step (\d+) failed for seed (\d+): active set repeated", str(info.value))
+        assert found and int(found[2]) == seeds[info.value.column] == 0
+        with pytest.raises(SolverError, match=rf"^step {found[1]} failed for seed 0: "):
+            solve_projected(data.with_noise(noises[2]))
+
+    def test_noise_must_fit(self):
+        data = contact_problem()
+        with pytest.raises(ConfigurationError, match="seed 9 does not fit"):
+            prepare_batch(data, [sample_noise(3, data.dt, data.steps, 9)])

@@ -4,9 +4,10 @@ import pytest
 from conftest import (mix_coeffs, refine_noise, signed_coeffs, standard_problem,
                       state_free_coeffs, unconstrained_problem)
 
+import ospde.solver
 from ospde.errors import AssumptionError, ConfigurationError
 from ospde.grid import Field, build_grid
-from ospde.solver import (OBSTACLE_OFF, DominatorData, solve_linear_spde,
+from ospde.solver import (OBSTACLE_OFF, DominatorData, solve_linear_spde, solve_mode,
                           solve_projected, solve_unconstrained)
 from ospde.stochastics import CoefficientSet, NoisePath, sample_noise
 from ospde.verify import (apriori_check, comparison_experiment, ito_square_residual,
@@ -220,6 +221,17 @@ class TestEstimates:
         assert rep.implied_constant is not None and rep.implied_constant > 0
 
 
+def contact_pair():
+    """Ordered problems whose constrained solves touch their obstacles and
+    whose gaps differ from mode to mode."""
+    x = build_grid(1, (0.0, 1.0), 16).coords[:, 0]
+    s1 = 0.5 * np.sin(np.pi * x) - 0.1
+    d1 = standard_problem(cells=16, steps=32, obstacle_values=s1)
+    d2 = standard_problem(cells=16, steps=32, obstacle_values=s1 + 0.05, xi_offset=0.35,
+                          coeffs=mix_coeffs(2, f_shift=0.1))
+    return d1, d2
+
+
 class TestComparison:
     def test_identical_data_zero_gap(self):
         d1 = standard_problem(cells=16, steps=32)
@@ -250,3 +262,53 @@ class TestComparison:
                               coeffs=mix_coeffs(2, h_base=0.5))
         with pytest.raises(AssumptionError, match="flux or noise"):
             comparison_experiment(d1, d2, seeds=[1])
+
+    @pytest.mark.parametrize("mode", ["projected", "penalized", "unconstrained"])
+    def test_batched_gaps_match_serial_solves(self, mode):
+        d1, d2 = contact_pair()
+        seeds = [3, 1, 4, 1, 5]
+        rep = comparison_experiment(d1, d2, seeds, mode=mode, penalty_n=100)
+        interior = d1.op.grid.interior
+        serial = []
+        for seed in seeds:
+            noise = sample_noise(d1.noise.J, d1.noise.dt, d1.noise.steps, seed)
+            u1 = solve_mode(d1.with_noise(noise), mode, 100).u.frames
+            u2 = solve_mode(d2.with_noise(noise), mode, 100).u.frames
+            serial.append((u2[:, interior] - u1[:, interior]).min())
+        assert np.array(rep.per_sample).tobytes() == np.array(serial).tobytes()
+        assert rep.seeds == seeds and rep.min_gap == min(serial)
+
+    @staticmethod
+    def count_kernel_calls(monkeypatch):
+        calls = []
+        kernel = ospde.solver.psor
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(ospde.solver, "psor", counting)
+        return calls
+
+    def test_unordered_obstacles_refused_before_any_solve(self, monkeypatch):
+        calls = self.count_kernel_calls(monkeypatch)
+        d1 = standard_problem(cells=16, steps=32, obstacle_level=0.25)
+        d2 = standard_problem(cells=16, steps=32, obstacle_level=0.15)
+        with pytest.raises(AssumptionError, match="obstacles are not ordered"):
+            comparison_experiment(d1, d2, seeds=range(3))
+        assert calls == []
+        comparison_experiment(d2, d1, seeds=[1])
+        assert len(calls) == 2 * d1.steps
+
+    def test_drift_order_refused_before_second_problem(self, monkeypatch):
+        calls = self.count_kernel_calls(monkeypatch)
+        d1 = standard_problem(cells=16, steps=32, coeffs=mix_coeffs(2, f_shift=0.1))
+        d2 = standard_problem(cells=16, steps=32)
+        with pytest.raises(AssumptionError, match="drift ordering"):
+            comparison_experiment(d1, d2, seeds=range(3))
+        assert len(calls) == d1.steps   # one batch: the first problem's
+
+    def test_no_seed_is_config_error(self):
+        d1 = standard_problem(cells=16, steps=32)
+        with pytest.raises(ConfigurationError, match="at least one noise path"):
+            comparison_experiment(d1, d1, seeds=[])
