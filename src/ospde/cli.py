@@ -71,7 +71,7 @@ def _load(args) -> tuple[RunConfig, Path]:
     return cfg, out
 
 
-def _run_one_sample(raw_cfg: dict, seed: int, out_dir: str, keep_noise: bool) -> dict:
+def _run_one_sample(raw_cfg: dict, seed: int, out_dir: str) -> dict:
     """Worker entry: solve one seed and persist its artifacts."""
     cfg = RunConfig(raw=raw_cfg)
     grid = cfg.make_grid()
@@ -89,7 +89,7 @@ def _run_one_sample(raw_cfg: dict, seed: int, out_dir: str, keep_noise: bool) ->
     meta = save_run(out_dir, result, config_hash=cfg.hash, seed=seed, grid=grid,
                     solver_mode=cfg.solver_mode,
                     penalty_n=result.diagnostics.get("penalty_level"),
-                    norms=norms, noise=data.noise if keep_noise else None)
+                    norms=norms)
     return {
         "seed": seed,
         "directory": str(out_dir),
@@ -111,9 +111,9 @@ def _aggregate(rows: list[dict]) -> dict:
     return out
 
 
-# The CSV and JSON artifacts are always written; naming them is allowed, and
-# only "noise" adds a file (noise.bin).
-_FORMATS = ("csv", "json", "noise")
+# The CSV and JSON artifacts are always written; naming them is allowed and
+# changes nothing.
+_FORMATS = ("csv", "json")
 
 
 def cmd_simulate(args) -> int:
@@ -125,7 +125,7 @@ def cmd_simulate(args) -> int:
                                          f"drawn from {list(_FORMATS)}")
     out.mkdir(parents=True, exist_ok=True)
 
-    jobs = [(cfg.raw, seed, str(out / f"sample_{i:03d}_seed_{seed}"), "noise" in formats)
+    jobs = [(cfg.raw, seed, str(out / f"sample_{i:03d}_seed_{seed}"))
             for i, seed in enumerate(seeds)]
     workers = args.workers or coerce(int, "output.workers", cfg.block("output").get("workers", 1))
     if workers > 1 and len(jobs) > 1:
@@ -209,17 +209,24 @@ def cmd_capacity(args) -> int:
         if not isinstance(widths, list):
             raise StageError("config-error", f"capacity.widths = {widths!r} is not a list")
         widths = [coerce(float, f"capacity.widths[{i}]", w) for i, w in enumerate(widths)]
-        intervals = [(center - w / 2.0, center + w / 2.0) for w in widths]
+        boxes = [np.array([[center - w / 2.0, center + w / 2.0]]) for w in widths]
     else:
-        intervals = [block.get("interval", [0.25, 0.75])]
+        def box(value):  # per-axis (lo, hi) rows, (dim, 2)
+            iv = np.atleast_2d(np.asarray(value, dtype=float))
+            if iv.shape != (grid.dim, 2):
+                raise ValueError
+            return iv
+
+        boxes = [coerce(box, "capacity.interval", block.get("interval", [0.25, 0.75]))]
+    bounds = (["lo", "hi"] if grid.dim == 1 else
+              [f"{end}_{axis}" for axis in "xy"[:grid.dim] for end in ("lo", "hi")])
     rows = []
-    for iv in intervals:
+    for iv in boxes:
         K = box_set(grid, times, frame, iv)
-        rows.append((frame, times[frame], iv[0], iv[1], compute_capacity(op, K),
+        rows.append((frame, times[frame], *iv.ravel().tolist(), compute_capacity(op, K),
                      K.lebesgue_measure()))
-    write_rows(out / "capacity.csv",
-               ["frame", "time", "lo", "hi", "capacity", "lebesgue_measure"],
-               "%d,%.12g,%.12g,%.12g,%.17g,%.17g", rows, config_hash=cfg.hash)
+    write_rows(out / "capacity.csv", ["frame", "time", *bounds, "capacity", "lebesgue_measure"],
+               "%d,%.12g," + "%.12g," * len(bounds) + "%.17g,%.17g", rows, config_hash=cfg.hash)
     print(f"capacity: {len(rows)} row(s) -> {out / 'capacity.csv'}")
     return 0
 

@@ -251,12 +251,6 @@ class EllipticOperator:
     lam: float
     Lam: float
 
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        """Operator applied to a full-node array; boundary rows are zero."""
-        out = np.zeros(self.grid.n_nodes)
-        out[self.grid.interior] = self.stiffness @ self.grid.restrict(values)
-        return out
-
 
 def _sample_coefficient(grid: Grid, a_field) -> np.ndarray:
     centers = grid.cell_centers()

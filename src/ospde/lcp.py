@@ -90,7 +90,9 @@ def psor(step: StepMatrix, q: np.ndarray, psi: np.ndarray, pen: float = math.inf
     The next set is where x < psi or the reaction is positive.  From this
     start the sets nest on an M-matrix.  A repeated set gives the same
     iterate again, so a column's first repeat either meets the residual stop
-    or fails.  ``step.factorizations`` counts the sparse solves.
+    or fails.  A set that returns after one other set (counting x_free as the
+    empty set's iterate) would alternate with it forever; it stops the same
+    way.  ``step.factorizations`` counts the sparse solves.
 
     Returns (x, passes) shaped like q: passes is an int, or an int array
     (S,) for a block.  Raises SolverError, with ``column`` set, at a
@@ -120,6 +122,7 @@ def _settle(step: StepMatrix, q: np.ndarray, x_free: np.ndarray, sets: np.ndarra
     x = np.empty_like(x_free)
     passes = np.zeros(m, dtype=int)
     open_ = np.arange(m)  # positions still open, among the m columns
+    prev = np.zeros_like(sets)  # each column's set a pass back; x_free is the empty set's
     for count in range(1, n + 2):
         groups: dict[bytes, list[int]] = {}
         for j in range(open_.size):
@@ -135,7 +138,7 @@ def _settle(step: StepMatrix, q: np.ndarray, x_free: np.ndarray, sets: np.ndarra
         else:
             reaction = pen * np.maximum(psi[:, None] - x_pass, 0.0)
         new = (x_pass < psi[:, None]) | (reaction > 0.0)
-        repeated = (new == sets).all(axis=0)
+        repeated = (new == sets).all(axis=0) | (new == prev).all(axis=0)
         if repeated.any():
             residual = np.abs(Bx - reaction - q).max(axis=0)
             bound = _TOL * ((1.0 + np.abs(q).max(axis=0))
@@ -152,7 +155,8 @@ def _settle(step: StepMatrix, q: np.ndarray, x_free: np.ndarray, sets: np.ndarra
                 return x, passes
             keep = ~repeated
             open_, new, q, x_free = open_[keep], new[:, keep], q[:, keep], x_free[:, keep]
-        sets = new
+            sets = sets[:, keep]
+        prev, sets = sets, new
     raise SolverError(f"active-set obstacle step did not settle in {n + 1} passes",
                       column=int(cols[open_[0]]))
 

@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigurationError
-from .grid import Field, Grid, _readonly, gradient_sq, same_grid
+from .grid import Grid, _readonly, gradient_sq, same_grid
 
 __all__ = [
     "FieldPath",
@@ -43,6 +43,7 @@ __all__ = [
     "pairing",
     "gradient_norm_22",
     "magnitude_path",
+    "data_ingredients",
 ]
 
 
@@ -82,9 +83,6 @@ class FieldPath:
     @property
     def horizon(self) -> float:
         return float(self.times[-1])
-
-    def frame_field(self, k: int) -> Field:
-        return Field(self.grid, self.frames[k])
 
     def horizon_index(self, t: float) -> int:
         """Largest k with t_k <= t (within rounding tolerance)."""
@@ -231,3 +229,18 @@ def magnitude_path(grid: Grid, times, components: np.ndarray) -> FieldPath:
         raise ConfigurationError(f"components must be (frames, n_nodes, m), got {comp.shape}")
     return FieldPath(grid, np.asarray(times, dtype=float),
                      np.sqrt(np.sum(comp * comp, axis=2)))
+
+
+def data_ingredients(grid: Grid, times, t: float, initial: np.ndarray, f, g, h,
+                     toolbox: NormToolbox) -> tuple[float, float, float, float]:
+    """The four terms of the paper's integrability condition on the data:
+    |initial|_2^2, (dual#(f))^2, |g|_{2,2;t}^2 and |h|_{2,2;t}^2.
+
+    ``f`` is a path's frames (K+1, n_nodes); ``g`` and ``h`` are vector- and
+    mode-valued frames (K+1, n_nodes, m) measured by their pointwise
+    magnitude.  A source given as None contributes 0.0.
+    """
+    f_sq = 0.0 if f is None else dual_sharp_upper(FieldPath(grid, times, f), t, toolbox) ** 2
+    g_sq, h_sq = (0.0 if c is None else mixed_norm(magnitude_path(grid, times, c), 2, 2, t) ** 2
+                  for c in (g, h))
+    return float(grid.quad_weights @ initial ** 2), f_sq, g_sq, h_sq

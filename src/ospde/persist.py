@@ -1,8 +1,8 @@
 """Artifact persistence: one CSV row writer, one CSV table reader.
 
-A sample directory always holds ``metadata.json``, ``u.csv``,
-``measure.csv`` and ``norms.csv``, plus ``noise.bin`` when the noise is
-passed in.  Every file embeds the config hash -- JSON files as a field, CSV
+A sample directory holds ``metadata.json``, ``u.csv``, ``measure.csv``
+and ``norms.csv``; the noise is not stored, since its seed rebuilds it bit
+for bit.  Every file embeds the config hash -- JSON files as a field, CSV
 files as a leading ``# config_hash=...`` line -- and loading against a
 mismatched hash is refused.
 
@@ -41,7 +41,6 @@ from .errors import ConfigurationError
 from .grid import Grid
 from .norms import FieldPath
 from .solver import DiscreteMeasure, SolveResult
-from .stochastics import save_noise
 
 __all__ = ["save_run", "load_run", "write_rows"]
 
@@ -73,11 +72,10 @@ def _frame_rows(times, columns, frames):
 
 def save_run(directory, result: SolveResult, *, config_hash: str, seed: int,
              grid: Grid, solver_mode: str, penalty_n: int | None = None,
-             norms=(), noise=None) -> dict:
+             norms=()) -> dict:
     """Write the sample directory; returns the metadata.
 
-    ``norms`` holds (norm_name, p, q, t, value) entries; ``noise`` is
-    written to noise.bin when given.
+    ``norms`` holds (norm_name, p, q, t, value) entries.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -106,8 +104,6 @@ def save_run(directory, result: SolveResult, *, config_hash: str, seed: int,
     write_rows(directory / "norms.csv", ("run_id", "norm_name", "p", "q", "t", "value"),
                "%s,%s,%s,%s,%.12g,%.17g", ((f"seed_{seed}", *entry) for entry in norms),
                config_hash=config_hash)
-    if noise is not None:
-        save_noise(noise, directory / "noise.bin")
     return meta
 
 

@@ -50,7 +50,7 @@ from .errors import AssumptionError, ConfigurationError, SolverError
 from .grid import (EllipticOperator, Field, _readonly, divergence, energy_values,
                    node_gradient, same_grid)
 from .lcp import StepMatrix, psor
-from .norms import FieldPath, NormToolbox, dual_sharp_upper, magnitude_path, mixed_norm
+from .norms import FieldPath, NormToolbox, data_ingredients
 from .stochastics import CoefficientSet, NoisePath, validate_assumptions
 
 __all__ = [
@@ -262,14 +262,9 @@ def solve_linear_spde(data: ProblemData, diagnostics: dict | None = None) -> Fie
         w = grid.quad_weights
         sup_sq = float(max(np.sum(w * fr * fr) for fr in frames))
         en = sum(energy_values(data.op, frames[k + 1]) for k in range(data.steps)) * data.dt
-        zero = np.zeros((data.steps + 1, grid.n_nodes))
-        f_path = FieldPath(grid, times, dom.f if dom.f is not None else zero)
-        g_mag = magnitude_path(grid, times, dom.g) if dom.g is not None else FieldPath(grid, times, zero)
-        h_mag = magnitude_path(grid, times, dom.h) if dom.h is not None else FieldPath(grid, times, zero)
-        data_sq = (float(w @ dom.initial.values ** 2)
-                   + dual_sharp_upper(f_path, T, toolbox) ** 2
-                   + mixed_norm(g_mag, 2, 2, T) ** 2
-                   + mixed_norm(h_mag, 2, 2, T) ** 2)
+        xi_sq, f_sq, g_sq, h_sq = data_ingredients(grid, times, T, dom.initial.values,
+                                                   dom.f, dom.g, dom.h, toolbox)
+        data_sq = xi_sq + f_sq + g_sq + h_sq
         diagnostics["sup_sq"] = sup_sq
         diagnostics["energy_integral"] = en
         diagnostics["data_sq"] = data_sq

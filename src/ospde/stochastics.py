@@ -8,6 +8,9 @@ increments from its own counter-based Philox stream keyed by (seed, j), so
 * truncating a path to its first m steps equals generating a fresh path
   with m steps and the same seed.
 
+A path is never stored: its seed rebuilds it (``verify`` does so).  The
+paper's data norms of a problem are ``norms.data_ingredients``.
+
 Mode-coefficient maps must have exactly zero tail beyond the retained J
 modes, which keeps the discrete quadratic-variation identities exact
 instead of approximately truncated.
@@ -23,7 +26,6 @@ double evaluation).
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -31,22 +33,14 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .grid import _readonly
-from .norms import FieldPath, NormToolbox, dual_sharp_upper, magnitude_path, mixed_norm
 
 __all__ = [
     "NoisePath",
     "CoefficientSet",
     "AssumptionReport",
-    "IntegrabilityReport",
     "sample_noise",
-    "save_noise",
-    "load_noise",
     "validate_assumptions",
-    "check_integrability",
 ]
-
-_HEADER = struct.Struct("<qqdQ")  # J, steps, dt, seed
-
 
 @dataclass(frozen=True, eq=False)
 class NoisePath:
@@ -89,23 +83,6 @@ def sample_noise(J: int, dt: float, steps: int, seed: int) -> NoisePath:
     return NoisePath(J=J, dt=float(dt), increments=rows, seed=int(seed))
 
 
-def save_noise(noise: NoisePath, path) -> None:
-    """Flat binary: header (J, steps, dt, seed) + row-major double payload."""
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(noise.J, noise.steps, noise.dt, noise.seed))
-        fh.write(np.ascontiguousarray(noise.increments, dtype="<f8").tobytes())
-
-
-def load_noise(path) -> NoisePath:
-    with open(path, "rb") as fh:
-        j, steps, dt, seed = _HEADER.unpack(fh.read(_HEADER.size))
-        payload = np.frombuffer(fh.read(), dtype="<f8")
-    if payload.size != j * steps:
-        raise ConfigurationError(
-            f"noise payload has {payload.size} doubles, expected {j * steps}")
-    return NoisePath(J=j, dt=dt, increments=payload.reshape(j, steps).copy(), seed=seed)
-
-
 @dataclass(frozen=True)
 class CoefficientSet:
     """Evaluable drift/flux/noise maps with declared Lipschitz metadata.
@@ -132,18 +109,6 @@ class CoefficientSet:
     alpha: float
     beta: float
     modes: int
-
-    def f0(self, t: float, x: np.ndarray) -> np.ndarray:
-        m = x.shape[0]
-        return np.asarray(self.f(t, x, np.zeros(m), np.zeros((m, x.shape[1]))), dtype=float)
-
-    def g0(self, t: float, x: np.ndarray) -> np.ndarray:
-        m = x.shape[0]
-        return np.asarray(self.g(t, x, np.zeros(m), np.zeros((m, x.shape[1]))), dtype=float)
-
-    def h0(self, t: float, x: np.ndarray) -> np.ndarray:
-        m = x.shape[0]
-        return np.asarray(self.h(t, x, np.zeros(m), np.zeros((m, x.shape[1]))), dtype=float)
 
     @classmethod
     def zero(cls, modes: int) -> "CoefficientSet":
@@ -280,47 +245,3 @@ def validate_assumptions(coeffs: CoefficientSet, lam: float, grid=None,
     rep.items["purity"] = CheckItem(pure, 0.0 if pure else 1.0, 0.0,
                                     "double evaluation must match bitwise")
     return rep
-
-
-@dataclass
-class IntegrabilityReport:
-    """Sample-mean estimates of the data integrability ingredients."""
-
-    estimates: dict[str, float]
-    finite: dict[str, bool]
-    ceiling: float
-    samples: int
-
-    def as_dict(self) -> dict:
-        return {"estimates": self.estimates, "finite": self.finite,
-                "ceiling": self.ceiling, "samples": self.samples}
-
-
-def check_integrability(data, toolbox: NormToolbox, t: float,
-                        ceiling: float = 1e12) -> IntegrabilityReport:
-    """Estimate |xi|_2^2, (dual#(f0))^2, |g0|_{2,2}^2 and |h0|_{2,2}^2 at
-    horizon t for a problem's data, flagging each against a finite ceiling.
-
-    ``data`` is a ProblemData; coefficient maps are pure, so a single
-    evaluation is the sample mean.
-    """
-    grid = data.op.grid
-    times = data.times
-    f_frames = np.stack([data.coeffs.f0(tk, grid.coords) for tk in times])
-    g_frames = np.stack([data.coeffs.g0(tk, grid.coords) for tk in times])
-    h_frames = np.stack([data.coeffs.h0(tk, grid.coords) for tk in times])
-
-    xi_sq = float(grid.quad_weights @ data.xi.values ** 2)
-    f0_dual = dual_sharp_upper(FieldPath(grid, times, f_frames), t, toolbox)
-    g0_22 = mixed_norm(magnitude_path(grid, times, g_frames), 2, 2, t)
-    h0_22 = mixed_norm(magnitude_path(grid, times, h_frames), 2, 2, t)
-
-    estimates = {
-        "xi_sq": xi_sq,
-        "f0_dual_sharp_sq": f0_dual ** 2,
-        "g0_22_sq": g0_22 ** 2,
-        "h0_22_sq": h0_22 ** 2,
-    }
-    finite = {k: bool(np.isfinite(v) and v <= ceiling) for k, v in estimates.items()}
-    return IntegrabilityReport(estimates=estimates, finite=finite,
-                               ceiling=ceiling, samples=1)

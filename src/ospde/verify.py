@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import AssumptionError, ConfigurationError
 from .grid import node_gradient, same_grid
-from .norms import FieldPath, NormToolbox, dual_sharp_upper, gradient_norm_22, magnitude_path, mixed_norm
+from .norms import FieldPath, NormToolbox, data_ingredients, gradient_norm_22, mixed_norm
 from .solver import (ProblemData, SolveResult, prepare_batch, solve_batch,
                      solve_linear_spde)
 from .stochastics import sample_noise
@@ -51,6 +51,12 @@ __all__ = [
 ]
 
 _INDICATOR_TOL = 1e-12
+
+# EstimateReport ingredient names: the shifted data's four data_ingredients
+# terms, then the dominator's.
+_INGREDIENTS = ("shifted_initial_sq", "shifted_f0_dual_sq", "shifted_g0_22_sq",
+                "shifted_h0_22_sq", "dominator_initial_sq", "dominator_f_dual_sq",
+                "dominator_g_22_sq", "dominator_h_22_sq")
 
 
 @dataclass
@@ -266,7 +272,6 @@ def _estimate(name, results, datas, t, toolbox, positive: bool,
               dominators: Sequence[FieldPath] | None = None) -> EstimateReport:
     results, datas = _as_sequences(results, datas)
     grid = datas[0].op.grid
-    w = grid.quad_weights
     if toolbox is None:
         toolbox = NormToolbox.for_dim(grid.dim)
     if t is None:
@@ -298,28 +303,19 @@ def _estimate(name, results, datas, t, toolbox, positive: bool,
             fp = np.where(ind_dom, np.maximum(fp, 0.0), 0.0)
             gp = gp * ind_dom[:, :, None]
             hp = hp * ind_dom[:, :, None]
-            xi_term = float(w @ np.maximum(data.xi.values - s0, 0.0) ** 2)
-            s0_term = float(w @ np.maximum(s0, 0.0) ** 2)
+            initial = np.maximum(data.xi.values - s0, 0.0)
+            s0 = np.maximum(s0, 0.0)
             u_plus = FieldPath(grid, times, np.maximum(result.u.frames, 0.0))
             lhs = mixed_norm(u_plus, 2, math.inf, t) ** 2
         else:
-            xi_term = float(w @ (data.xi.values - s0) ** 2)
-            s0_term = float(w @ s0 ** 2)
+            initial = data.xi.values - s0
             lhs = (mixed_norm(result.u, 2, math.inf, t) ** 2
                    + gradient_norm_22(result.u, t) ** 2)
 
-        ing = {
-            "shifted_initial_sq": xi_term,
-            "shifted_f0_dual_sq": dual_sharp_upper(FieldPath(grid, times, fbar), t, toolbox) ** 2,
-            "shifted_g0_22_sq": mixed_norm(magnitude_path(grid, times, gbar), 2, 2, t) ** 2,
-            "shifted_h0_22_sq": mixed_norm(magnitude_path(grid, times, hbar), 2, 2, t) ** 2,
-            "dominator_initial_sq": s0_term,
-            "dominator_f_dual_sq": dual_sharp_upper(FieldPath(grid, times, fp), t, toolbox) ** 2,
-            "dominator_g_22_sq": mixed_norm(magnitude_path(grid, times, gp), 2, 2, t) ** 2,
-            "dominator_h_22_sq": mixed_norm(magnitude_path(grid, times, hp), 2, 2, t) ** 2,
-        }
+        terms = (data_ingredients(grid, times, t, initial, fbar, gbar, hbar, toolbox)
+                 + data_ingredients(grid, times, t, s0, fp, gp, hp, toolbox))
         lhs_samples.append(lhs)
-        for key, val in ing.items():
+        for key, val in zip(_INGREDIENTS, terms):
             ing_samples.setdefault(key, []).append(val)
 
     lhs_mean = float(np.mean(lhs_samples))

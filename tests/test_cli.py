@@ -228,10 +228,29 @@ class TestSubcommands:
         assert {"capacity", "lebesgue_measure"} <= set(rows[0])
         assert float(rows[0]["capacity"]) > 0
 
+    def test_capacity_table_2d(self, tmp_path):
+        text = (BASE.replace("grid.dim = 1", "grid.dim = 2")
+                .replace("grid.extent = [0.0, 1.0]", "grid.extent = [[0.0, 1.0], [0.0, 1.0]]")
+                .replace("grid.counts = 16", "grid.counts = [8, 8]")
+                .replace("solver.mode = projected", "")
+                + "capacity.frame = 16\ncapacity.interval = [[0.25, 0.75], [0.25, 0.5]]\n")
+        cfg = write_cfg(tmp_path, text)
+        out = tmp_path / "cap"
+        assert main(["capacity", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = read_csv(out / "capacity.csv")
+        assert len(rows) == 1
+        assert list(rows[0]) == ["frame", "time", "lo_x", "hi_x", "lo_y", "hi_y",
+                                 "capacity", "lebesgue_measure"]
+        assert [float(rows[0][k]) for k in ("lo_x", "hi_x", "lo_y", "hi_y")] == \
+            [0.25, 0.75, 0.25, 0.5]
+        assert float(rows[0]["capacity"]) > 0
+
     @pytest.mark.parametrize("entry, key", [
         ('capacity.center = "mid"\ncapacity.widths = [0.2]', "capacity.center"),
         ('capacity.widths = [0.2, "wide"]', "capacity.widths[1]"),
         ("capacity.widths = 0.2", "capacity.widths"),
+        ('capacity.interval = ["a", 0.5]', "capacity.interval"),
+        ("capacity.interval = [[0.25, 0.75], [0.25, 0.75]]", "capacity.interval"),
     ])
     def test_capacity_bad_box_is_config_error(self, tmp_path, entry, key):
         text = BASE.replace("solver.mode = projected", "") + f"capacity.frame = 16\n{entry}\n"
@@ -282,16 +301,6 @@ class TestSubcommands:
                      "--artifacts", str(tmp_path / "nowhere")])
         assert code == 7
 
-    def test_noise_persisted_on_request(self, tmp_path):
-        text = BASE + 'output.formats = ["csv", "json", "noise"]\n'
-        cfg = write_cfg(tmp_path, text)
-        out = tmp_path / "out"
-        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
-        from ospde.stochastics import load_noise, sample_noise
-        stored = load_noise(out / "sample_000_seed_41" / "noise.bin")
-        fresh = sample_noise(2, 0.1 / 32, 32, 41)
-        assert np.array_equal(stored.increments, fresh.increments)
-
     @pytest.mark.parametrize("edit", ["drop_last_frame", "rename_header"])
     def test_verify_refuses_malformed_artifacts(self, tmp_path, edit):
         cfg = write_cfg(tmp_path, BASE)
@@ -329,12 +338,14 @@ class TestSubcommands:
         assert err["stage"] == "artifact-mismatch" and "metadata.json" in err["error"]
 
     def test_unknown_output_format_is_config_error(self, tmp_path):
-        cfg = write_cfg(tmp_path, BASE + 'output.formats = ["csv", "nosie"]\n')
-        out = tmp_path / "out"
-        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
-        err = json.loads((out / "error.json").read_text())
-        assert err["stage"] == "config-error" and "nosie" in err["error"]
-        assert not list(out.glob("sample_*"))
+        # "noise" is refused too: the noise is never stored, its seed rebuilds it
+        for name in ("nosie", "noise"):
+            cfg = write_cfg(tmp_path, BASE + f'output.formats = ["csv", "{name}"]\n')
+            out = tmp_path / name
+            assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+            err = json.loads((out / "error.json").read_text())
+            assert err["stage"] == "config-error" and f"'{name}'" in err["error"]
+            assert not list(out.glob("sample_*"))
 
     def test_csv_written_whatever_the_formats(self, tmp_path):
         cfg = write_cfg(tmp_path, BASE + 'output.formats = ["json"]\n')

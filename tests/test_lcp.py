@@ -41,13 +41,16 @@ def step_problem(draw):
 def reference_psor(B, lu, q, psi, pen):
     """The kernel as it was before the cached pattern: each pass builds its
     matrix with ``B + sp.diags(d)`` or ``B[free]`` slicing, and runs to n + 1
-    passes when a repeated set misses the residual stop."""
+    passes when a repeated set misses the residual stop.  A set that returns
+    after one other set (x_free is the empty set's iterate) counts as a
+    repeat."""
     n = q.size
     x_free = lu.solve(q)
     active = x_free < psi
     if not active.any():
         return x_free, 0
     scale = 1.0 + float(np.abs(q).max())
+    prev = np.zeros(n, dtype=bool)
     for passes in range(1, n + 2):
         if not active.any():
             x, reaction = x_free, np.zeros(n)
@@ -64,11 +67,11 @@ def reference_psor(B, lu, q, psi, pen):
             x = spla.spsolve((B + sp.diags(d)).tocsc(), q + d * psi)
             reaction = pen * np.maximum(psi - x, 0.0)
         new = (x < psi) | (reaction > 0.0)
-        if np.array_equal(new, active) and (np.abs(B @ x - reaction - q).max()
-                                            <= lcp._TOL * (scale + lcp._norm_inf(B)
-                                                           * np.abs(x).max())):
+        if ((np.array_equal(new, active) or np.array_equal(new, prev))
+                and (np.abs(B @ x - reaction - q).max()
+                     <= lcp._TOL * (scale + lcp._norm_inf(B) * np.abs(x).max()))):
             return x, passes
-        active = new
+        prev, active = active, new
     raise SolverError("did not settle")
 
 
@@ -124,6 +127,16 @@ def _contact_step(pen):
     q = np.sin(3.0 * x) - 0.3
     psi = 0.2 * np.sin(np.pi * x)
     return StepMatrix(B, spla.splu(B.tocsc())), q, psi, pen
+
+
+def test_set_returning_after_one_other_stops():
+    # With a subnormal obstacle the penalized pass on {1} rounds x_1 up to
+    # psi_1, which empties the set, and the empty set's iterate x_free = 0
+    # brings {1} back: the sets would alternate until n + 1 passes.
+    B = sp.csr_matrix(np.array([[19.0, -9.0], [-9.0, 19.0]]))
+    psi = np.array([0.0, 5e-324])
+    x, passes = psor(StepMatrix(B, spla.splu(B.tocsc())), np.zeros(2), psi, 15.0)
+    assert passes == 1 and x.tolist() == [0.0, 5e-324]
 
 
 @pytest.mark.parametrize("pen", [math.inf, 10.0], ids=["projected", "penalized"])

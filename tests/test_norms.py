@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from conftest import standard_problem
+
 from ospde.errors import ConfigurationError
 from ospde.grid import build_grid
-from ospde.norms import (FieldPath, NormToolbox, dual_sharp_upper, gradient_norm_22,
-                         mixed_norm, pairing, sharp_norm)
+from ospde.norms import (FieldPath, NormToolbox, data_ingredients, dual_sharp_upper,
+                         gradient_norm_22, mixed_norm, pairing, sharp_norm)
+from ospde.stochastics import CoefficientSet
 
 GRID = build_grid(1, (0.0, 1.0), 32)
 TIMES = np.linspace(0.0, 1.0, 17)
@@ -192,3 +195,48 @@ class TestFieldPath:
         assert vals_21[-1] == pytest.approx(4.0 / 3.0 * phi_l2, rel=0.02)
         # sup grows like dt^(-1/4): refinement by 4 multiplies it by ~sqrt(2)
         assert vals_sup[1] / vals_sup[0] == pytest.approx(np.sqrt(2.0), rel=0.01)
+
+
+def zero_point_ingredients(data, t):
+    """data_ingredients of a problem's initial state and of its coefficient
+    maps evaluated at y = 0, z = 0 on every time stamp."""
+    grid = data.op.grid
+    x = grid.coords
+    y, z = np.zeros(grid.n_nodes), np.zeros_like(x)
+    f, g, h = (np.stack([np.asarray(fn(tk, x, y, z), dtype=float) for tk in data.times])
+               for fn in (data.coeffs.f, data.coeffs.g, data.coeffs.h))
+    return data_ingredients(grid, data.times, t, data.xi.values, f, g, h,
+                            NormToolbox.for_dim(grid.dim))
+
+
+class TestDataIngredients:
+    def test_deterministic_bounded_data(self):
+        data = standard_problem(cells=16, steps=32)
+        terms = zero_point_ingredients(data, float(data.times[-1]))
+        assert all(np.isfinite(terms)) and max(terms) <= 1e12
+        assert terms[0] > 0
+
+    def test_zero_point_drift_vanishes(self):
+        data = standard_problem(cells=16, steps=32, coeffs=CoefficientSet.zero(2))
+        _, f_sq, g_sq, h_sq = zero_point_ingredients(data, float(data.times[-1]))
+        assert f_sq == 0.0 and g_sq == 0.0 and h_sq == 0.0
+
+    def test_time_singular_drift_dual_ingredient_finite(self):
+        # f0(t) = t^(-1/4) phi(x) with f0(0) := 0 keeps the dual ingredient
+        # finite (the (2,1) member of the family is integrable) even though
+        # the sup in time blows up under refinement
+        grid = build_grid(1, (0.0, 1.0), 16)
+
+        def f(t, x, y, z):
+            amp = 0.0 if t == 0.0 else t ** -0.25
+            return amp * np.sin(np.pi * x[:, 0])
+
+        z = CoefficientSet.zero(2)
+        cs = CoefficientSet(f=f, g=z.g, h=z.h, C=0.0, alpha=0.0, beta=0.0, modes=2)
+        data = standard_problem(cells=16, steps=2048, T=1.0, coeffs=cs,
+                                obstacle_level=-1e6, xi_offset=0.3)
+        f_sq = zero_point_ingredients(data, 1.0)[1]
+        assert np.isfinite(f_sq)
+        phi_l2 = float(np.sqrt(grid.quad_weights @ np.sin(np.pi * grid.coords[:, 0]) ** 2))
+        # dual upper bound is at most the closed-form (2,1) norm 4/3 |phi|_2
+        assert f_sq <= (4.0 / 3.0 * phi_l2) ** 2 * 1.01

@@ -1,13 +1,10 @@
 import numpy as np
 import pytest
 
-from conftest import standard_problem, state_free_coeffs
+from conftest import state_free_coeffs
 
 from ospde.errors import ConfigurationError
-from ospde.grid import build_grid
-from ospde.norms import NormToolbox
-from ospde.stochastics import (CoefficientSet, check_integrability, load_noise,
-                               sample_noise, save_noise, validate_assumptions)
+from ospde.stochastics import CoefficientSet, sample_noise, validate_assumptions
 
 
 class TestSampleNoise:
@@ -37,14 +34,6 @@ class TestSampleNoise:
             sample_noise(0, 0.1, 10, 1)
         with pytest.raises(ConfigurationError):
             sample_noise(1, -0.1, 10, 1)
-
-    def test_save_load_round_trip(self, tmp_path):
-        n = sample_noise(3, 0.05, 40, 2024)
-        save_noise(n, tmp_path / "noise.bin")
-        m = load_noise(tmp_path / "noise.bin")
-        assert m.J == n.J and m.steps == n.steps and m.seed == n.seed
-        assert m.dt == n.dt
-        assert np.array_equal(m.increments, n.increments)
 
 
 class TestValidateAssumptions:
@@ -96,42 +85,3 @@ class TestValidateAssumptions:
         rep = validate_assumptions(CoefficientSet.zero(1), lam=1.0)
         d = rep.as_dict()
         assert set(d) == {"H1-f", "H2-g-y", "H2-g-z", "H3-h-y", "H3-h-z", "H4", "purity"}
-
-
-class TestCheckIntegrability:
-    def test_deterministic_bounded_data(self):
-        data = standard_problem(cells=16, steps=32)
-        tb = NormToolbox.for_dim(1)
-        rep = check_integrability(data, tb, t=float(data.times[-1]))
-        assert all(rep.finite.values())
-        assert rep.estimates["xi_sq"] > 0
-        assert rep.samples == 1
-
-    def test_zero_point_drift_vanishes(self):
-        data = standard_problem(cells=16, steps=32, coeffs=CoefficientSet.zero(2))
-        tb = NormToolbox.for_dim(1)
-        rep = check_integrability(data, tb, t=float(data.times[-1]))
-        assert rep.estimates["f0_dual_sharp_sq"] == 0.0
-        assert rep.estimates["g0_22_sq"] == 0.0
-        assert rep.estimates["h0_22_sq"] == 0.0
-
-    def test_time_singular_drift_dual_ingredient_finite(self):
-        # f0(t) = t^(-1/4) phi(x) with f0(0) := 0 keeps the dual ingredient
-        # finite (the (2,1) member of the family is integrable) even though
-        # the sup in time blows up under refinement
-        grid = build_grid(1, (0.0, 1.0), 16)
-
-        def f(t, x, y, z):
-            amp = 0.0 if t == 0.0 else t ** -0.25
-            return amp * np.sin(np.pi * x[:, 0])
-
-        z = CoefficientSet.zero(2)
-        cs = CoefficientSet(f=f, g=z.g, h=z.h, C=0.0, alpha=0.0, beta=0.0, modes=2)
-        data = standard_problem(cells=16, steps=2048, T=1.0, coeffs=cs,
-                                obstacle_level=-1e6, xi_offset=0.3)
-        tb = NormToolbox.for_dim(1)
-        rep = check_integrability(data, tb, t=1.0)
-        assert rep.finite["f0_dual_sharp_sq"]
-        phi_l2 = float(np.sqrt(grid.quad_weights @ np.sin(np.pi * grid.coords[:, 0]) ** 2))
-        # dual upper bound is at most the closed-form (2,1) norm 4/3 |phi|_2
-        assert rep.estimates["f0_dual_sharp_sq"] <= (4.0 / 3.0 * phi_l2) ** 2 * 1.01

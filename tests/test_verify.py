@@ -312,3 +312,107 @@ class TestComparison:
         d1 = standard_problem(cells=16, steps=32)
         with pytest.raises(ConfigurationError, match="at least one noise path"):
             comparison_experiment(d1, d1, seeds=[])
+
+
+def _dominators(grid, steps):
+    x = grid.coords[:, 0]
+    shape = (steps + 1, 1, 1)
+    return {
+        "full": DominatorData(
+            initial=Field.from_function(grid, lambda c: 0.8 * np.sin(np.pi * c[:, 0]) - 0.3),
+            f=np.full((steps + 1, grid.n_nodes), 2.0),
+            g=np.tile((0.2 * np.sin(2 * np.pi * x))[:, None], shape),
+            h=np.tile(0.3 * np.cos(np.pi * x)[:, None] * np.array([0.8, 0.6]), shape)),
+        "initial_only": DominatorData(
+            initial=Field.from_function(grid, lambda c: 0.5 * np.sin(np.pi * c[:, 0]))),
+    }
+
+
+# float.hex of every float the estimate reports and the dominator's
+# diagnostics hold on the standard problem (16 cells, 32 steps, seed 1000);
+# the data-norm terms are summed in this order, so any change to how they
+# are computed shows here.
+PINNED_ESTIMATES = {
+    "full": {
+        "apriori.lhs": "0x1.b99fc380e8fb2p+0",
+        "apriori.lhs_stderr": "0x0.0p+0",
+        "apriori.ingredients.shifted_initial_sq": "0x1.05042f6b9ad8dp-1",
+        "apriori.ingredients.shifted_f0_dual_sq": "0x1.c3f86e9a032f8p-4",
+        "apriori.ingredients.shifted_g0_22_sq": "0x1.643866fa6ab7fp-8",
+        "apriori.ingredients.shifted_h0_22_sq": "0x1.cf95c735a8749p-12",
+        "apriori.ingredients.dominator_initial_sq": "0x1.98b2cbd5ae9bep-4",
+        "apriori.ingredients.dominator_f_dual_sq": "0x1.0000000000000p-2",
+        "apriori.ingredients.dominator_g_22_sq": "0x1.47ae147ae147dp-8",
+        "apriori.ingredients.dominator_h_22_sq": "0x1.70a3d70a3d70ap-7",
+        "apriori.rhs_sum": "0x1.fbede5c58b551p-1",
+        "apriori.implied_constant": "0x1.bd29d470344c7p+0",
+        "positive_part_bound.lhs": "0x1.ee2410269cb7ap-1",
+        "positive_part_bound.lhs_stderr": "0x0.0p+0",
+        "positive_part_bound.ingredients.shifted_initial_sq": "0x1.05042f6b9ad8dp-1",
+        "positive_part_bound.ingredients.shifted_f0_dual_sq": "0x0.0p+0",
+        "positive_part_bound.ingredients.shifted_g0_22_sq": "0x1.643866fa6ab7fp-8",
+        "positive_part_bound.ingredients.shifted_h0_22_sq": "0x1.ce6d6518d2ab7p-12",
+        "positive_part_bound.ingredients.dominator_initial_sq": "0x1.8e179d3b5351ep-4",
+        "positive_part_bound.ingredients.dominator_f_dual_sq": "0x1.dcea8c4090c65p-3",
+        "positive_part_bound.ingredients.dominator_g_22_sq": "0x1.471e1dfbe8ea2p-8",
+        "positive_part_bound.ingredients.dominator_h_22_sq": "0x1.3e67881536d3ep-7",
+        "positive_part_bound.rhs_sum": "0x1.b88bdefa0e118p-1",
+        "positive_part_bound.implied_constant": "0x1.1f24c1cc3d245p+0",
+        "diagnostics.sup_sq": "0x1.98b2cbd5ae9bep-4",
+        "diagnostics.energy_integral": "0x1.cc4b6e06147c0p-4",
+        "diagnostics.data_sq": "0x1.76d089ffa917ap-2",
+        "diagnostics.ratio": "0x1.28c3550c3c94ap-1",
+    },
+    "initial_only": {
+        "apriori.lhs": "0x1.b99fc380e8fb2p+0",
+        "apriori.lhs_stderr": "0x0.0p+0",
+        "apriori.ingredients.shifted_initial_sq": "0x1.99574359cfeaep-2",
+        "apriori.ingredients.shifted_f0_dual_sq": "0x1.393ce8843235cp-5",
+        "apriori.ingredients.shifted_g0_22_sq": "0x1.1488446b9a3b7p-12",
+        "apriori.ingredients.shifted_h0_22_sq": "0x1.798d316fde289p-7",
+        "apriori.ingredients.dominator_initial_sq": "0x1.0000000000000p-3",
+        "apriori.ingredients.dominator_f_dual_sq": "0x0.0p+0",
+        "apriori.ingredients.dominator_g_22_sq": "0x0.0p+0",
+        "apriori.ingredients.dominator_h_22_sq": "0x0.0p+0",
+        "apriori.rhs_sum": "0x1.264836037804cp-1",
+        "apriori.implied_constant": "0x1.802cc12ef5e3ep+1",
+        "positive_part_bound.lhs": "0x1.ee2410269cb7ap-1",
+        "positive_part_bound.lhs_stderr": "0x0.0p+0",
+        "positive_part_bound.ingredients.shifted_initial_sq": "0x1.99574359cfeaep-2",
+        "positive_part_bound.ingredients.shifted_f0_dual_sq": "0x1.393b6a36b8d73p-5",
+        "positive_part_bound.ingredients.shifted_g0_22_sq": "0x1.1488446b9a3b7p-12",
+        "positive_part_bound.ingredients.shifted_h0_22_sq": "0x1.4b78b68e967a8p-7",
+        "positive_part_bound.ingredients.dominator_initial_sq": "0x1.0000000000000p-3",
+        "positive_part_bound.ingredients.dominator_f_dual_sq": "0x0.0p+0",
+        "positive_part_bound.ingredients.dominator_g_22_sq": "0x0.0p+0",
+        "positive_part_bound.ingredients.dominator_h_22_sq": "0x0.0p+0",
+        "positive_part_bound.rhs_sum": "0x1.258fcc331b501p-1",
+        "positive_part_bound.implied_constant": "0x1.aeea2b5b88a8dp+0",
+        "diagnostics.sup_sq": "0x1.0000000000000p-3",
+        "diagnostics.energy_integral": "0x1.e8bd615638a15p-5",
+        "diagnostics.data_sq": "0x1.0000000000000p-3",
+        "diagnostics.ratio": "0x1.7a2f58558e285p+0",
+    },
+}
+
+
+def _float_hex(prefix, d):
+    for key, value in d.items():
+        if isinstance(value, dict):
+            yield from _float_hex(f"{prefix}{key}.", value)
+        elif isinstance(value, float):
+            yield f"{prefix}{key}", value.hex()
+
+
+@pytest.mark.filterwarnings("ignore:obstacle exceeds its dominator")
+@pytest.mark.parametrize("case", sorted(PINNED_ESTIMATES))
+def test_estimates_are_pinned_bit_for_bit(case):
+    data = standard_problem(cells=16, steps=32, seed=1000,
+                            dominator=_dominators(build_grid(1, (0.0, 1.0), 16), 32)[case])
+    result = solve_projected(data)
+    diagnostics = {}
+    solve_linear_spde(data, diagnostics=diagnostics)
+    got = {"apriori": apriori_check(result, data).as_dict(),
+           "positive_part_bound": positive_part_bound_check(result, data).as_dict(),
+           "diagnostics": diagnostics}
+    assert dict(_float_hex("", got)) == PINNED_ESTIMATES[case]
