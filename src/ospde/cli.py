@@ -81,7 +81,8 @@ def _run_one_sample(raw_cfg: dict, seed: int, out_dir: str) -> dict:
     defect = skorokhod_defect(result.u, data.obstacle, result.measure)
     T = float(data.times[-1])
     toolbox = NormToolbox.for_dim(grid.dim)
-    norms = [("mixed", 2, "inf", T, mixed_norm(result.u, 2, math.inf, T)),
+    sup_norm = mixed_norm(result.u, 2, math.inf, T)
+    norms = [("mixed", 2, "inf", T, sup_norm),
              ("mixed", 2, 2, T, mixed_norm(result.u, 2, 2, T)),
              ("mixed", 2, 1, T, mixed_norm(result.u, 2, 1, T)),
              ("sharp", "", "", T, sharp_norm(result.u, T, toolbox)),
@@ -95,7 +96,7 @@ def _run_one_sample(raw_cfg: dict, seed: int, out_dir: str) -> dict:
         "directory": str(out_dir),
         "measure_mass": meta["measure_mass"],
         "skorokhod_defect": defect,
-        "sup_norm_2": mixed_norm(result.u, 2, math.inf, T),
+        "sup_norm_2": sup_norm,
         "terminal_sq_norm": float(grid.quad_weights @ result.u.frames[-1] ** 2),
         "iterations_max": meta["iterations_max"],
     }
@@ -204,8 +205,11 @@ def cmd_capacity(args) -> int:
     frame = coerce(int, "capacity.frame", block["frame"])
 
     if "widths" in block:
-        center = coerce(float, "capacity.center", block.get("center", 0.5))
         widths = block["widths"]
+        if grid.dim != 1:
+            raise StageError("config-error", f"capacity.widths = {widths!r} is 1D only; "
+                                             f"give a {grid.dim}D box as capacity.interval")
+        center = coerce(float, "capacity.center", block.get("center", 0.5))
         if not isinstance(widths, list):
             raise StageError("config-error", f"capacity.widths = {widths!r} is not a list")
         widths = [coerce(float, f"capacity.widths[{i}]", w) for i, w in enumerate(widths)]

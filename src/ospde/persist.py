@@ -1,4 +1,5 @@
-"""Artifact persistence: one CSV row writer, one CSV table reader.
+"""Artifact persistence: one CSV table writer, one frame writer, one CSV
+table reader.
 
 A sample directory holds ``metadata.json``, ``u.csv``, ``measure.csv``
 and ``norms.csv``; the noise is not stored, since its seed rebuilds it bit
@@ -6,9 +7,15 @@ for bit.  Every file embeds the config hash -- JSON files as a field, CSV
 files as a leading ``# config_hash=...`` line -- and loading against a
 mismatched hash is refused.
 
-Every CSV table is a header plus a ``%``-format row declared once and
-written by ``write_rows``: the hash line ends in LF, the header and data
-rows in CRLF, which is what ``csv.writer`` emits.
+Every CSV table is a header plus rows: the hash line ends in LF, the header
+and data rows in CRLF, which is what ``csv.writer`` emits.  ``write_rows``
+writes a small table from a ``%``-format row declared once.  The two frame
+tables, u.csv and measure.csv, go through ``_write_frames``: each node's
+``node,x[,y],`` prefix is formatted once per table, and each frame becomes
+one ``%`` call on a template of the frame's rows.  Every field goes
+through the same ``%`` spec, from the same Python value, as in a write of
+one ``%d,%.12g,%d,...,%.17g`` row at a time, so the bytes are identical to
+that write's (``tests/test_persist.py`` keeps it as the reference).
 
 u.csv columns: step, time, node, x[, y], value -- one row per node per
 frame.  measure.csv columns: step, time, node, weight -- weights are
@@ -32,7 +39,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from itertools import islice, repeat
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -45,29 +52,42 @@ from .solver import DiscreteMeasure, SolveResult
 __all__ = ["save_run", "load_run", "write_rows"]
 
 _MEASURE_HEADER = ("step", "time", "node", "weight")
-_MEASURE_FMT = "%d,%.12g,%d,%.17g"
 
 
-def _u_schema(dim: int) -> tuple[tuple[str, ...], str]:
-    """Header and row format of u.csv on a ``dim``-dimensional grid."""
-    header = ("step", "time", "node", *"xy"[:dim], "value")
-    return header, "%d,%.12g,%d," + "%.12g," * dim + "%.17g"
+def _u_header(dim: int) -> tuple[str, ...]:
+    """Header of u.csv on a ``dim``-dimensional grid."""
+    return ("step", "time", "node", *"xy"[:dim], "value")
+
+
+def _open_table(path, header, config_hash: str | None):
+    """Open ``path`` for writing and write the hash line and the header."""
+    fh = open(path, "w", newline="", encoding="utf-8")
+    if config_hash is not None:
+        fh.write(f"# config_hash={config_hash}\n")
+    fh.write(",".join(header) + "\r\n")
+    return fh
 
 
 def write_rows(path, header, fmt: str, rows, config_hash: str | None = None) -> None:
     """Write a CSV table: the hash line, the header, then ``fmt % row`` per row."""
     line = fmt + "\r\n"
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        if config_hash is not None:
-            fh.write(f"# config_hash={config_hash}\n")
-        fh.write(",".join(header) + "\r\n")
+    with _open_table(path, header, config_hash) as fh:
         fh.writelines(line % row for row in rows)
 
 
-def _frame_rows(times, columns, frames):
-    """(step, time, *columns, value) rows, built one frame at a time."""
-    for k, (t, frame) in enumerate(zip(times, frames)):
-        yield from zip(repeat(k), repeat(t), *columns, frame.tolist())
+def _write_frames(path, header, prefixes, times, frames, config_hash: str) -> None:
+    """Write a frame table: per frame k, one ``k,t,prefix,value`` row per node.
+
+    ``prefixes`` holds each node's formatted ``node,x[,y],`` columns; frame k
+    is written by one ``%`` call, so its values are formatted by ``%.17g``
+    in C, one Python float each.
+    """
+    templates = [prefix + "%.17g" for prefix in prefixes]
+    with _open_table(path, header, config_hash) as fh:
+        for k, (t, frame) in enumerate(zip(times, frames)):
+            head = "%d,%.12g," % (k, t)
+            fh.write((head + ("\r\n" + head).join(templates) + "\r\n")
+                     % tuple(frame.tolist()))
 
 
 def save_run(directory, result: SolveResult, *, config_hash: str, seed: int,
@@ -95,12 +115,13 @@ def save_run(directory, result: SolveResult, *, config_hash: str, seed: int,
         json.dump(meta, fh, indent=2)
 
     times = result.u.times.tolist()
-    nodes = (range(grid.n_nodes), *grid.coords.T.tolist())
-    write_rows(directory / "u.csv", *_u_schema(grid.dim),
-               _frame_rows(times, nodes, result.u.frames), config_hash=config_hash)
-    write_rows(directory / "measure.csv", _MEASURE_HEADER, _MEASURE_FMT,
-               _frame_rows(times[1:], (grid.interior.tolist(),), result.measure.weights),
-               config_hash=config_hash)
+    node_fmt = "%d," + "%.12g," * grid.dim
+    nodes = [node_fmt % row for row in zip(range(grid.n_nodes), *grid.coords.T.tolist())]
+    _write_frames(directory / "u.csv", _u_header(grid.dim), nodes, times,
+                  result.u.frames, config_hash)
+    _write_frames(directory / "measure.csv", _MEASURE_HEADER,
+                  ["%d," % node for node in grid.interior.tolist()], times[1:],
+                  result.measure.weights, config_hash)
     write_rows(directory / "norms.csv", ("run_id", "norm_name", "p", "q", "t", "value"),
                "%s,%s,%s,%s,%.12g,%.17g", ((f"seed_{seed}", *entry) for entry in norms),
                config_hash=config_hash)
@@ -190,7 +211,7 @@ def load_run(directory, grid: Grid, expected_hash: str | None = None):
                                  f"seed = {seed!r}; refusing to load")
     times = np.arange(steps + 1) * float(dt)
 
-    frames = _scatter(directory / "u.csv", _u_schema(grid.dim)[0], expected_hash,
+    frames = _scatter(directory / "u.csv", _u_header(grid.dim), expected_hash,
                       steps + 1, np.arange(grid.n_nodes), grid.n_nodes)
     weights = _scatter(directory / "measure.csv", _MEASURE_HEADER, expected_hash,
                        steps, grid.interior, grid.n_nodes)

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+import ospde.cli as cli
 from ospde.cli import main
 from ospde.config import RunConfig, load_config, parse_config_text
 from ospde.errors import ConfigurationError
@@ -228,12 +229,14 @@ class TestSubcommands:
         assert {"capacity", "lebesgue_measure"} <= set(rows[0])
         assert float(rows[0]["capacity"]) > 0
 
+    CAPACITY_2D = (BASE.replace("grid.dim = 1", "grid.dim = 2")
+                   .replace("grid.extent = [0.0, 1.0]", "grid.extent = [[0.0, 1.0], [0.0, 1.0]]")
+                   .replace("grid.counts = 16", "grid.counts = [8, 8]")
+                   .replace("solver.mode = projected", "")
+                   + "capacity.frame = 16\n")
+
     def test_capacity_table_2d(self, tmp_path):
-        text = (BASE.replace("grid.dim = 1", "grid.dim = 2")
-                .replace("grid.extent = [0.0, 1.0]", "grid.extent = [[0.0, 1.0], [0.0, 1.0]]")
-                .replace("grid.counts = 16", "grid.counts = [8, 8]")
-                .replace("solver.mode = projected", "")
-                + "capacity.frame = 16\ncapacity.interval = [[0.25, 0.75], [0.25, 0.5]]\n")
+        text = self.CAPACITY_2D + "capacity.interval = [[0.25, 0.75], [0.25, 0.5]]\n"
         cfg = write_cfg(tmp_path, text)
         out = tmp_path / "cap"
         assert main(["capacity", "--config", str(cfg), "--out", str(out)]) == 0
@@ -260,6 +263,19 @@ class TestSubcommands:
         err = json.loads((out / "error.json").read_text())
         assert err["stage"] == "config-error"
         assert err["error"].startswith(f"{key} = ")
+        assert not (out / "capacity.csv").exists()
+
+    def test_capacity_widths_in_2d_is_config_error(self, tmp_path, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("capacity solved before the widths were refused")
+
+        monkeypatch.setattr(cli, "compute_capacity", no_solve)
+        cfg = write_cfg(tmp_path, self.CAPACITY_2D + "capacity.widths = [0.2, 0.4]\n")
+        out = tmp_path / "cap"
+        assert main(["capacity", "--config", str(cfg), "--out", str(out)]) == 2
+        err = json.loads((out / "error.json").read_text())
+        assert err["stage"] == "config-error"
+        assert err["error"].startswith("capacity.widths = [0.2, 0.4] is 1D only")
         assert not (out / "capacity.csv").exists()
 
     def test_verify_replays_artifacts(self, tmp_path):
