@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ConfigurationError
 from .grid import EllipticOperator, Field, _readonly
 from .norms import FieldPath
-from .solver import OBSTACLE_OFF, ProblemData, SolveResult, solve_projected
+from .solver import OBSTACLE_OFF, ProblemData, SolveResult, solve_mode
 from .stochastics import CoefficientSet, NoisePath
 
 __all__ = ["CompactSet", "box_set", "smallest_potential", "capacity"]
@@ -95,7 +95,7 @@ def smallest_potential(op: EllipticOperator, K: CompactSet) -> SolveResult:
     noise = NoisePath(J=1, dt=dt, increments=np.zeros((1, steps)), seed=0)
     data = ProblemData(op=op, xi=Field.zeros(grid), coeffs=CoefficientSet.zero(1),
                        obstacle=obstacle, noise=noise)
-    return solve_projected(data)
+    return solve_mode(data, "projected")
 
 
 def capacity(op: EllipticOperator, K: CompactSet) -> float:

@@ -32,8 +32,7 @@ from .config import RunConfig, load_config
 from .errors import AssumptionError, ConfigurationError, SolverError, coerce
 from .norms import FieldPath, NormToolbox, dual_sharp_upper, mixed_norm, sharp_norm
 from .persist import load_run, save_run, write_rows
-from .solver import (SolveResult, skorokhod_defect, solve_mode, solve_penalized,
-                     solve_projected)
+from .solver import SolveResult, skorokhod_defect, solve_mode
 from .verify import (apriori_check, comparison_experiment, ito_square_residual,
                      positive_part_bound_check, positive_part_residual,
                      weak_form_residual)
@@ -63,12 +62,6 @@ def _fail(out_dir: Path | None, stage: str, message: str) -> int:
             json.dump(payload, fh, indent=2)
     print(json.dumps(payload), file=sys.stderr)
     return _EXIT_CODES.get(stage, 1)
-
-
-def _load(args) -> tuple[RunConfig, Path]:
-    cfg = load_config(args.config)
-    out = Path(args.out) if args.out else Path(cfg.block("output").get("directory", "out"))
-    return cfg, out
 
 
 def _run_one_sample(raw_cfg: dict, seed: int, out_dir: str) -> dict:
@@ -117,8 +110,7 @@ def _aggregate(rows: list[dict]) -> dict:
 _FORMATS = ("csv", "json")
 
 
-def cmd_simulate(args) -> int:
-    cfg, out = _load(args)
+def cmd_simulate(args, cfg: RunConfig, out: Path) -> int:
     seeds = cfg.sample_seeds(args.seed, args.samples)
     formats = cfg.block("output").get("formats", [])
     if not isinstance(formats, list) or any(f not in _FORMATS for f in formats):
@@ -144,8 +136,7 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def cmd_penalize_sweep(args) -> int:
-    cfg, out = _load(args)
+def cmd_penalize_sweep(args, cfg: RunConfig, out: Path) -> int:
     out.mkdir(parents=True, exist_ok=True)
     levels = ([coerce(int, "--n-values", v) for v in args.n_values.split(",")] if args.n_values
               else [coerce(int, "solver.sweep_n", v)
@@ -158,9 +149,9 @@ def cmd_penalize_sweep(args) -> int:
     rows = []
     for seed in seeds:
         data = cfg.build_problem(seed, grid=grid, op=op)
-        star = solve_projected(data)
+        star = solve_mode(data, "projected")
         for n in levels:
-            pen = solve_penalized(data, n)
+            pen = solve_mode(data, "penalized", n)
             dist = mixed_norm(FieldPath(grid, data.times, pen.u.frames - star.u.frames),
                               2, math.inf, T)
             rows.append((seed, n, dist, skorokhod_defect(pen.u, data.obstacle, pen.measure),
@@ -173,8 +164,7 @@ def cmd_penalize_sweep(args) -> int:
     return 0
 
 
-def cmd_compare(args) -> int:
-    cfg, out = _load(args)
+def cmd_compare(args, cfg: RunConfig, out: Path) -> int:
     cfg2 = load_config(args.config2)
     out.mkdir(parents=True, exist_ok=True)
     seeds = cfg.sample_seeds(args.seed, args.samples)
@@ -193,8 +183,7 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def cmd_capacity(args) -> int:
-    cfg, out = _load(args)
+def cmd_capacity(args, cfg: RunConfig, out: Path) -> int:
     out.mkdir(parents=True, exist_ok=True)
     block = cfg.block("capacity")
     if "frame" not in block:
@@ -235,10 +224,6 @@ def cmd_capacity(args) -> int:
     return 0
 
 
-_CHECKS = ("weak_form", "ito_square", "positive_part", "skorokhod",
-           "apriori", "positive_part_bound")
-
-
 def _default_test_function(grid):
     lo = [e[0] for e in grid.extent]
     hi = [e[1] for e in grid.extent]
@@ -255,8 +240,23 @@ def _default_test_function(grid):
     return phi
 
 
-def cmd_verify(args) -> int:
-    cfg, out = _load(args)
+# Check name -> report of a stored run.  Each entry looks its check function
+# up among this module's globals when it runs, so a wrapper set there (a
+# tracer, a test's monkeypatch) sees the call.
+_CHECKS = {
+    "weak_form": lambda result, data: weak_form_residual(
+        result, data, _default_test_function(data.op.grid)).as_dict(),
+    "ito_square": lambda result, data: ito_square_residual(result, data).as_dict(),
+    "positive_part": lambda result, data: positive_part_residual(result, data).as_dict(),
+    "skorokhod": lambda result, data: {
+        "name": "skorokhod",
+        "defect": skorokhod_defect(result.u, data.obstacle, result.measure)},
+    "apriori": lambda result, data: apriori_check(result, data).as_dict(),
+    "positive_part_bound": lambda result, data: positive_part_bound_check(result, data).as_dict(),
+}
+
+
+def cmd_verify(args, cfg: RunConfig, out: Path) -> int:
     art = Path(args.artifacts)
     grid = cfg.make_grid()
     try:
@@ -274,22 +274,7 @@ def cmd_verify(args) -> int:
     if unknown:
         raise StageError("config-error", f"unknown verify checks {unknown}; "
                                          f"available: {list(_CHECKS)}")
-    reports = {}
-    for check in checks:
-        if check == "weak_form":
-            rep = weak_form_residual(result, data, _default_test_function(grid))
-            reports[check] = rep.as_dict()
-        elif check == "ito_square":
-            reports[check] = ito_square_residual(result, data).as_dict()
-        elif check == "positive_part":
-            reports[check] = positive_part_residual(result, data).as_dict()
-        elif check == "skorokhod":
-            reports[check] = {"name": "skorokhod",
-                              "defect": skorokhod_defect(u, data.obstacle, measure)}
-        elif check == "apriori":
-            reports[check] = apriori_check(result, data).as_dict()
-        elif check == "positive_part_bound":
-            reports[check] = positive_part_bound_check(result, data).as_dict()
+    reports = {check: _CHECKS[check](result, data) for check in checks}
 
     with open(art / "verify_report.json", "w", encoding="utf-8") as fh:
         json.dump({"config_hash": cfg.hash, "seed": meta["seed"],
@@ -355,7 +340,7 @@ def main(argv=None) -> int:
                 cfg.block("output").get("directory", "out"))
         except (ConfigurationError, OSError) as exc:
             return _fail(None, "config-error", str(exc))
-        return args.func(args)
+        return args.func(args, cfg, out_dir)
     except StageError as exc:
         return _fail(out_dir, exc.stage, str(exc))
     except AssumptionError as exc:

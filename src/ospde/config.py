@@ -127,17 +127,20 @@ class RunConfig:
 
     def sample_seeds(self, seed_override=None, samples_override=None) -> list[int]:
         noise = self.block("noise")
+        if samples_override is not None and samples_override < 1:
+            raise ConfigurationError(f"--samples = {samples_override} leaves no sample seeds: "
+                                     "need at least one sample")
         if "seeds" in noise and seed_override is None:
             if not isinstance(noise["seeds"], list):
                 raise ConfigurationError(f"noise.seeds = {noise['seeds']!r} is not a list of seeds")
             seeds = [coerce(int, "noise.seeds", s) for s in noise["seeds"]]
             if samples_override is not None:
-                seeds = seeds[: int(samples_override)]
+                seeds = seeds[:samples_override]
         else:
             base = int(seed_override if seed_override is not None
                        else coerce(int, "noise.seed", noise.get("seed", 0)))
-            n = int(samples_override if samples_override is not None
-                    else coerce(int, "noise.samples", noise.get("samples", 1)))
+            n = (samples_override if samples_override is not None
+                 else coerce(int, "noise.samples", noise.get("samples", 1)))
             seeds = [base + i for i in range(n)]
         if not seeds:
             raise ConfigurationError("no sample seeds: need at least one sample")

@@ -13,22 +13,23 @@ evaluation keeps every step a linear or piecewise-linear M-matrix solve and
 makes the scheme satisfy a discrete energy balance exactly, which the
 verification module exploits.
 
-Obstacle enforcement comes in two flavors sharing this skeleton:
+Obstacle enforcement comes in two flavors sharing this skeleton, named by
+``mode`` (the config's ``solver.mode``):
 
-* ``solve_penalized``: the reaction is n * (u - S)^-, solved implicitly per
-  step; the measure density recorded at step k is n * (u_{k+1} - S_{k+1})^-.
-* ``solve_projected``: the step solves the linear complementarity problem
+* ``penalized``: the reaction is n * (u - S)^-, solved implicitly per step;
+  the measure density recorded at step k is n * (u_{k+1} - S_{k+1})^-.
+* ``projected``: the step solves the linear complementarity problem
   u >= S, r := (I + dt A_h) u - rhs >= 0, r' (u - S) = 0; the measure
   density is r / dt.  This realizes the constrained limit directly and
   serves as the oracle for penalization sweeps.
 
-Every scheme runs one march, ``solve_batch``, over a batch of noise paths
-that ``prepare_batch`` has checked: the paths' states are stacked, and
-the gate, the step factorization and each step's coefficient evaluation
-and obstacle solve are shared by the batch.  A single solve (``solve_mode``
-and the ``solve_*`` schemes) is a batch of one; ``comparison_experiment``
-marches all its seeds at once.  Either way each path's numbers are those
-of marching it alone, bit for bit.
+``unconstrained`` ignores the obstacle.  Every scheme runs one march,
+``solve_batch``, over a batch of noise paths that ``prepare_batch`` has
+checked: the paths' states are stacked, and the gate, the step
+factorization and each step's coefficient evaluation and obstacle solve are
+shared by the batch.  A single solve, ``solve_mode``, is a batch of one;
+``comparison_experiment`` marches all its seeds at once.  Either way each
+path's numbers are those of marching it alone, bit for bit.
 
 Measure weights are densities per unit space-time volume: total mass is
 sum(weights) * cell_measure * dt.  The weight at step k binds to the frame
@@ -61,10 +62,6 @@ __all__ = [
     "Batch",
     "BatchResult",
     "solve_linear_spde",
-    "solve_random_pde",
-    "solve_unconstrained",
-    "solve_penalized",
-    "solve_projected",
     "solve_mode",
     "prepare_batch",
     "solve_batch",
@@ -172,22 +169,17 @@ class SolveResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-class _StepOperator(StepMatrix):
+def _step_matrix(op: EllipticOperator, dt: float) -> StepMatrix:
     """Prefactorized implicit step matrix B = I + dt * K on interior nodes,
     with the pattern every obstacle step of the solve edits."""
-
-    def __init__(self, op: EllipticOperator, dt: float):
-        n = op.grid.n_interior
-        B = (sp.identity(n, format="csr") + dt * op.stiffness).tocsr()
-        B.sort_indices()
-        try:
-            lu = spla.splu(B.tocsc())
-        except RuntimeError as exc:  # singular / not SPD
-            raise SolverError(f"implicit step matrix factorization failed: {exc}") from exc
-        super().__init__(B, lu)
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return self.lu.solve(rhs)
+    n = op.grid.n_interior
+    B = (sp.identity(n, format="csr") + dt * op.stiffness).tocsr()
+    B.sort_indices()
+    try:
+        lu = spla.splu(B.tocsc())
+    except RuntimeError as exc:  # singular / not SPD
+        raise SolverError(f"implicit step matrix factorization failed: {exc}") from exc
+    return StepMatrix(B, lu)
 
 
 def _source_rhs(grid, dt, u_full, f_int=None, g_int=None, h_int=None, dB=None):
@@ -238,7 +230,7 @@ def solve_linear_spde(data: ProblemData, diagnostics: dict | None = None) -> Fie
     dom = data.dominator
     grid = data.op.grid
     times = data.times
-    ws = _StepOperator(data.op, data.dt)
+    ws = _step_matrix(data.op, data.dt)
     frames = np.zeros((data.steps + 1, grid.n_nodes))
     frames[0] = dom.initial.values
     inc = data.noise.increments
@@ -247,7 +239,7 @@ def solve_linear_spde(data: ProblemData, diagnostics: dict | None = None) -> Fie
         g_int = dom.g[k][grid.interior] if dom.g is not None else None
         h_int = dom.h[k][grid.interior] if dom.h is not None else None
         rhs = _source_rhs(grid, data.dt, frames[k], f_int, g_int, h_int, inc[:, k])
-        frames[k + 1] = grid.extend(ws.solve(rhs))
+        frames[k + 1] = grid.extend(ws.lu.solve(rhs))
     path = FieldPath(grid, times, frames)
 
     gap = data.obstacle.frames[:, grid.interior] - path.frames[:, grid.interior]
@@ -272,17 +264,6 @@ def solve_linear_spde(data: ProblemData, diagnostics: dict | None = None) -> Fie
     return path
 
 
-def solve_random_pde(op: EllipticOperator, source: FieldPath) -> FieldPath:
-    """Noise-free auxiliary flow dw + A w dt = source dt, w(0) = 0."""
-    grid = op.grid
-    ws = _StepOperator(op, source.dt)
-    frames = np.zeros_like(source.frames)
-    for k in range(source.steps):
-        rhs = frames[k][grid.interior] + source.dt * grid.restrict(source.frames[k])
-        frames[k + 1] = grid.extend(ws.solve(rhs))
-    return FieldPath(grid, source.times, frames)
-
-
 @dataclass
 class BatchResult:
     """One problem solved on S noise paths: frames (S, steps + 1, n_nodes)
@@ -300,10 +281,15 @@ class BatchResult:
 
 def _scheme(mode: str, penalty_n: int, dt: float) -> tuple[Callable, dict]:
     """The per-step ``advance(ws, rhs, psi)`` of the scheme named by
-    ``mode`` (see ``solve_projected``, ``solve_penalized`` and
-    ``solve_unconstrained``) and the diagnostics it adds.  ``rhs`` is an
-    (n, S) block; ``advance`` returns the interior states at t_{k+1} (n, S),
-    the measure densities of step k (n, S) and the active-set passes (S,).
+    ``mode`` and the diagnostics it adds.  ``rhs`` is an (n, S) block;
+    ``advance`` returns the interior states at t_{k+1} (n, S), the measure
+    densities of step k (n, S) and the active-set passes (S,).
+
+    A penalized step's density is n * (u_{k+1} - S_{k+1})^-, exactly the
+    reaction it applied.  A projected step is the exact active-set solve of
+    its complementarity problem (``psor`` at infinite penalty); its density
+    is the positive part of the step residual over dt, and zero on a step
+    whose unconstrained solve is already feasible.
     """
     if mode == "projected":
         def advance(ws, rhs, psi):
@@ -324,7 +310,7 @@ def _scheme(mode: str, penalty_n: int, dt: float) -> tuple[Callable, dict]:
         return advance, {"penalty_level": int(penalty_n)}
     if mode == "unconstrained":
         def advance(ws, rhs, psi):
-            return ws.solve(rhs), np.zeros_like(rhs), np.zeros(rhs.shape[1], dtype=int)
+            return ws.lu.solve(rhs), np.zeros_like(rhs), np.zeros(rhs.shape[1], dtype=int)
 
         return advance, {}
     raise ConfigurationError(f"unknown solver.mode '{mode}'; "
@@ -373,7 +359,7 @@ def solve_batch(batch: Batch) -> BatchResult:
     grid = data.op.grid
     dt = data.dt
     S = len(noises)
-    ws = _StepOperator(data.op, dt)
+    ws = _step_matrix(data.op, dt)
     frames = np.zeros((S, data.steps + 1, grid.n_nodes))
     frames[:, 0] = data.xi.values
     weights = np.zeros((S, data.steps, grid.n_interior))
@@ -406,38 +392,13 @@ def solve_batch(batch: Batch) -> BatchResult:
 
 def solve_mode(data: ProblemData, mode: str, penalty_n: int = 1000) -> SolveResult:
     """Solve with the scheme named by ``mode`` (the config's ``solver.mode``):
-    ``projected``, ``penalized`` at level ``penalty_n``, or ``unconstrained``.
-    This is a batch of one path, ``data.noise``."""
+    ``projected``, ``penalized`` at level ``penalty_n``, or ``unconstrained``
+    (the obstacle is ignored).  This is a batch of one path, ``data.noise``;
+    ``diagnostics["iterations"]`` counts each step's active-set passes."""
     batch = solve_batch(prepare_batch(data, [data.noise], mode, penalty_n))
     return SolveResult(u=FieldPath(batch.grid, batch.times, batch.frames[0]),
                        measure=DiscreteMeasure(batch.grid, batch.times, batch.weights[0]),
                        diagnostics=batch.diagnostics)
-
-
-def solve_unconstrained(data: ProblemData) -> SolveResult:
-    """Plain semi-implicit scheme; the obstacle is ignored entirely."""
-    return solve_mode(data, "unconstrained")
-
-
-def solve_penalized(data: ProblemData, n: int) -> SolveResult:
-    """Penalized scheme with implicit reaction n (u - S)^-.
-
-    Measure weights at step k are n * (u_{k+1} - S_{k+1})^-, which is
-    exactly the reaction density the step applied.
-    """
-    return solve_mode(data, "penalized", n)
-
-
-def solve_projected(data: ProblemData) -> SolveResult:
-    """Projected (complementarity) scheme: the discrete constrained limit.
-
-    Each step is the exact active-set solve of the step's complementarity
-    problem (``lcp.psor`` at infinite penalty).  The reaction density is the
-    positive part of the step residual divided by dt, and zero on a step
-    whose unconstrained solve is already feasible; the recorded iteration
-    count is the number of active-set passes.
-    """
-    return solve_mode(data, "projected")
 
 
 def skorokhod_defect(u: FieldPath, obstacle: FieldPath, nu: DiscreteMeasure) -> float:

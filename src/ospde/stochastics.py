@@ -63,10 +63,6 @@ class NoisePath:
     def steps(self) -> int:
         return self.increments.shape[1]
 
-    @property
-    def times(self) -> np.ndarray:
-        return np.arange(self.steps + 1) * self.dt
-
 
 def sample_noise(J: int, dt: float, steps: int, seed: int) -> NoisePath:
     """Draw a noise path; one Philox stream per mode keyed by (seed, mode)."""

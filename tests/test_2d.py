@@ -6,8 +6,7 @@ import pytest
 
 from ospde.grid import Field, assemble_operator, build_grid
 from ospde.norms import FieldPath, NormToolbox
-from ospde.solver import (OBSTACLE_OFF, ProblemData, skorokhod_defect,
-                          solve_penalized, solve_projected, solve_unconstrained)
+from ospde.solver import OBSTACLE_OFF, ProblemData, skorokhod_defect, solve_mode
 from ospde.stochastics import CoefficientSet, sample_noise
 from ospde.verify import ito_square_residual, weak_form_residual
 
@@ -71,7 +70,7 @@ class TestSolvers2D:
         grid, op, times, noise, xi = setup_2d
         data = ProblemData(op=op, xi=xi, coeffs=nonlinear_coeffs(),
                            obstacle=FieldPath.constant(grid, times, 0.1), noise=noise)
-        res = solve_projected(data)
+        res = solve_mode(data, "projected")
         assert np.all(res.u.frames[:, grid.interior] >= 0.1 - 1e-12)
         assert skorokhod_defect(res.u, data.obstacle, res.measure) <= 1e-8
         assert res.measure.total_mass() > 0
@@ -80,8 +79,8 @@ class TestSolvers2D:
         grid, op, times, noise, xi = setup_2d
         data = ProblemData(op=op, xi=xi, coeffs=nonlinear_coeffs(),
                            obstacle=FieldPath.constant(grid, times, 0.1), noise=noise)
-        star = solve_projected(data)
-        gaps = [np.abs(solve_penalized(data, n).u.frames - star.u.frames).max()
+        star = solve_mode(data, "projected")
+        gaps = [np.abs(solve_mode(data, "penalized", n).u.frames - star.u.frames).max()
                 for n in (100, 10000)]
         assert gaps[1] < gaps[0]
 
@@ -90,7 +89,7 @@ class TestSolvers2D:
         data = ProblemData(op=op, xi=xi, coeffs=state_free_coeffs_2d(),
                            obstacle=FieldPath.constant(grid, times, OBSTACLE_OFF),
                            noise=noise)
-        res = solve_unconstrained(data)
+        res = solve_mode(data, "unconstrained")
         assert ito_square_residual(res, data).max_step <= 1e-12
         assert weak_form_residual(res, data, bump_2d).max_step <= 1e-12
 

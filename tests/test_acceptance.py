@@ -23,8 +23,7 @@ from ospde.errors import AssumptionError
 from ospde.grid import Field, assemble_operator, build_grid, sobolev_ratio
 from ospde.norms import FieldPath, mixed_norm
 from ospde.solver import (OBSTACLE_OFF, DominatorData, skorokhod_defect,
-                          solve_linear_spde, solve_penalized, solve_projected,
-                          solve_unconstrained)
+                          solve_linear_spde, solve_mode)
 from ospde.stochastics import CoefficientSet, NoisePath, sample_noise
 from ospde.verify import (apriori_check, comparison_experiment, ito_square_residual,
                           positive_part_bound_check, positive_part_residual)
@@ -45,11 +44,11 @@ def penalization_runs():
     out = []
     for seed in SEEDS:
         data = standard_problem(cells=CELLS, steps=STEPS, T=T, seed=seed)
-        star = solve_projected(data)
+        star = solve_mode(data, "projected")
         grid = data.op.grid
         dists, defects = {}, {}
         for n in LEVELS:
-            pen = solve_penalized(data, n)
+            pen = solve_mode(data, "penalized", n)
             diff = FieldPath(grid, data.times, pen.u.frames - star.u.frames)
             dists[n] = mixed_norm(diff, 2, math.inf, T)
             defects[n] = skorokhod_defect(pen.u, data.obstacle, pen.measure)
@@ -112,7 +111,7 @@ def test_criterion_4_ito_identity():
     for seed in range(5):
         data = unconstrained_problem(cells=64, steps=128, seed=seed,
                                      coeffs=state_free_coeffs(2))
-        res = solve_unconstrained(data)
+        res = solve_mode(data, "unconstrained")
         worst_step = max(worst_step, ito_square_residual(res, data).max_step)
 
     def mean_terminal(steps):
@@ -121,7 +120,7 @@ def test_criterion_4_ito_identity():
             fine = sample_noise(2, T / 256, 256, 3000 + seed)
             data = unconstrained_problem(cells=32, steps=steps, coeffs=mix_coeffs(2),
                                          noise=refine_noise(fine, 256 // steps))
-            res = solve_unconstrained(data)
+            res = solve_mode(data, "unconstrained")
             vals.append(ito_square_residual(res, data).terminal)
         return float(np.mean(vals))
 
@@ -142,7 +141,7 @@ def test_criterion_5_positive_part_identity():
     data = unconstrained_problem(cells=64, steps=128, coeffs=cs)
     data = data.with_noise(NoisePath(J=2, dt=data.dt,
                                      increments=np.zeros((2, data.steps)), seed=0))
-    res = solve_unconstrained(data)
+    res = solve_mode(data, "unconstrained")
     assert res.u.frames.min() >= 0.0
     one_sign_step = positive_part_residual(res, data).max_step
 
@@ -153,7 +152,7 @@ def test_criterion_5_positive_part_identity():
             d = unconstrained_problem(cells=cells, steps=steps, coeffs=signed_coeffs(2),
                                       xi_fn=lambda x: np.sin(2 * np.pi * x[:, 0]),
                                       noise=refine_noise(fine, 256 // steps))
-            r = solve_unconstrained(d)
+            r = solve_mode(d, "unconstrained")
             vals.append(positive_part_residual(r, d).terminal)
         return float(np.mean(vals))
 
@@ -213,7 +212,7 @@ def test_criterion_8_estimate_stability():
                 f=np.full((steps + 1, grid.n_nodes), 2.0))
             data = standard_problem(cells=cells, steps=steps, dominator=dom,
                                     noise=refine_noise(fine, 256 // steps))
-            results.append(solve_projected(data))
+            results.append(solve_mode(data, "projected"))
             datas.append(data)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # domination fails near the boundary
@@ -244,9 +243,9 @@ def test_criterion_9_assumption_gate():
             g=(lambda t, x, y, zz: alpha * zz),
             h=z.h, C=0.0, alpha=alpha, beta=beta, modes=2)
         data = standard_problem(cells=16, steps=16, coeffs=bad)
-        for solver in (solve_projected, lambda d: solve_penalized(d, 10)):
+        for mode in ("projected", "penalized"):
             try:
-                solver(data)
+                solve_mode(data, mode, 10)
                 return False
             except AssumptionError:
                 pass
@@ -261,9 +260,9 @@ def test_criterion_9_assumption_gate():
 
 def test_criterion_10_unconstrained_reduction():
     data = standard_problem(cells=CELLS, steps=STEPS, obstacle_level=OBSTACLE_OFF)
-    free = solve_unconstrained(data)
-    pen = solve_penalized(data, 1000)
-    proj = solve_projected(data)
+    free = solve_mode(data, "unconstrained")
+    pen = solve_mode(data, "penalized", 1000)
+    proj = solve_mode(data, "projected")
     gap_pen = float(np.abs(pen.u.frames - free.u.frames).max())
     gap_proj = float(np.abs(proj.u.frames - free.u.frames).max())
     mass = max(pen.measure.total_mass(), proj.measure.total_mass())

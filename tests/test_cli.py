@@ -1,5 +1,7 @@
 import csv
+import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -170,8 +172,8 @@ class TestSimulate:
         grid = cfg.make_grid()
         u, measure, meta = load_run(out / "sample_000_seed_41", grid,
                                     expected_hash=cfg.hash)
-        from ospde.solver import solve_projected
-        res = solve_projected(cfg.build_problem(41, grid=grid))
+        from ospde.solver import solve_mode
+        res = solve_mode(cfg.build_problem(41, grid=grid), "projected")
         assert np.allclose(u.frames, res.u.frames, atol=1e-15)
         assert np.allclose(measure.weights, res.measure.weights, atol=1e-15)
 
@@ -208,15 +210,39 @@ class TestSubcommands:
 
     @pytest.mark.parametrize("command", ["simulate", "compare", "penalize-sweep"])
     def test_zero_samples_is_config_error(self, tmp_path, command):
+        # a negative count must not slice seeds off a seed list
+        seed_list = BASE.replace("noise.seed = 41", "noise.seeds = [5, 6, 7]")
+        for name, text, samples in [("zero", BASE, "0"), ("negative", seed_list, "-1")]:
+            cfg = write_cfg(tmp_path, text, f"{name}.cfg")
+            out = tmp_path / name
+            argv = [command, "--config", str(cfg), "--out", str(out), "--samples", samples]
+            if command == "compare":
+                argv += ["--config2", str(cfg)]
+            assert main(argv) == 2
+            err = json.loads((out / "error.json").read_text())
+            assert err["stage"] == "config-error"
+            assert err["error"].startswith(f"--samples = {samples} ")
+            assert "no sample seeds" in err["error"]
+            assert not list(out.glob("sample_*"))
+
+    @pytest.mark.parametrize("command, loads", [("simulate", 1), ("verify", 1), ("compare", 2)])
+    def test_config_parsed_once_per_file(self, tmp_path, monkeypatch, command, loads):
         cfg = write_cfg(tmp_path, BASE)
         out = tmp_path / "out"
-        argv = [command, "--config", str(cfg), "--out", str(out), "--samples", "0"]
-        if command == "compare":
-            argv += ["--config2", str(cfg)]
-        assert main(argv) == 2
-        err = json.loads((out / "error.json").read_text())
-        assert err["stage"] == "config-error"
-        assert "no sample seeds" in err["error"]
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        calls = []
+        load = cli.load_config
+
+        def counting_load(path):
+            calls.append(path)
+            return load(path)
+
+        monkeypatch.setattr(cli, "load_config", counting_load)
+        argv = {"simulate": ["--out", str(out)],
+                "verify": ["--out", str(out), "--artifacts", str(out / "sample_000_seed_41")],
+                "compare": ["--out", str(tmp_path / "cmp"), "--config2", str(cfg)]}[command]
+        assert main([command, "--config", str(cfg), *argv]) == 0
+        assert len(calls) == loads
 
     def test_capacity_table(self, tmp_path):
         text = (BASE.replace("solver.mode = projected", "")
@@ -277,6 +303,26 @@ class TestSubcommands:
         assert err["stage"] == "config-error"
         assert err["error"].startswith("capacity.widths = [0.2, 0.4] is 1D only")
         assert not (out / "capacity.csv").exists()
+
+    # sha256 of two command tables: a 2-seed, 2-level sweep of BASE, and
+    # the shipped capacity config
+    PINNED_TABLES = {
+        "penalize-sweep": ("penalize_sweep.csv",
+                           "54ff1a239964115bd40a5a538930b925688ebff40c94fc4dc5442faa09c15702"),
+        "capacity": ("capacity.csv",
+                     "4842f8062119774ca075acffaa5d793e7ecbfe23b25c9428fb025722210ac081"),
+    }
+
+    @pytest.mark.parametrize("command", sorted(PINNED_TABLES))
+    def test_table_bytes_are_pinned(self, tmp_path, command):
+        if command == "capacity":
+            cfg, extra = Path(__file__).resolve().parents[1] / "configs" / "capacity_slice.cfg", []
+        else:
+            cfg, extra = write_cfg(tmp_path, BASE), ["--samples", "2", "--n-values", "10,100"]
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out), *extra]) == 0
+        name, digest = self.PINNED_TABLES[command]
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
 
     def test_verify_replays_artifacts(self, tmp_path):
         cfg = write_cfg(tmp_path, BASE)

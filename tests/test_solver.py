@@ -14,8 +14,7 @@ from ospde.grid import Field, assemble_operator, build_grid, divergence
 from ospde.norms import FieldPath, mixed_norm
 from ospde.solver import (OBSTACLE_OFF, DiscreteMeasure, DominatorData, ProblemData,
                           prepare_batch, skorokhod_defect, solve_batch, solve_linear_spde,
-                          solve_mode, solve_penalized, solve_projected, solve_random_pde,
-                          solve_unconstrained)
+                          solve_mode)
 from ospde.stochastics import CoefficientSet, NoisePath, sample_noise
 
 
@@ -43,7 +42,7 @@ def source_problem(grid, op, dt, steps, f=None, g=None):
 
 class TestUnconstrainedSources:
     def test_zero_everything(self, grid64, op64):
-        res = solve_unconstrained(source_problem(grid64, op64, 0.01, 4))
+        res = solve_mode(source_problem(grid64, op64, 0.01, 4), "unconstrained")
         assert np.all(res.u.frames == 0.0)
 
     def test_single_step_flux_formula(self, grid64, op64):
@@ -54,7 +53,7 @@ class TestUnconstrainedSources:
         def flux(x):
             return np.cos(7.0 * x) + 0.5 * x * x
 
-        res = solve_unconstrained(source_problem(grid64, op64, dt, 1, g=flux))
+        res = solve_mode(source_problem(grid64, op64, dt, 1, g=flux), "unconstrained")
         gfield = np.zeros((grid64.n_nodes, 1))
         gfield[grid64.interior] = flux(grid64.coords[grid64.interior])
         B = sp.identity(grid64.n_interior) + dt * op64.stiffness
@@ -63,8 +62,8 @@ class TestUnconstrainedSources:
         assert np.allclose(grid64.restrict(res.u.frames[1]), expected, atol=1e-14)
 
     def test_constant_drift_reaches_steady_state(self, grid64, op64):
-        res = solve_unconstrained(source_problem(grid64, op64, 1.0 / 500, 4000,
-                                                 f=lambda x: np.ones(x.shape[0])))
+        res = solve_mode(source_problem(grid64, op64, 1.0 / 500, 4000,
+                                        f=lambda x: np.ones(x.shape[0])), "unconstrained")
         steady = spla.spsolve(op64.stiffness.tocsc(), np.ones(grid64.n_interior))
         assert np.abs(grid64.restrict(res.u.frames[-1]) - steady).max() < 1e-8
 
@@ -83,7 +82,7 @@ class TestAgainstAnalyticOracles:
                 coeffs=CoefficientSet.zero(1),
                 obstacle=FieldPath.constant(g, times, OBSTACLE_OFF),
                 noise=NoisePath(J=1, dt=dt, increments=np.zeros((1, steps)), seed=0))
-            res = solve_unconstrained(data)
+            res = solve_mode(data, "unconstrained")
             exact = np.exp(-np.pi ** 2 * T) * np.sin(np.pi * g.coords[:, 0])
             return float(np.abs(res.u.frames[-1] - exact).max())
 
@@ -176,50 +175,12 @@ class TestSolveLinearSpde:
         assert np.isfinite(diags["ratio"])
 
 
-class TestSolveRandomPde:
-    def test_zero_source(self, grid64, op64):
-        times = np.linspace(0, 0.5, 33)
-        w = solve_random_pde(op64, FieldPath.zeros(grid64, times))
-        assert np.all(w.frames == 0.0)
-
-    @pytest.mark.filterwarnings("ignore:obstacle exceeds its dominator")
-    def test_matches_linear_spde_without_noise(self):
-        data = standard_problem(cells=16, steps=32, dominator=None)
-        grid = data.op.grid
-        src = np.tile(np.sin(np.pi * grid.coords[:, 0]), (data.steps + 1, 1))
-        dom = DominatorData(initial=Field.zeros(grid), f=src)
-        data2 = standard_problem(cells=16, steps=32, dominator=dom,
-                                 noise=NoisePath(J=2, dt=data.dt,
-                                                 increments=np.zeros((2, 32)), seed=0))
-        w = solve_random_pde(data.op, FieldPath(grid, data.times, src))
-        sprime = solve_linear_spde(data2)
-        assert np.allclose(w.frames, sprime.frames, atol=1e-14)
-
-    def test_energy_bound_stable_under_refinement(self):
-        # sup |w|^2 + int E(w) <= C (dual#(f0))^2 with C stable in h, dt
-        from ospde.grid import energy_values
-        from ospde.norms import NormToolbox, dual_sharp_upper
-        ratios = []
-        for cells, steps in ((32, 64), (64, 128)):
-            grid = build_grid(1, (0.0, 1.0), cells)
-            op = assemble_operator(grid, 1.0, 1.0, 1.0)
-            times = np.arange(steps + 1) * (0.25 / steps)
-            frames = np.stack([np.sin(np.pi * grid.coords[:, 0]) * (1 + t) for t in times])
-            src = FieldPath(grid, times, frames)
-            w = solve_random_pde(op, src)
-            sup_sq = max(float(grid.quad_weights @ fr ** 2) for fr in w.frames)
-            en = sum(energy_values(op, w.frames[k + 1]) for k in range(steps)) * src.dt
-            dual = dual_sharp_upper(src, 0.25, NormToolbox.for_dim(1))
-            ratios.append((sup_sq + en) / dual ** 2)
-        assert 0.5 <= ratios[0] / ratios[1] <= 2.0
-
-
 class TestConstrainedSolvers:
     def test_inactive_obstacle_reduction(self):
         data = standard_problem(cells=24, steps=64, obstacle_level=OBSTACLE_OFF)
-        free = solve_unconstrained(data)
-        pen = solve_penalized(data, 1000)
-        proj = solve_projected(data)
+        free = solve_mode(data, "unconstrained")
+        pen = solve_mode(data, "penalized", 1000)
+        proj = solve_mode(data, "projected")
         assert np.abs(pen.u.frames - free.u.frames).max() <= 1e-10
         assert np.abs(proj.u.frames - free.u.frames).max() <= 1e-10
         assert pen.measure.total_mass() <= 1e-10
@@ -227,12 +188,12 @@ class TestConstrainedSolvers:
 
     def test_penalized_weights_nonnegative(self):
         data = standard_problem(cells=24, steps=64)
-        pen = solve_penalized(data, 100)
+        pen = solve_mode(data, "penalized", 100)
         assert pen.measure.weights.min() >= 0.0
 
     def test_projected_feasibility_and_complementarity(self):
         data = standard_problem(cells=24, steps=64)
-        res = solve_projected(data)
+        res = solve_mode(data, "projected")
         grid = data.op.grid
         assert np.all(res.u.frames[:, grid.interior]
                       >= data.obstacle.frames[:, grid.interior] - 1e-12)
@@ -240,7 +201,7 @@ class TestConstrainedSolvers:
 
     def test_measure_supported_on_contact_set(self):
         data = standard_problem(cells=24, steps=64)
-        res = solve_projected(data)
+        res = solve_mode(data, "projected")
         grid = data.op.grid
         gap = (res.u.frames[1:, grid.interior]
                - data.obstacle.frames[1:, grid.interior])
@@ -249,30 +210,30 @@ class TestConstrainedSolvers:
 
     def test_penalization_distance_decreases(self):
         data = standard_problem(cells=24, steps=64)
-        star = solve_projected(data)
+        star = solve_mode(data, "projected")
         grid = data.op.grid
         T = float(data.times[-1])
         dists = []
         for n in (10, 100, 1000):
-            pen = solve_penalized(data, n)
+            pen = solve_mode(data, "penalized", n)
             dists.append(mixed_norm(FieldPath(grid, data.times,
                                               pen.u.frames - star.u.frames), 2, math.inf, T))
         assert dists[0] > dists[1] > dists[2]
 
     def test_penalized_mass_bounded_in_n(self):
         data = standard_problem(cells=24, steps=64)
-        proj_mass = solve_projected(data).measure.total_mass()
+        proj_mass = solve_mode(data, "projected").measure.total_mass()
         for n in (10, 100, 1000, 10000):
-            assert solve_penalized(data, n).measure.total_mass() <= 10 * proj_mass
+            assert solve_mode(data, "penalized", n).measure.total_mass() <= 10 * proj_mass
 
     def test_shared_noise_determinism(self):
         data = standard_problem(cells=24, steps=64, seed=77)
-        r1 = solve_projected(data)
-        r2 = solve_projected(data)
+        r1 = solve_mode(data, "projected")
+        r2 = solve_mode(data, "projected")
         assert np.array_equal(r1.u.frames, r2.u.frames)
         assert np.array_equal(r1.measure.weights, r2.measure.weights)
         data_b = standard_problem(cells=24, steps=64, seed=77)
-        r3 = solve_projected(data_b)
+        r3 = solve_mode(data_b, "projected")
         assert np.array_equal(r1.u.frames, r3.u.frames)
 
     def test_contraction_gate_refuses(self):
@@ -281,22 +242,24 @@ class TestConstrainedSolvers:
                              C=0.0, alpha=1.0, beta=0.0, modes=2)
         data = standard_problem(cells=16, steps=16, coeffs=bad)
         with pytest.raises(AssumptionError):
-            solve_projected(data)
+            solve_mode(data, "projected")
         with pytest.raises(AssumptionError):
-            solve_penalized(data, 10)
+            solve_mode(data, "penalized", 10)
         with pytest.raises(AssumptionError):
-            solve_unconstrained(data)
+            solve_mode(data, "unconstrained")
 
     def test_solve_mode_dispatch(self):
+        # only the penalized scheme reads the level; only the unconstrained
+        # one leaves the obstacle unseen
         data = standard_problem(cells=16, steps=16)
-        direct = {"projected": solve_projected(data),
-                  "penalized": solve_penalized(data, 50),
-                  "unconstrained": solve_unconstrained(data)}
-        for mode, want in direct.items():
-            got = solve_mode(data, mode, penalty_n=50)
-            assert np.array_equal(got.u.frames, want.u.frames)
-            assert np.array_equal(got.measure.weights, want.measure.weights)
-            assert got.diagnostics == want.diagnostics
+        proj, proj_other_n = (solve_mode(data, "projected", n) for n in (50, 1000))
+        assert proj.u.frames.tobytes() == proj_other_n.u.frames.tobytes()
+        assert proj.measure.total_mass() > 0 and "penalty_level" not in proj.diagnostics
+        pen = solve_mode(data, "penalized", 50)
+        assert pen.diagnostics["penalty_level"] == 50
+        assert not np.array_equal(pen.u.frames, proj.u.frames)
+        free = solve_mode(data, "unconstrained")
+        assert free.measure.total_mass() == 0.0 and not any(free.diagnostics["iterations"])
         with pytest.raises(ConfigurationError, match="unknown solver.mode 'psor'"):
             solve_mode(data, "psor")
 
@@ -317,7 +280,7 @@ class TestConstrainedSolvers:
                     op=op, xi=Field.from_function(grid, lambda x: np.sin(np.pi * x[:, 0])),
                     coeffs=CoefficientSet.zero(1),
                     obstacle=FieldPath.constant(grid, times, 0.2), noise=noise)
-            return grid, solve_projected(data)
+            return grid, solve_mode(data, "projected")
 
         errs = []
         for cells in (16, 32):
@@ -403,7 +366,7 @@ class TestBatch:
         found = re.match(r"step (\d+) failed for seed (\d+): active set repeated", str(info.value))
         assert found and int(found[2]) == seeds[info.value.column] == 0
         with pytest.raises(SolverError, match=rf"^step {found[1]} failed for seed 0: "):
-            solve_projected(data.with_noise(noises[2]))
+            solve_mode(data.with_noise(noises[2]), "projected")
 
     def test_noise_must_fit(self):
         data = contact_problem()

@@ -7,8 +7,7 @@ from conftest import (mix_coeffs, refine_noise, signed_coeffs, standard_problem,
 import ospde.solver
 from ospde.errors import AssumptionError, ConfigurationError
 from ospde.grid import Field, build_grid
-from ospde.solver import (OBSTACLE_OFF, DominatorData, solve_linear_spde, solve_mode,
-                          solve_projected, solve_unconstrained)
+from ospde.solver import OBSTACLE_OFF, DominatorData, solve_linear_spde, solve_mode
 from ospde.stochastics import CoefficientSet, NoisePath, sample_noise
 from ospde.verify import (apriori_check, comparison_experiment, ito_square_residual,
                           positive_part_bound_check, positive_part_residual,
@@ -23,20 +22,20 @@ def bump(t, coords):
 class TestWeakForm:
     def test_zero_test_function(self):
         data = unconstrained_problem(cells=32, steps=32)
-        res = solve_unconstrained(data)
+        res = solve_mode(data, "unconstrained")
         rep = weak_form_residual(res, data, lambda t, x: np.zeros(x.shape[0]))
         assert rep.max_step == 0.0
 
     def test_linear_problem_machine_exact(self):
         data = unconstrained_problem(cells=32, steps=64)
-        res = solve_unconstrained(data)
+        res = solve_mode(data, "unconstrained")
         rep = weak_form_residual(res, data, bump)
         assert rep.max_step <= 1e-10
 
     def test_obstacle_run_machine_exact_for_linear_data(self):
         # stored measure weights close the balance for the projected scheme too
         data = standard_problem(cells=24, steps=64, coeffs=state_free_coeffs(2))
-        res = solve_projected(data)
+        res = solve_mode(data, "projected")
         rep = weak_form_residual(res, data, bump)
         assert rep.max_step <= 1e-10
 
@@ -47,13 +46,13 @@ class TestWeakForm:
             noise = refine_noise(fine, 256 // steps)
             data = unconstrained_problem(cells=32, steps=steps, coeffs=mix_coeffs(2),
                                          noise=noise)
-            res = solve_unconstrained(data)
+            res = solve_mode(data, "unconstrained")
             terms.append(weak_form_residual(res, data, bump).terminal)
         assert 1.5 <= terms[0] / terms[1] <= 3.0
 
     def test_support_violation_rejected(self):
         data = unconstrained_problem(cells=32, steps=32)
-        res = solve_unconstrained(data)
+        res = solve_mode(data, "unconstrained")
         with pytest.raises(ConfigurationError, match="vanish"):
             weak_form_residual(res, data, lambda t, x: np.ones(x.shape[0]))
 
@@ -62,13 +61,13 @@ class TestItoSquare:
     def test_zero_problem(self):
         data = unconstrained_problem(cells=16, steps=16, coeffs=CoefficientSet.zero(2),
                                      xi_fn=lambda x: np.zeros(x.shape[0]))
-        res = solve_unconstrained(data)
+        res = solve_mode(data, "unconstrained")
         rep = ito_square_residual(res, data)
         assert rep.max_step == 0.0
 
     def test_linear_state_independent_machine_exact(self):
         data = unconstrained_problem(cells=64, steps=128)
-        res = solve_unconstrained(data)
+        res = solve_mode(data, "unconstrained")
         rep = ito_square_residual(res, data)
         assert rep.max_step <= 1e-9
 
@@ -81,7 +80,7 @@ class TestItoSquare:
                 fine = sample_noise(2, 0.25 / 256, 256, 900 + seed)
                 data = unconstrained_problem(cells=32, steps=steps, coeffs=mix_coeffs(2),
                                              noise=refine_noise(fine, 256 // steps))
-                res = solve_unconstrained(data)
+                res = solve_mode(data, "unconstrained")
                 vals.append(ito_square_residual(res, data).terminal)
             return float(np.mean(vals))
 
@@ -96,7 +95,7 @@ class TestItoSquare:
             grid, lambda x: np.sin(np.pi * x[:, 0]) + 0.3),
             f=np.full((65, grid.n_nodes), 3.0))
         data = standard_problem(cells=24, steps=64, obstacle_values=sine, dominator=dom)
-        res = solve_projected(data)
+        res = solve_mode(data, "projected")
         sprime = solve_linear_spde(data)
         assert np.all(sprime.frames[:, grid.interior]
                       >= data.obstacle.frames[:, grid.interior] - 1e-9)
@@ -118,7 +117,7 @@ class TestPositivePart:
                                      xi_fn=lambda x: -np.sin(np.pi * x[:, 0]))
         data = data.with_noise(NoisePath(J=2, dt=data.dt,
                                          increments=np.zeros((2, data.steps)), seed=0))
-        res = solve_unconstrained(data)
+        res = solve_mode(data, "unconstrained")
         assert res.u.frames.max() <= 1e-12
         rep = positive_part_residual(res, data)
         assert rep.max_step == 0.0
@@ -133,7 +132,7 @@ class TestPositivePart:
         data = unconstrained_problem(cells=32, steps=64, coeffs=cs)
         data = data.with_noise(NoisePath(J=2, dt=data.dt,
                                          increments=np.zeros((2, data.steps)), seed=0))
-        res = solve_unconstrained(data)
+        res = solve_mode(data, "unconstrained")
         assert res.u.frames.min() >= 0.0
         rep_pos = positive_part_residual(res, data)
         rep_ito = ito_square_residual(res, data)
@@ -146,7 +145,7 @@ class TestPositivePart:
             data = unconstrained_problem(cells=cells, steps=steps, coeffs=signed_coeffs(2),
                                          xi_fn=lambda x: np.sin(2 * np.pi * x[:, 0]),
                                          noise=refine_noise(fine, 512 // steps))
-            res = solve_unconstrained(data)
+            res = solve_mode(data, "unconstrained")
             signs = np.sign(res.u.frames[:, data.op.grid.interior])
             assert signs.max() > 0 and signs.min() < 0
             return positive_part_residual(res, data).terminal
@@ -166,7 +165,7 @@ class TestEstimates:
         data = dataclasses.replace(
             data, xi=Field.zeros(grid),
             noise=NoisePath(J=2, dt=data.dt, increments=np.zeros((2, data.steps)), seed=0))
-        res = solve_unconstrained(data)
+        res = solve_mode(data, "unconstrained")
         rep = apriori_check(res, data)
         assert rep.lhs == 0.0
         assert rep.implied_constant is None
@@ -178,7 +177,7 @@ class TestEstimates:
             grid, lambda x: np.sin(np.pi * x[:, 0]) + 0.3),
             f=np.full((65, grid.n_nodes), 2.0))
         data = standard_problem(cells=24, steps=64, dominator=dom)
-        res = solve_projected(data)
+        res = solve_mode(data, "projected")
         sprime = solve_linear_spde(data)
         T = float(data.times[-1])
         lhs = [apriori_check(res, data, t=t, dominators=[sprime]).lhs
@@ -200,7 +199,7 @@ class TestEstimates:
         data = dataclasses.replace(
             data, xi=Field.from_function(grid, lambda x: -np.sin(np.pi * x[:, 0])),
             noise=NoisePath(J=2, dt=data.dt, increments=np.zeros((2, data.steps)), seed=0))
-        res = solve_projected(data)
+        res = solve_mode(data, "projected")
         assert res.u.frames.max() <= 1e-12
         rep = positive_part_bound_check(res, data)
         assert rep.lhs <= 1e-12
@@ -215,7 +214,7 @@ class TestEstimates:
             grid, lambda x: np.sin(np.pi * x[:, 0]) + 0.3),
             f=np.full((65, grid.n_nodes), 2.0))
         data = standard_problem(cells=24, steps=64, dominator=dom)
-        res = solve_projected(data)
+        res = solve_mode(data, "projected")
         rep = positive_part_bound_check(res, data)
         assert rep.lhs > 0
         assert rep.implied_constant is not None and rep.implied_constant > 0
@@ -409,7 +408,7 @@ def _float_hex(prefix, d):
 def test_estimates_are_pinned_bit_for_bit(case):
     data = standard_problem(cells=16, steps=32, seed=1000,
                             dominator=_dominators(build_grid(1, (0.0, 1.0), 16), 32)[case])
-    result = solve_projected(data)
+    result = solve_mode(data, "projected")
     diagnostics = {}
     solve_linear_spde(data, diagnostics=diagnostics)
     got = {"apriori": apriori_check(result, data).as_dict(),
