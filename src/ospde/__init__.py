@@ -14,7 +14,7 @@ from .norms import (FieldPath, NormToolbox, data_ingredients, dual_sharp_upper,
                     gradient_norm_22, mixed_norm, pairing, sharp_norm)
 from .solver import (OBSTACLE_OFF, BatchResult, DiscreteMeasure, DominatorData, ProblemData,
                      SolveResult, prepare_batch, skorokhod_defect, solve_batch,
-                     solve_linear_spde, solve_mode)
+                     solve_dominators, solve_linear_spde, solve_mode)
 from .stochastics import CoefficientSet, NoisePath, sample_noise, validate_assumptions
 from .verify import (ComparisonReport, EstimateReport, ResidualReport, apriori_check,
                      comparison_experiment, ito_square_residual,

@@ -32,7 +32,7 @@ from .config import RunConfig, load_config
 from .errors import AssumptionError, ConfigurationError, SolverError, coerce
 from .norms import FieldPath, NormToolbox, dual_sharp_upper, mixed_norm, sharp_norm
 from .persist import load_run, save_run, write_rows
-from .solver import SolveResult, skorokhod_defect, solve_mode
+from .solver import SolveResult, prepare_batch, skorokhod_defect, solve_batch, solve_mode
 from .verify import (apriori_check, comparison_experiment, ito_square_residual,
                      positive_part_bound_check, positive_part_residual,
                      weak_form_residual)
@@ -143,19 +143,27 @@ def cmd_penalize_sweep(args, cfg: RunConfig, out: Path) -> int:
                     for v in cfg.block("solver").get("sweep_n", [10, 100, 1000, 10000])])
     seeds = cfg.sample_seeds(args.seed, args.samples)
     grid = cfg.make_grid()
-    op = cfg.make_operator(grid)
-    T = float(cfg.make_times()[-1])
+    data = cfg.build_problem(seeds[0], grid=grid)
+    noises = [cfg.sample_noise(seed) for seed in seeds]
+    T = float(data.times[-1])
 
-    rows = []
-    for seed in seeds:
-        data = cfg.build_problem(seed, grid=grid, op=op)
-        star = solve_mode(data, "projected")
-        for n in levels:
-            pen = solve_mode(data, "penalized", n)
-            dist = mixed_norm(FieldPath(grid, data.times, pen.u.frames - star.u.frames),
+    # every level is refused before the first solve
+    projected = prepare_batch(data, noises, "projected")
+    penalized = [prepare_batch(data, noises, "penalized", n) for n in levels]
+    star = solve_batch(projected).frames
+    columns = []  # per level, one row per seed
+    for n, batch in zip(levels, penalized):
+        result = solve_batch(batch)
+        level_rows = []
+        for s, seed in enumerate(seeds):
+            pen = result.sample(s)
+            dist = mixed_norm(FieldPath(grid, data.times, pen.u.frames - star[s]),
                               2, math.inf, T)
-            rows.append((seed, n, dist, skorokhod_defect(pen.u, data.obstacle, pen.measure),
-                         pen.measure.total_mass()))
+            level_rows.append((seed, n, dist,
+                               skorokhod_defect(pen.u, data.obstacle, pen.measure),
+                               pen.measure.total_mass()))
+        columns.append(level_rows)
+    rows = [row for seed_rows in zip(*columns) for row in seed_rows]
     write_rows(out / "penalize_sweep.csv",
                ["seed", "n", "distance_to_projected", "skorokhod_defect", "measure_mass"],
                "%d,%d,%.17g,%.17g,%.17g", rows, config_hash=cfg.hash)

@@ -19,7 +19,7 @@ from .grid import EllipticOperator, Grid, assemble_operator, build_grid
 from .presets import (make_coefficients, make_dominator, make_initial, make_obstacle,
                       operator_profile)
 from .solver import ProblemData
-from .stochastics import sample_noise
+from .stochastics import NoisePath, sample_noise
 
 __all__ = ["RunConfig", "parse_config_text", "load_config", "config_hash"]
 
@@ -130,7 +130,11 @@ class RunConfig:
         if samples_override is not None and samples_override < 1:
             raise ConfigurationError(f"--samples = {samples_override} leaves no sample seeds: "
                                      "need at least one sample")
-        if "seeds" in noise and seed_override is None:
+        if "seeds" in noise:
+            if seed_override is not None:
+                raise ConfigurationError(
+                    f"noise.seeds = {noise['seeds']!r} and --seed {seed_override} both name "
+                    "the sample seeds: give one of them")
             if not isinstance(noise["seeds"], list):
                 raise ConfigurationError(f"noise.seeds = {noise['seeds']!r} is not a list of seeds")
             seeds = [coerce(int, "noise.seeds", s) for s in noise["seeds"]]
@@ -164,9 +168,12 @@ class RunConfig:
         dblock = self.block("dominator")
         dominator = make_dominator(dblock.get("preset", "none"), grid, times, J, xi,
                                    _params(dblock, "preset"))
-        noise = sample_noise(J, self.dt, self.steps, int(seed))
         return ProblemData(op=op, xi=xi, coeffs=coeffs, obstacle=obstacle,
-                           noise=noise, dominator=dominator)
+                           noise=self.sample_noise(seed), dominator=dominator)
+
+    def sample_noise(self, seed: int) -> NoisePath:
+        """The driving noise path of one sample seed."""
+        return sample_noise(self.noise_modes, self.dt, self.steps, int(seed))
 
     # -- solver knobs ----------------------------------------------------------
 

@@ -106,11 +106,6 @@ class FieldPath:
         base = np.broadcast_to(np.asarray(values, dtype=float), (grid.n_nodes,))
         return cls(grid, times, np.tile(base, (times.size, 1)))
 
-    @classmethod
-    def zeros(cls, grid: Grid, times) -> "FieldPath":
-        times = np.asarray(times, dtype=float)
-        return cls(grid, times, np.zeros((times.size, grid.n_nodes)))
-
 
 def _conjugate(p: float) -> float:
     if p == 1:

@@ -23,13 +23,15 @@ Obstacle enforcement comes in two flavors sharing this skeleton, named by
   density is r / dt.  This realizes the constrained limit directly and
   serves as the oracle for penalization sweeps.
 
-``unconstrained`` ignores the obstacle.  Every scheme runs one march,
-``solve_batch``, over a batch of noise paths that ``prepare_batch`` has
-checked: the paths' states are stacked, and the gate, the step
-factorization and each step's coefficient evaluation and obstacle solve are
-shared by the batch.  A single solve, ``solve_mode``, is a batch of one;
-``comparison_experiment`` marches all its seeds at once.  Either way each
-path's numbers are those of marching it alone, bit for bit.
+``unconstrained`` ignores the obstacle.  ``solve_batch`` is the one march
+over time steps: it advances a batch of noise paths with stacked states,
+sharing the step factorization and each step's source evaluation and
+obstacle solve.  ``prepare_batch`` makes a problem's batch, whose sources
+are the coefficient maps, and runs the hypotheses gate.
+``solve_dominators`` marches the dominating linear SPDE (the bound S' on
+the obstacle), whose sources are the dominator's sampled paths, ungated
+and unconstrained.  A single solve, ``solve_mode``, is a batch of one.
+Either way each path's numbers are those of marching it alone, bit for bit.
 
 Measure weights are densities per unit space-time volume: total mass is
 sum(weights) * cell_measure * dt.  The weight at step k binds to the frame
@@ -40,7 +42,7 @@ the measure follow that convention.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -62,6 +64,7 @@ __all__ = [
     "Batch",
     "BatchResult",
     "solve_linear_spde",
+    "solve_dominators",
     "solve_mode",
     "prepare_batch",
     "solve_batch",
@@ -129,9 +132,6 @@ class ProblemData:
     def steps(self) -> int:
         return self.obstacle.steps
 
-    def with_noise(self, noise: NoisePath) -> "ProblemData":
-        return replace(self, noise=noise)
-
 
 @dataclass(frozen=True, eq=False)
 class DiscreteMeasure:
@@ -156,11 +156,6 @@ class DiscreteMeasure:
     def total_mass(self) -> float:
         return float(self.weights.sum() * self.grid.cell_measure * self.dt)
 
-    @classmethod
-    def zeros(cls, grid, times) -> "DiscreteMeasure":
-        return cls(grid, np.asarray(times, dtype=float),
-                   np.zeros((len(times) - 1, grid.n_interior)))
-
 
 @dataclass
 class SolveResult:
@@ -182,9 +177,9 @@ def _step_matrix(op: EllipticOperator, dt: float) -> StepMatrix:
     return StepMatrix(B, lu)
 
 
-def _source_rhs(grid, dt, u_full, f_int=None, g_int=None, h_int=None, dB=None):
-    """Interior right-hand side u_k + dt f + dt div g + h dB of one state
-    (n_nodes,), or of S states (S, n_nodes) with every term stacked alike."""
+def _source_rhs(grid, dt, u_full, f_int, g_int, h_int, dB):
+    """Interior right-hand side u_k + dt f + dt div g + h dB of S states
+    (S, n_nodes); a source given as None is absent."""
     rhs = grid.restrict(u_full).copy()
     if f_int is not None:
         rhs += dt * f_int
@@ -192,23 +187,10 @@ def _source_rhs(grid, dt, u_full, f_int=None, g_int=None, h_int=None, dB=None):
         g_full = np.zeros(rhs.shape[:-1] + (grid.n_nodes, grid.dim))
         g_full[..., grid.interior, :] = g_int
         rhs += dt * grid.restrict(divergence(grid, g_full))
-    if h_int is not None and dB is not None:
-        if rhs.ndim == 1:
-            rhs += h_int @ dB
-        else:  # one matmul per sample: the product a single solve forms
-            for r, h, b in zip(rhs, h_int, dB):
-                r += h @ b
+    if h_int is not None:
+        for r, h, b in zip(rhs, h_int, dB):  # per sample: sums independent of the batch
+            r += h @ b
     return rhs
-
-
-def _evaluate_coeffs(coeffs, t, x_int, y_int, z_int):
-    """f (S, n), g (S, n, d) and h (S, n, J) at S stacked interior states
-    y_int (S, n), z_int (S, n, d); ``x_int`` holds the nodes of all S,
-    (S * n, d).  The maps see the S * n nodes as one stack of rows."""
-    y = y_int.reshape(-1)
-    z = z_int.reshape(y.size, -1)
-    return [np.asarray(fn(t, x_int, y, z), dtype=float).reshape(y_int.shape + tail)
-            for fn, tail in ((coeffs.f, ()), (coeffs.g, z.shape[1:]), (coeffs.h, (coeffs.modes,)))]
 
 
 def _require_assumptions(data: ProblemData) -> None:
@@ -220,35 +202,18 @@ def _require_assumptions(data: ProblemData) -> None:
 
 
 def solve_linear_spde(data: ProblemData, diagnostics: dict | None = None) -> FieldPath:
-    """Drive the dominating linear SPDE from its own data on the shared noise.
+    """Drive the dominating linear SPDE from its own data on the shared noise:
+    ``solve_dominators`` on the one path ``data.noise``.
 
     When a ``diagnostics`` dict is supplied it receives the energy/data
     ratio of the a priori bound for this realization.
     """
-    if data.dominator is None:
-        raise ConfigurationError("problem data carries no dominator block")
-    dom = data.dominator
-    grid = data.op.grid
-    times = data.times
-    ws = _step_matrix(data.op, data.dt)
-    frames = np.zeros((data.steps + 1, grid.n_nodes))
-    frames[0] = dom.initial.values
-    inc = data.noise.increments
-    for k in range(data.steps):
-        f_int = grid.restrict(dom.f[k]) if dom.f is not None else None
-        g_int = dom.g[k][grid.interior] if dom.g is not None else None
-        h_int = dom.h[k][grid.interior] if dom.h is not None else None
-        rhs = _source_rhs(grid, data.dt, frames[k], f_int, g_int, h_int, inc[:, k])
-        frames[k + 1] = grid.extend(ws.lu.solve(rhs))
-    path = FieldPath(grid, times, frames)
-
-    gap = data.obstacle.frames[:, grid.interior] - path.frames[:, grid.interior]
-    if gap.max(initial=-np.inf) > 1e-9:
-        warnings.warn(
-            f"obstacle exceeds its dominator by up to {gap.max():.3e}; "
-            "the domination assumption fails on this realization", stacklevel=2)
-
+    path = solve_dominators(data, [data.noise])[0]
     if diagnostics is not None:
+        dom = data.dominator
+        grid = data.op.grid
+        times = data.times
+        frames = path.frames
         T = float(times[-1])
         toolbox = NormToolbox.for_dim(grid.dim)
         w = grid.quad_weights
@@ -264,6 +229,24 @@ def solve_linear_spde(data: ProblemData, diagnostics: dict | None = None) -> Fie
     return path
 
 
+def solve_dominators(data: ProblemData, noises: Sequence[NoisePath]) -> list[FieldPath]:
+    """The dominating linear SPDE of ``data`` on every path of ``noises``,
+    marched as one batch; path s is bit for bit that of
+    ``solve_linear_spde`` on noise s.  Warns once if the obstacle exceeds
+    the dominator on any path."""
+    batch = solve_batch(_dominator_batch(data, noises))
+    grid = data.op.grid
+    gap = (data.obstacle.frames[None, :, grid.interior]
+           - batch.frames[:, :, grid.interior]).max(axis=(1, 2), initial=-np.inf)
+    worst = int(np.argmax(gap))
+    if gap[worst] > 1e-9:
+        warnings.warn(
+            f"obstacle exceeds its dominator by up to {gap[worst]:.3e} on seed "
+            f"{noises[worst].seed}; the domination assumption fails on this realization",
+            stacklevel=2)
+    return [FieldPath(grid, data.times, frames) for frames in batch.frames]
+
+
 @dataclass
 class BatchResult:
     """One problem solved on S noise paths: frames (S, steps + 1, n_nodes)
@@ -277,6 +260,17 @@ class BatchResult:
     frames: np.ndarray
     weights: np.ndarray
     diagnostics: dict = field(default_factory=dict)
+
+    def sample(self, s: int) -> SolveResult:
+        """Path s as a solve of its own: its frames, measure and active-set
+        passes.  ``factorizations`` stays the batch's count, since the paths
+        share their sparse solves."""
+        K = self.weights.shape[1]
+        iterations = self.diagnostics["iterations"][s * K:(s + 1) * K]
+        return SolveResult(u=FieldPath(self.grid, self.times, self.frames[s]),
+                           measure=DiscreteMeasure(self.grid, self.times, self.weights[s]),
+                           diagnostics={**self.diagnostics, "iterations": iterations,
+                                        "feasible_steps": iterations.count(0)})
 
 
 def _scheme(mode: str, penalty_n: int, dt: float) -> tuple[Callable, dict]:
@@ -320,21 +314,20 @@ def _scheme(mode: str, penalty_n: int, dt: float) -> tuple[Callable, dict]:
 @dataclass(frozen=True, eq=False)
 class Batch:
     """One problem and S noise paths that passed every refusal a solve makes
-    before it marches: scheme, noise shapes and the hypotheses gate.  Made by
-    ``prepare_batch``, marched by ``solve_batch``."""
+    before it marches: the start state (n_nodes,), the scheme's ``advance``
+    and ``sources(k, u)``, the explicit f, g and h at the stacked states
+    u (S, n_nodes) of step k, each None when absent.  Made by
+    ``prepare_batch`` or ``_dominator_batch``, marched by ``solve_batch``."""
 
     data: ProblemData
     noises: tuple
+    start: np.ndarray
+    sources: Callable
     advance: Callable
     diagnostics: dict
 
 
-def prepare_batch(data: ProblemData, noises: Sequence[NoisePath], mode: str = "projected",
-                  penalty_n: int = 1000) -> Batch:
-    """Check a solve of ``data`` on every path of ``noises`` with the scheme
-    named by ``mode`` (as in ``solve_mode``): refuse an unknown scheme, a
-    path that does not fit the problem, or data outside the hypotheses."""
-    advance, extra = _scheme(mode, penalty_n, data.dt)
+def _require_fit(data: ProblemData, noises: Sequence[NoisePath]) -> None:
     if not noises:
         raise ConfigurationError("a batch needs at least one noise path")
     for noise in noises:
@@ -342,18 +335,64 @@ def prepare_batch(data: ProblemData, noises: Sequence[NoisePath], mode: str = "p
                 or abs(noise.dt - data.dt) > 1e-12 * data.dt):
             raise ConfigurationError(
                 f"noise of seed {noise.seed} does not fit the problem's modes and steps")
+
+
+def prepare_batch(data: ProblemData, noises: Sequence[NoisePath], mode: str = "projected",
+                  penalty_n: int = 1000) -> Batch:
+    """Check a solve of ``data`` on every path of ``noises`` with the scheme
+    named by ``mode`` (as in ``solve_mode``): refuse an unknown scheme, a
+    path that does not fit the problem, or data outside the hypotheses.
+
+    The batch's sources are the coefficient maps, run once per step on the
+    S * n stacked interior nodes as one stack of rows."""
+    advance, extra = _scheme(mode, penalty_n, data.dt)
+    _require_fit(data, noises)
     _require_assumptions(data)
-    return Batch(data, tuple(noises), advance, extra)
+    grid, coeffs = data.op.grid, data.coeffs
+    x_int = np.tile(grid.coords[grid.interior], (len(noises), 1))
+
+    def sources(k, u):
+        y_int = grid.restrict(u)
+        z_int = node_gradient(grid, u)[:, grid.interior]
+        y = y_int.reshape(-1)
+        z = z_int.reshape(y.size, -1)
+        t = float(data.times[k])
+        return [np.asarray(fn(t, x_int, y, z), dtype=float).reshape(y_int.shape + tail)
+                for fn, tail in ((coeffs.f, ()), (coeffs.g, z.shape[1:]),
+                                 (coeffs.h, (coeffs.modes,)))]
+
+    return Batch(data, tuple(noises), data.xi.values, sources, advance, extra)
+
+
+def _dominator_batch(data: ProblemData, noises: Sequence[NoisePath]) -> Batch:
+    """The dominating linear SPDE of ``data`` on every path of ``noises``:
+    it starts from the dominator's initial state, its sources are the
+    dominator's sampled paths, the same on every path, and it ignores the
+    obstacle.  No hypotheses gate runs: no source depends on the state."""
+    if data.dominator is None:
+        raise ConfigurationError("problem data carries no dominator block")
+    _require_fit(data, noises)
+    dom = data.dominator
+    grid = data.op.grid
+    stacked = (len(noises), grid.n_interior, data.noise.J)
+    advance, extra = _scheme("unconstrained", 0, data.dt)
+
+    def sources(k, u):
+        return (grid.restrict(dom.f[k]) if dom.f is not None else None,
+                dom.g[k][grid.interior] if dom.g is not None else None,
+                np.broadcast_to(dom.h[k][grid.interior], stacked) if dom.h is not None else None)
+
+    return Batch(data, tuple(noises), dom.initial.values, sources, advance, extra)
 
 
 def solve_batch(batch: Batch) -> BatchResult:
     """March every path of a prepared batch at once: factor the step once,
     then advance all paths together with explicit sources.
 
-    The states of the S paths are stacked: the coefficient maps run once per
-    step on their S * n interior nodes, and the scheme's ``advance`` receives
-    the right-hand sides as one (n, S) block.  Each path's numbers are, bit
-    for bit, those of marching it alone.  A failed step names its seed.
+    The states of the S paths are stacked: the batch's sources run once per
+    step on all of them, and the scheme's ``advance`` receives the
+    right-hand sides as one (n, S) block.  Each path's numbers are, bit for
+    bit, those of marching it alone.  A failed step names its seed.
     """
     data, noises = batch.data, batch.noises
     grid = data.op.grid
@@ -361,17 +400,13 @@ def solve_batch(batch: Batch) -> BatchResult:
     S = len(noises)
     ws = _step_matrix(data.op, dt)
     frames = np.zeros((S, data.steps + 1, grid.n_nodes))
-    frames[:, 0] = data.xi.values
+    frames[:, 0] = batch.start
     weights = np.zeros((S, data.steps, grid.n_interior))
     iterations = np.zeros((S, data.steps), dtype=int)
     inc = np.stack([noise.increments for noise in noises])
-    x_int = np.tile(grid.coords[grid.interior], (S, 1))
     for k in range(data.steps):
         u = frames[:, k]
-        y_int = grid.restrict(u)
-        z_int = node_gradient(grid, u)[:, grid.interior]
-        f, g, h = _evaluate_coeffs(data.coeffs, float(data.times[k]), x_int, y_int, z_int)
-        rhs = _source_rhs(grid, dt, u, f, g, h, inc[:, :, k])
+        rhs = _source_rhs(grid, dt, u, *batch.sources(k, u), inc[:, :, k])
         psi = grid.restrict(data.obstacle.frames[k + 1])
         try:
             u_next, w_k, passes = batch.advance(ws, rhs.T, psi)
@@ -395,10 +430,7 @@ def solve_mode(data: ProblemData, mode: str, penalty_n: int = 1000) -> SolveResu
     ``projected``, ``penalized`` at level ``penalty_n``, or ``unconstrained``
     (the obstacle is ignored).  This is a batch of one path, ``data.noise``;
     ``diagnostics["iterations"]`` counts each step's active-set passes."""
-    batch = solve_batch(prepare_batch(data, [data.noise], mode, penalty_n))
-    return SolveResult(u=FieldPath(batch.grid, batch.times, batch.frames[0]),
-                       measure=DiscreteMeasure(batch.grid, batch.times, batch.weights[0]),
-                       diagnostics=batch.diagnostics)
+    return solve_batch(prepare_batch(data, [data.noise], mode, penalty_n)).sample(0)
 
 
 def skorokhod_defect(u: FieldPath, obstacle: FieldPath, nu: DiscreteMeasure) -> float:

@@ -271,6 +271,9 @@ def _dominator_frames(data: ProblemData):
 def _estimate(name, results, datas, t, toolbox, positive: bool,
               dominators: Sequence[FieldPath] | None = None) -> EstimateReport:
     results, datas = _as_sequences(results, datas)
+    if dominators is not None and len(dominators) != len(datas):
+        raise ConfigurationError(f"{len(dominators)} dominator path(s) for "
+                                 f"{len(datas)} problem(s)")
     grid = datas[0].op.grid
     if toolbox is None:
         toolbox = NormToolbox.for_dim(grid.dim)

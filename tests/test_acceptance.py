@@ -11,6 +11,7 @@ resolutions are chosen per criterion within 256 cells / 2048 steps.
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,8 +23,8 @@ from ospde.capacity import box_set, capacity
 from ospde.errors import AssumptionError
 from ospde.grid import Field, assemble_operator, build_grid, sobolev_ratio
 from ospde.norms import FieldPath, mixed_norm
-from ospde.solver import (OBSTACLE_OFF, DominatorData, skorokhod_defect,
-                          solve_linear_spde, solve_mode)
+from ospde.solver import (OBSTACLE_OFF, DominatorData, prepare_batch, skorokhod_defect,
+                          solve_batch, solve_dominators, solve_mode)
 from ospde.stochastics import CoefficientSet, NoisePath, sample_noise
 from ospde.verify import (apriori_check, comparison_experiment, ito_square_residual,
                           positive_part_bound_check, positive_part_residual)
@@ -139,8 +140,8 @@ def test_criterion_5_positive_part_identity():
     z = CoefficientSet.zero(2)
     cs = CoefficientSet(f=f_one, g=z.g, h=z.h, C=0.0, alpha=0.0, beta=0.0, modes=2)
     data = unconstrained_problem(cells=64, steps=128, coeffs=cs)
-    data = data.with_noise(NoisePath(J=2, dt=data.dt,
-                                     increments=np.zeros((2, data.steps)), seed=0))
+    data = replace(data, noise=NoisePath(J=2, dt=data.dt,
+                                         increments=np.zeros((2, data.steps)), seed=0))
     res = solve_mode(data, "unconstrained")
     assert res.u.frames.min() >= 0.0
     one_sign_step = positive_part_residual(res, data).max_step
@@ -203,20 +204,18 @@ def test_criterion_8_estimate_stability():
 
     def batch(cells, steps):
         grid = build_grid(1, (0.0, 1.0), cells)
-        results, datas, doms = [], [], []
-        for seed in seeds:
-            fine = sample_noise(2, T / 256, 256, seed)
-            dom = DominatorData(
-                initial=Field.from_function(grid,
-                                            lambda x: np.sin(np.pi * x[:, 0]) + 0.3),
-                f=np.full((steps + 1, grid.n_nodes), 2.0))
-            data = standard_problem(cells=cells, steps=steps, dominator=dom,
-                                    noise=refine_noise(fine, 256 // steps))
-            results.append(solve_mode(data, "projected"))
-            datas.append(data)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # domination fails near the boundary
-                doms.append(solve_linear_spde(data))
+        noises = [refine_noise(sample_noise(2, T / 256, 256, seed), 256 // steps)
+                  for seed in seeds]
+        dom = DominatorData(
+            initial=Field.from_function(grid, lambda x: np.sin(np.pi * x[:, 0]) + 0.3),
+            f=np.full((steps + 1, grid.n_nodes), 2.0))
+        data = standard_problem(cells=cells, steps=steps, dominator=dom, noise=noises[0])
+        solved = solve_batch(prepare_batch(data, noises, "projected"))
+        results = [solved.sample(s) for s in range(len(noises))]
+        datas = [replace(data, noise=noise) for noise in noises]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # domination fails near the boundary
+            doms = solve_dominators(data, noises)
         return results, datas, doms
 
     k, kp = {}, {}

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import ospde.cli as cli
+import ospde.solver
 from ospde.cli import main
 from ospde.config import RunConfig, load_config, parse_config_text
 from ospde.errors import ConfigurationError
@@ -224,6 +225,37 @@ class TestSubcommands:
             assert err["error"].startswith(f"--samples = {samples} ")
             assert "no sample seeds" in err["error"]
             assert not list(out.glob("sample_*"))
+
+    @pytest.mark.parametrize("command", ["simulate", "compare", "penalize-sweep"])
+    def test_seed_with_seed_list_is_config_error(self, tmp_path, command):
+        cfg = write_cfg(tmp_path, BASE.replace("noise.seed = 41", "noise.seeds = [5, 6, 7]"))
+        out = tmp_path / "out"
+        argv = [command, "--config", str(cfg), "--out", str(out), "--seed", "10"]
+        if command == "compare":
+            argv += ["--config2", str(cfg)]
+        assert main(argv) == 2
+        err = json.loads((out / "error.json").read_text())
+        assert err["stage"] == "config-error"
+        assert "noise.seeds" in err["error"] and "--seed" in err["error"]
+        assert not list(out.glob("sample_*"))
+
+    def test_penalize_sweep_refuses_every_level_before_solving(self, tmp_path, monkeypatch):
+        calls = []
+        step_matrix = ospde.solver._step_matrix
+
+        def counting_step_matrix(*args):
+            calls.append(1)
+            return step_matrix(*args)
+
+        monkeypatch.setattr(ospde.solver, "_step_matrix", counting_step_matrix)
+        cfg = write_cfg(tmp_path, BASE)
+        out = tmp_path / "sweep"
+        assert main(["penalize-sweep", "--config", str(cfg), "--out", str(out),
+                     "--n-values", "10,0"]) == 2
+        err = json.loads((out / "error.json").read_text())
+        assert err["stage"] == "config-error" and "penalization level" in err["error"]
+        assert calls == []
+        assert not (out / "penalize_sweep.csv").exists()
 
     @pytest.mark.parametrize("command, loads", [("simulate", 1), ("verify", 1), ("compare", 2)])
     def test_config_parsed_once_per_file(self, tmp_path, monkeypatch, command, loads):

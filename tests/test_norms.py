@@ -96,7 +96,7 @@ class TestMixedNorm:
 class TestSharpNorm:
     def test_zero_path(self):
         tb = NormToolbox.for_dim(1)
-        z = FieldPath.zeros(GRID, TIMES)
+        z = FieldPath.constant(GRID, TIMES, 0.0)
         assert sharp_norm(z, T, tb) == 0.0
         assert dual_sharp_upper(z, T, tb) == 0.0
 
@@ -151,7 +151,7 @@ class TestPairing:
     def test_pairing_zero(self):
         rng = np.random.default_rng(14)
         u = random_path(rng)
-        assert pairing(u, FieldPath.zeros(GRID, TIMES), T) == 0.0
+        assert pairing(u, FieldPath.constant(GRID, TIMES, 0.0), T) == 0.0
 
     def test_pairing_holder_2inf_21(self):
         rng = np.random.default_rng(15)
@@ -162,8 +162,8 @@ class TestPairing:
 
     def test_mismatched_paths_rejected(self):
         other = build_grid(1, (0.0, 1.0), 16)
-        u = FieldPath.zeros(GRID, TIMES)
-        v = FieldPath.zeros(other, TIMES)
+        u = FieldPath.constant(GRID, TIMES, 0.0)
+        v = FieldPath.constant(other, TIMES, 0.0)
         with pytest.raises(ConfigurationError, match="grid"):
             pairing(u, v, T)
 

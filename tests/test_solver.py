@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,8 +14,8 @@ from ospde.errors import AssumptionError, ConfigurationError, SolverError
 from ospde.grid import Field, assemble_operator, build_grid, divergence
 from ospde.norms import FieldPath, mixed_norm
 from ospde.solver import (OBSTACLE_OFF, DiscreteMeasure, DominatorData, ProblemData,
-                          prepare_batch, skorokhod_defect, solve_batch, solve_linear_spde,
-                          solve_mode)
+                          prepare_batch, skorokhod_defect, solve_batch, solve_dominators,
+                          solve_linear_spde, solve_mode)
 from ospde.stochastics import CoefficientSet, NoisePath, sample_noise
 
 
@@ -293,7 +294,8 @@ class TestConstrainedSolvers:
 
     def test_skorokhod_zero_measure(self):
         data = standard_problem(cells=16, steps=16)
-        zero = DiscreteMeasure.zeros(data.op.grid, data.times)
+        zero = DiscreteMeasure(data.op.grid, data.times,
+                               np.zeros((data.steps, data.op.grid.n_interior)))
         assert skorokhod_defect(data.obstacle, data.obstacle, zero) == 0.0
 
 
@@ -317,25 +319,40 @@ class TestProblemData:
 
 def contact_problem():
     """A 1D problem whose projected and penalized solves touch the obstacle
-    0.5 sin(pi x) - 0.1 on some steps and not on others."""
-    x = build_grid(1, (0.0, 1.0), 16).coords[:, 0]
-    return standard_problem(cells=16, steps=32, obstacle_values=0.5 * np.sin(np.pi * x) - 0.1)
+    0.5 sin(pi x) - 0.1 on some steps and not on others, with a dominator
+    that sets f, g and h."""
+    grid, steps = build_grid(1, (0.0, 1.0), 16), 32
+    x = grid.coords[:, 0]
+    frames = (steps + 1, 1, 1)
+    dom = DominatorData(
+        initial=Field.from_function(grid, lambda c: np.sin(np.pi * c[:, 0]) + 0.3),
+        f=np.full((steps + 1, grid.n_nodes), 2.0),
+        g=np.tile((0.2 * np.sin(2 * np.pi * x))[:, None], frames),
+        h=np.tile(0.3 * np.cos(np.pi * x)[:, None] * np.array([0.8, 0.6]), frames))
+    return standard_problem(cells=16, steps=steps,
+                            obstacle_values=0.5 * np.sin(np.pi * x) - 0.1, dominator=dom)
 
 
 class TestBatch:
-    @pytest.mark.parametrize("mode", ["projected", "penalized", "unconstrained"])
+    @pytest.mark.filterwarnings("ignore:obstacle exceeds its dominator")
+    @pytest.mark.parametrize("mode", ["projected", "penalized", "unconstrained", "dominator"])
     def test_each_path_as_solved_alone(self, mode):
         data = contact_problem()
         seeds = [5, 0, 5, 2]
         noises = [sample_noise(2, data.dt, data.steps, s) for s in seeds]
+        if mode == "dominator":
+            for path, noise in zip(solve_dominators(data, noises), noises):
+                alone = solve_linear_spde(replace(data, noise=noise))
+                assert path.frames.tobytes() == alone.frames.tobytes()
+            return
         batch = solve_batch(prepare_batch(data, noises, mode, 100))
-        K = data.steps
         for s, noise in enumerate(noises):
-            alone = solve_mode(data.with_noise(noise), mode, 100)
-            assert batch.frames[s].tobytes() == alone.u.frames.tobytes()
-            assert batch.weights[s].tobytes() == alone.measure.weights.tobytes()
-            assert batch.diagnostics["iterations"][s * K:(s + 1) * K] == \
-                alone.diagnostics["iterations"]
+            alone = solve_mode(replace(data, noise=noise), mode, 100)
+            path = batch.sample(s)
+            assert path.u.frames.tobytes() == alone.u.frames.tobytes()
+            assert path.measure.weights.tobytes() == alone.measure.weights.tobytes()
+            assert path.diagnostics["iterations"] == alone.diagnostics["iterations"]
+            assert path.diagnostics["feasible_steps"] == alone.diagnostics["feasible_steps"]
 
     @pytest.mark.parametrize("mode", ["projected", "penalized"])
     def test_counters(self, monkeypatch, mode):
@@ -366,9 +383,10 @@ class TestBatch:
         found = re.match(r"step (\d+) failed for seed (\d+): active set repeated", str(info.value))
         assert found and int(found[2]) == seeds[info.value.column] == 0
         with pytest.raises(SolverError, match=rf"^step {found[1]} failed for seed 0: "):
-            solve_mode(data.with_noise(noises[2]), "projected")
+            solve_mode(replace(data, noise=noises[2]), "projected")
 
     def test_noise_must_fit(self):
         data = contact_problem()
-        with pytest.raises(ConfigurationError, match="seed 9 does not fit"):
-            prepare_batch(data, [sample_noise(3, data.dt, data.steps, 9)])
+        for prepare in (prepare_batch, solve_dominators):
+            with pytest.raises(ConfigurationError, match="seed 9 does not fit"):
+                prepare(data, [sample_noise(3, data.dt, data.steps, 9)])

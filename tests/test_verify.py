@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -115,8 +117,8 @@ class TestPositivePart:
         cs = CoefficientSet(f=f_neg, g=z.g, h=z.h, C=0.1, alpha=0.0, beta=0.0, modes=2)
         data = unconstrained_problem(cells=24, steps=32, coeffs=cs,
                                      xi_fn=lambda x: -np.sin(np.pi * x[:, 0]))
-        data = data.with_noise(NoisePath(J=2, dt=data.dt,
-                                         increments=np.zeros((2, data.steps)), seed=0))
+        data = replace(data, noise=NoisePath(J=2, dt=data.dt,
+                                             increments=np.zeros((2, data.steps)), seed=0))
         res = solve_mode(data, "unconstrained")
         assert res.u.frames.max() <= 1e-12
         rep = positive_part_residual(res, data)
@@ -130,8 +132,8 @@ class TestPositivePart:
         z = CoefficientSet.zero(2)
         cs = CoefficientSet(f=f_one, g=z.g, h=z.h, C=0.0, alpha=0.0, beta=0.0, modes=2)
         data = unconstrained_problem(cells=32, steps=64, coeffs=cs)
-        data = data.with_noise(NoisePath(J=2, dt=data.dt,
-                                         increments=np.zeros((2, data.steps)), seed=0))
+        data = replace(data, noise=NoisePath(J=2, dt=data.dt,
+                                             increments=np.zeros((2, data.steps)), seed=0))
         res = solve_mode(data, "unconstrained")
         assert res.u.frames.min() >= 0.0
         rep_pos = positive_part_residual(res, data)
@@ -157,12 +159,11 @@ class TestPositivePart:
 
 class TestEstimates:
     def test_zero_data_degenerate(self):
-        import dataclasses
         grid = build_grid(1, (0.0, 1.0), 16)
         data = standard_problem(cells=16, steps=16, coeffs=CoefficientSet.zero(2),
                                 obstacle_level=OBSTACLE_OFF,
                                 dominator=DominatorData(initial=Field.zeros(grid)))
-        data = dataclasses.replace(
+        data = replace(
             data, xi=Field.zeros(grid),
             noise=NoisePath(J=2, dt=data.dt, increments=np.zeros((2, data.steps)), seed=0))
         res = solve_mode(data, "unconstrained")
@@ -184,6 +185,18 @@ class TestEstimates:
                for t in (T / 4, T / 2, T)]
         assert lhs[0] <= lhs[1] <= lhs[2]
 
+    @pytest.mark.filterwarnings("ignore:obstacle exceeds its dominator")
+    @pytest.mark.parametrize("check", [apriori_check, positive_part_bound_check])
+    @pytest.mark.parametrize("count", [0, 2])
+    def test_dominator_count_must_match(self, check, count):
+        grid = build_grid(1, (0.0, 1.0), 16)
+        data = standard_problem(cells=16, steps=16,
+                                dominator=DominatorData(initial=Field.zeros(grid)))
+        res = solve_mode(data, "projected")
+        sprime = solve_linear_spde(data)
+        with pytest.raises(ConfigurationError, match=f"^{count} dominator path"):
+            check([res], [data], dominators=[sprime] * count)
+
     def test_positive_part_bound_nonpositive_solution(self):
         # xi <= 0, f <= 0, g0 = h0 = 0, S <= 0: the solution stays nonpositive
         def f_neg(t, x, y, z):
@@ -195,8 +208,7 @@ class TestEstimates:
         dom = DominatorData(initial=Field.zeros(grid))
         data = standard_problem(cells=24, steps=64, coeffs=cs, obstacle_level=-1.2,
                                 dominator=dom)
-        import dataclasses
-        data = dataclasses.replace(
+        data = replace(
             data, xi=Field.from_function(grid, lambda x: -np.sin(np.pi * x[:, 0])),
             noise=NoisePath(J=2, dt=data.dt, increments=np.zeros((2, data.steps)), seed=0))
         res = solve_mode(data, "projected")
@@ -271,8 +283,8 @@ class TestComparison:
         serial = []
         for seed in seeds:
             noise = sample_noise(d1.noise.J, d1.noise.dt, d1.noise.steps, seed)
-            u1 = solve_mode(d1.with_noise(noise), mode, 100).u.frames
-            u2 = solve_mode(d2.with_noise(noise), mode, 100).u.frames
+            u1 = solve_mode(replace(d1, noise=noise), mode, 100).u.frames
+            u2 = solve_mode(replace(d2, noise=noise), mode, 100).u.frames
             serial.append((u2[:, interior] - u1[:, interior]).min())
         assert np.array(rep.per_sample).tobytes() == np.array(serial).tobytes()
         assert rep.seeds == seeds and rep.min_gap == min(serial)
