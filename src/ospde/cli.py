@@ -32,7 +32,8 @@ from .config import RunConfig, load_config
 from .errors import AssumptionError, ConfigurationError, SolverError, coerce
 from .norms import FieldPath, NormToolbox, dual_sharp_upper, mixed_norm, sharp_norm
 from .persist import load_run, save_run, write_rows
-from .solver import SolveResult, prepare_batch, skorokhod_defect, solve_batch, solve_mode
+from .solver import (SolveResult, prepare_batch, skorokhod_defect, solve_batch,
+                     solve_dominators, solve_mode)
 from .verify import (apriori_check, comparison_experiment, ito_square_residual,
                      positive_part_bound_check, positive_part_residual,
                      weak_form_residual)
@@ -259,8 +260,10 @@ _CHECKS = {
     "skorokhod": lambda result, data: {
         "name": "skorokhod",
         "defect": skorokhod_defect(result.u, data.obstacle, result.measure)},
-    "apriori": lambda result, data: apriori_check(result, data).as_dict(),
-    "positive_part_bound": lambda result, data: positive_part_bound_check(result, data).as_dict(),
+    "apriori": lambda result, data: apriori_check(
+        data, [result.u], solve_dominators(data, [data.noise])).as_dict(),
+    "positive_part_bound": lambda result, data: positive_part_bound_check(
+        data, [result.u], solve_dominators(data, [data.noise])).as_dict(),
 }
 
 
@@ -304,16 +307,16 @@ def build_parser() -> argparse.ArgumentParser:
                     "measures, identity checks and parabolic capacity.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, samples=True):
+    def common(p, seeds=True):
         p.add_argument("--config", required=True, help="flat dotted-key config file")
         p.add_argument("--out", default=None, help="output directory (overrides config)")
-        p.add_argument("--seed", type=int, default=None, help="base seed override")
-        if samples:
+        if seeds:
+            p.add_argument("--seed", type=int, default=None, help="base seed override")
             p.add_argument("--samples", type=int, default=None, help="sample count override")
-        p.add_argument("--workers", type=int, default=None, help="parallel sample workers")
 
     p = sub.add_parser("simulate", help="solve and persist per-seed artifacts")
     common(p)
+    p.add_argument("--workers", type=int, default=None, help="parallel sample workers")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("penalize-sweep", help="penalization convergence table")
@@ -327,11 +330,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("capacity", help="capacity of configured space-time boxes")
-    common(p, samples=False)
+    common(p, seeds=False)
     p.set_defaults(func=cmd_capacity)
 
     p = sub.add_parser("verify", help="replay stored artifacts through the checks")
-    common(p, samples=False)
+    common(p, seeds=False)
     p.add_argument("--artifacts", required=True, help="per-sample artifact directory")
     p.set_defaults(func=cmd_verify)
     return parser

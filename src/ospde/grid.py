@@ -52,6 +52,7 @@ __all__ = [
     "node_gradient",
     "divergence",
     "gradient_sq",
+    "gradient_sq_frames",
     "sobolev_ratio",
 ]
 
@@ -456,13 +457,21 @@ def gradient_sq(grid: Grid, values: np.ndarray) -> float:
     This is the gradient notion consistent with the energy: for a = c * I
     one has energy(u, u) = c * gradient_sq(u) exactly.
     """
-    v = np.asarray(values, dtype=float).reshape(-1)
-    total = 0.0
-    for a in range(grid.dim):
-        p, q = _axis_edges(grid, a)
-        d = (v[q] - v[p]) / grid.spacing[a]
-        total += grid.cell_measure * float(d @ d)
-    return total
+    return gradient_sq_frames(grid, np.reshape(values, (1, -1)))[0]
+
+
+def gradient_sq_frames(grid: Grid, frames: np.ndarray) -> list[float]:
+    """``gradient_sq`` of every frame (m, n_nodes), each summed as alone;
+    the lattice edges are built once for all of them."""
+    edges = [_axis_edges(grid, a) for a in range(grid.dim)]
+    out = []
+    for v in np.asarray(frames, dtype=float):
+        total = 0.0
+        for (p, q), h in zip(edges, grid.spacing):
+            d = (v[q] - v[p]) / h
+            total += grid.cell_measure * float(d @ d)
+        out.append(total)
+    return out
 
 
 def sobolev_ratio(grid: Grid, u: Field, exponent_2d: float = 4.0) -> float:

@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigurationError
-from .grid import Grid, _readonly, gradient_sq, same_grid
+from .grid import Grid, _readonly, gradient_sq_frames, same_grid
 
 __all__ = [
     "FieldPath",
@@ -212,7 +212,7 @@ def pairing(u: FieldPath, v: FieldPath, t: float) -> float:
 def gradient_norm_22(path: FieldPath, t: float) -> float:
     """|grad u|_{2,2;t} by the edge-based gradient quadrature (left rule)."""
     k = path.horizon_index(t)
-    total = sum(gradient_sq(path.grid, path.frames[j]) for j in range(k))
+    total = sum(gradient_sq_frames(path.grid, path.frames[:k]))
     return float(np.sqrt(total * path.dt))
 
 

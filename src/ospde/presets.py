@@ -38,6 +38,16 @@ def mode_weights(J: int) -> np.ndarray:
     return w / np.linalg.norm(w)
 
 
+def _lookup(presets: dict, kind: str, name: str):
+    """The builder ``presets[name]``; an unknown name is a ConfigurationError
+    that names the ``kind`` and lists the known names."""
+    try:
+        return presets[name]
+    except KeyError:
+        raise ConfigurationError(
+            f"unknown {kind} '{name}'; available: {sorted(presets)}") from None
+
+
 def _reader(section: str, params: dict):
     """``p(key, default)``: the block's ``key`` (or the default) as a float;
     a value that is not one is a ConfigurationError naming ``section.key``."""
@@ -144,12 +154,7 @@ COEFFICIENT_PRESETS = {
 
 
 def make_coefficients(name: str, grid: Grid, J: int, params: dict | None = None) -> CoefficientSet:
-    try:
-        builder = COEFFICIENT_PRESETS[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown coefficient preset '{name}'; available: {sorted(COEFFICIENT_PRESETS)}")
-    return builder(grid, J, params or {})
+    return _lookup(COEFFICIENT_PRESETS, "coefficient preset", name)(grid, J, params or {})
 
 
 # -- obstacle presets ---------------------------------------------------------
@@ -180,12 +185,7 @@ OBSTACLE_PRESETS = {
 
 
 def make_obstacle(name: str, grid: Grid, times, params: dict | None = None) -> FieldPath:
-    try:
-        builder = OBSTACLE_PRESETS[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown obstacle preset '{name}'; available: {sorted(OBSTACLE_PRESETS)}")
-    return builder(grid, times, params or {})
+    return _lookup(OBSTACLE_PRESETS, "obstacle preset", name)(grid, times, params or {})
 
 
 # -- initial condition presets ------------------------------------------------
@@ -216,12 +216,7 @@ INITIAL_PRESETS = {
 
 
 def make_initial(name: str, grid: Grid, params: dict | None = None) -> Field:
-    try:
-        builder = INITIAL_PRESETS[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown initial preset '{name}'; available: {sorted(INITIAL_PRESETS)}")
-    return builder(grid, params or {})
+    return _lookup(INITIAL_PRESETS, "initial preset", name)(grid, params or {})
 
 
 # -- dominator presets --------------------------------------------------------
@@ -267,12 +262,7 @@ def make_dominator(name: str | None, grid: Grid, times, J: int, xi: Field,
                    params: dict | None = None) -> DominatorData | None:
     if name is None or name == "none":
         return None
-    try:
-        builder = DOMINATOR_PRESETS[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown dominator preset '{name}'; available: {sorted(DOMINATOR_PRESETS)}")
-    return builder(grid, times, J, xi, params or {})
+    return _lookup(DOMINATOR_PRESETS, "dominator preset", name)(grid, times, J, xi, params or {})
 
 
 # -- operator coefficient profiles -------------------------------------------
@@ -304,9 +294,4 @@ OPERATOR_PROFILES = {
 
 
 def operator_profile(name: str, grid: Grid, params: dict | None = None):
-    try:
-        builder = OPERATOR_PROFILES[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown operator profile '{name}'; available: {sorted(OPERATOR_PROFILES)}")
-    return builder(grid, params or {})
+    return _lookup(OPERATOR_PROFILES, "operator profile", name)(grid, params or {})

@@ -111,6 +111,17 @@ class ProblemData:
         if self.coeffs.modes != self.noise.J:
             raise ConfigurationError(
                 f"coefficients declare {self.coeffs.modes} noise modes, path has {self.noise.J}")
+        dom = self.dominator
+        if dom is not None:
+            if not same_grid(dom.initial.grid, grid):
+                raise ConfigurationError("dominator.initial is not on the problem's grid")
+            frames = (self.steps + 1, grid.n_nodes)
+            for name, shape in (("f", frames), ("g", frames + (grid.dim,)),
+                                ("h", frames + (self.noise.J,))):
+                value = getattr(dom, name)
+                if value is not None and np.shape(value) != shape:
+                    raise ConfigurationError(f"dominator.{name} has shape {np.shape(value)}, "
+                                             f"the problem needs {shape}")
         s0 = grid.restrict(self.obstacle.frames[0])
         gap = float((s0 - self.xi.interior()).max())
         if gap > 1e-12:

@@ -16,10 +16,12 @@ quadratic variation from realized increments -- so that
 Inner products weight interior nodes by the cell measure, matching the
 scheme's algebra; measure weights at step k pair with frames at t_{k+1}.
 
-Estimate checks replace expectations by sample means over the supplied
-realizations and report every right-hand ingredient separately together
-with the implied constant (left side over ingredient sum); the constants
-themselves are not pinned by theory, so only their stability is testable.
+Estimate checks replace expectations by sample means over S realizations
+of one problem -- its solution paths and its dominator's paths on the same
+noises, which the caller marches -- and report every right-hand ingredient
+separately together with the implied constant (left side over ingredient
+sum); the constants themselves are not pinned by theory, so only their
+stability is testable.
 """
 
 from __future__ import annotations
@@ -34,8 +36,7 @@ import numpy as np
 from .errors import AssumptionError, ConfigurationError
 from .grid import node_gradient, same_grid
 from .norms import FieldPath, NormToolbox, data_ingredients, gradient_norm_22, mixed_norm
-from .solver import (ProblemData, SolveResult, prepare_batch, solve_batch,
-                     solve_linear_spde)
+from .solver import ProblemData, SolveResult, prepare_batch, solve_batch
 from .stochastics import sample_noise
 
 __all__ = [
@@ -245,109 +246,98 @@ def positive_part_residual(result: SolveResult, data: ProblemData) -> ResidualRe
     return _square_identity_residual("positive_part", result, data, positive_part=True)
 
 
-def _as_sequences(results, datas):
-    if isinstance(results, SolveResult):
-        results = [results]
-    if isinstance(datas, ProblemData):
-        datas = [datas]
-    if len(results) != len(datas):
-        raise ConfigurationError("results and problem data counts differ")
-    return list(results), list(datas)
+def _maps_along(data: ProblemData, frames: np.ndarray):
+    """f, g and h of ``data`` at every frame of S paths (S, steps + 1, n_nodes),
+    on every node: each map runs once per time step on the S paths' nodes
+    stacked as one stack of rows."""
+    grid, coeffs = data.op.grid, data.coeffs
+    S, _, n = frames.shape
+    x = np.tile(grid.coords, (S, 1))
+    out = [np.empty(frames.shape + tail) for tail in ((), (grid.dim,), (coeffs.modes,))]
+    by_step = frames.transpose(1, 0, 2)
+    for k, (y, z) in enumerate(zip(by_step, _gradients(grid, by_step))):
+        t_k = float(data.times[k])
+        for fn, o in zip((coeffs.f, coeffs.g, coeffs.h), out):
+            o[:, k] = np.asarray(fn(t_k, x, y.reshape(-1), z.reshape(S * n, -1)),
+                                 float).reshape(o.shape[:1] + o.shape[2:])
+    return out
 
 
-def _dominator_frames(data: ProblemData):
-    grid = data.op.grid
-    zero_s = np.zeros((data.steps + 1, grid.n_nodes))
-    dom = data.dominator
-    f = dom.f if dom is not None and dom.f is not None else zero_s
-    g = dom.g if dom is not None and dom.g is not None else np.zeros(
-        (data.steps + 1, grid.n_nodes, grid.dim))
-    h = dom.h if dom is not None and dom.h is not None else np.zeros(
-        (data.steps + 1, grid.n_nodes, data.noise.J))
-    s0 = dom.initial.values if dom is not None else np.zeros(grid.n_nodes)
-    return s0, np.asarray(f, float), np.asarray(g, float), np.asarray(h, float)
+def _positive_part(ind: np.ndarray, f, g, h):
+    """f^+, g and h where ``ind`` holds and 0 elsewhere; None stays None."""
+    return (None if f is None else np.where(ind, np.maximum(f, 0.0), 0.0),
+            *(None if c is None else c * ind[..., None] for c in (g, h)))
 
 
-def _estimate(name, results, datas, t, toolbox, positive: bool,
-              dominators: Sequence[FieldPath] | None = None) -> EstimateReport:
-    results, datas = _as_sequences(results, datas)
-    if dominators is not None and len(dominators) != len(datas):
+def _estimate(name, data: ProblemData, paths: Sequence[FieldPath],
+              dominators: Sequence[FieldPath], t, positive: bool) -> EstimateReport:
+    if len(dominators) != len(paths):
         raise ConfigurationError(f"{len(dominators)} dominator path(s) for "
-                                 f"{len(datas)} problem(s)")
-    grid = datas[0].op.grid
-    if toolbox is None:
-        toolbox = NormToolbox.for_dim(grid.dim)
+                                 f"{len(paths)} solution path(s)")
+    grid, times = data.op.grid, data.times
+    toolbox = NormToolbox.for_dim(grid.dim)
     if t is None:
-        t = float(datas[0].times[-1])
+        t = float(times[-1])
+    S = len(paths)
+    sp = np.stack([path.frames for path in dominators])
+    dom = data.dominator
+    # a source the dominator lacks, or a problem without one, counts as zero
+    s0 = dom.initial.values if dom is not None else np.zeros(grid.n_nodes)
+    sources = (dom.f, dom.g, dom.h) if dom is not None else (None,) * 3
+    dom_sources = [None if c is None else np.broadcast_to(c, (S,) + np.shape(c))
+                   for c in sources]
+    shifted = [m if c is None else m - c for m, c in zip(_maps_along(data, sp), dom_sources)]
 
-    lhs_samples = []
-    ing_samples: dict[str, list[float]] = {}
-    for idx, (result, data) in enumerate(zip(results, datas)):
-        times = data.times
-        sprime = dominators[idx] if dominators is not None else solve_linear_spde(data)
-        s0, fp, gp, hp = _dominator_frames(data)
+    if positive:
+        u = np.stack([path.frames for path in paths])
+        shifted = _positive_part((u - sp) > _INDICATOR_TOL, *shifted)
+        dom_sources = _positive_part(sp > _INDICATOR_TOL, *dom_sources)
+        initial = np.maximum(data.xi.values - s0, 0.0)
+        s0 = np.maximum(s0, 0.0)
+    else:
+        initial = data.xi.values - s0
 
-        sp = sprime.frames
-        fbar = np.zeros_like(sp)
-        gbar = np.zeros((sp.shape[0], grid.n_nodes, grid.dim))
-        hbar = np.zeros((sp.shape[0], grid.n_nodes, data.noise.J))
-        for k, (y, z) in enumerate(zip(sp, _gradients(grid, sp))):
-            t_k = float(times[k])
-            fbar[k] = np.asarray(data.coeffs.f(t_k, grid.coords, y, z), float) - fp[k]
-            gbar[k] = np.asarray(data.coeffs.g(t_k, grid.coords, y, z), float) - gp[k]
-            hbar[k] = np.asarray(data.coeffs.h(t_k, grid.coords, y, z), float) - hp[k]
-
+    lhs_samples, ing_samples = [], []
+    for s, path in enumerate(paths):
         if positive:
-            ind = (result.u.frames - sp) > _INDICATOR_TOL
-            fbar = np.where(ind, np.maximum(fbar, 0.0), 0.0)
-            gbar = gbar * ind[:, :, None]
-            hbar = hbar * ind[:, :, None]
-            ind_dom = sp > _INDICATOR_TOL
-            fp = np.where(ind_dom, np.maximum(fp, 0.0), 0.0)
-            gp = gp * ind_dom[:, :, None]
-            hp = hp * ind_dom[:, :, None]
-            initial = np.maximum(data.xi.values - s0, 0.0)
-            s0 = np.maximum(s0, 0.0)
-            u_plus = FieldPath(grid, times, np.maximum(result.u.frames, 0.0))
-            lhs = mixed_norm(u_plus, 2, math.inf, t) ** 2
+            u_plus = FieldPath(grid, times, np.maximum(path.frames, 0.0))
+            lhs_samples.append(mixed_norm(u_plus, 2, math.inf, t) ** 2)
         else:
-            initial = data.xi.values - s0
-            lhs = (mixed_norm(result.u, 2, math.inf, t) ** 2
-                   + gradient_norm_22(result.u, t) ** 2)
-
-        terms = (data_ingredients(grid, times, t, initial, fbar, gbar, hbar, toolbox)
-                 + data_ingredients(grid, times, t, s0, fp, gp, hp, toolbox))
-        lhs_samples.append(lhs)
-        for key, val in zip(_INGREDIENTS, terms):
-            ing_samples.setdefault(key, []).append(val)
+            lhs_samples.append(mixed_norm(path, 2, math.inf, t) ** 2
+                               + gradient_norm_22(path, t) ** 2)
+        ing_samples.append(
+            data_ingredients(grid, times, t, initial, *(c[s] for c in shifted), toolbox)
+            + data_ingredients(grid, times, t, s0,
+                               *(None if c is None else c[s] for c in dom_sources), toolbox))
 
     lhs_mean = float(np.mean(lhs_samples))
-    lhs_stderr = float(np.std(lhs_samples) / np.sqrt(len(lhs_samples))) if len(lhs_samples) > 1 else 0.0
-    ing_mean = {k: float(np.mean(v)) for k, v in ing_samples.items()}
+    lhs_stderr = float(np.std(lhs_samples) / np.sqrt(S)) if S > 1 else 0.0
+    ing_mean = {k: float(np.mean(v)) for k, v in zip(_INGREDIENTS, zip(*ing_samples))}
     rhs = sum(ing_mean.values())
     implied = lhs_mean / rhs if rhs > 1e-30 else None
     return EstimateReport(name=name, lhs=lhs_mean, ingredients=ing_mean,
-                          implied_constant=implied, sample_count=len(lhs_samples),
+                          implied_constant=implied, sample_count=S,
                           lhs_stderr=lhs_stderr)
 
 
-def apriori_check(results, datas, t: float | None = None,
-                  toolbox: NormToolbox | None = None,
-                  dominators: Sequence[FieldPath] | None = None) -> EstimateReport:
-    """Sample-mean a priori bound: |u|_{2,inf;t}^2 + |grad u|_{2,2;t}^2
-    against the shifted data and dominator ingredients."""
-    return _estimate("apriori", results, datas, t, toolbox, positive=False,
-                     dominators=dominators)
+def apriori_check(data: ProblemData, paths: Sequence[FieldPath],
+                  dominators: Sequence[FieldPath], t: float | None = None) -> EstimateReport:
+    """Sample-mean a priori bound over S realizations of one problem:
+    |u|_{2,inf;t}^2 + |grad u|_{2,2;t}^2 against the shifted data and
+    dominator ingredients.  ``paths`` are the S solution paths and
+    ``dominators`` the S dominator paths on the same noises
+    (``solve_dominators``)."""
+    return _estimate("apriori", data, paths, dominators, t, positive=False)
 
 
-def positive_part_bound_check(results, datas, t: float | None = None,
-                              toolbox: NormToolbox | None = None,
-                              dominators: Sequence[FieldPath] | None = None) -> EstimateReport:
-    """Sample-mean positive-part bound: |u^+|_{2,inf;t}^2 against
-    indicator-restricted shifted data and the dominator's positive-part
-    ingredients."""
-    return _estimate("positive_part_bound", results, datas, t, toolbox, positive=True,
-                     dominators=dominators)
+def positive_part_bound_check(data: ProblemData, paths: Sequence[FieldPath],
+                              dominators: Sequence[FieldPath],
+                              t: float | None = None) -> EstimateReport:
+    """Sample-mean positive-part bound over S realizations of one problem:
+    |u^+|_{2,inf;t}^2 against indicator-restricted shifted data and the
+    dominator's positive-part ingredients; arguments as in
+    ``apriori_check``."""
+    return _estimate("positive_part_bound", data, paths, dominators, t, positive=True)
 
 
 @dataclass

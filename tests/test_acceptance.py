@@ -211,19 +211,17 @@ def test_criterion_8_estimate_stability():
             f=np.full((steps + 1, grid.n_nodes), 2.0))
         data = standard_problem(cells=cells, steps=steps, dominator=dom, noise=noises[0])
         solved = solve_batch(prepare_batch(data, noises, "projected"))
-        results = [solved.sample(s) for s in range(len(noises))]
-        datas = [replace(data, noise=noise) for noise in noises]
+        paths = [solved.sample(s).u for s in range(len(noises))]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # domination fails near the boundary
             doms = solve_dominators(data, noises)
-        return results, datas, doms
+        return data, paths, doms
 
     k, kp = {}, {}
     for cells, steps in ((CELLS, STEPS), (2 * CELLS, 2 * STEPS)):
-        results, datas, doms = batch(cells, steps)
-        k[cells] = apriori_check(results, datas, dominators=doms).implied_constant
-        kp[cells] = positive_part_bound_check(results, datas,
-                                              dominators=doms).implied_constant
+        data, paths, doms = batch(cells, steps)
+        k[cells] = apriori_check(data, paths, doms).implied_constant
+        kp[cells] = positive_part_bound_check(data, paths, doms).implied_constant
     r_apriori = k[CELLS] / k[2 * CELLS]
     r_pospart = kp[CELLS] / kp[2 * CELLS]
     ok = 0.5 <= r_apriori <= 2.0 and 0.5 <= r_pospart <= 2.0

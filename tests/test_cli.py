@@ -12,6 +12,7 @@ from ospde.cli import main
 from ospde.config import RunConfig, load_config, parse_config_text
 from ospde.errors import ConfigurationError
 from ospde.persist import load_run
+from ospde.verify import apriori_check, positive_part_bound_check
 
 BASE = """
 grid.dim = 1
@@ -461,3 +462,47 @@ class TestSubcommands:
                      "--artifacts", str(out / "sample_000_seed_41")])
         assert code == 2
         assert json.loads((out / "error.json").read_text())["stage"] == "config-error"
+
+    ESTIMATES = 'verify.checks = ["apriori", "positive_part_bound"]'
+
+    @pytest.mark.filterwarnings("ignore:obstacle exceeds its dominator")
+    def test_verify_estimates_match_a_direct_call(self, tmp_path):
+        text = BASE.replace('verify.checks = ["ito_square", "skorokhod"]',
+                            self.ESTIMATES + "\ndominator.preset = noisy")
+        cfg_path = write_cfg(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
+        sample = out / "sample_000_seed_41"
+        assert main(["verify", "--config", str(cfg_path), "--artifacts", str(sample)]) == 0
+        report = json.loads((sample / "verify_report.json").read_text())["checks"]
+
+        cfg = load_config(cfg_path)
+        grid = cfg.make_grid()
+        u, _, _ = load_run(sample, grid, expected_hash=cfg.hash)
+        data = cfg.build_problem(41, grid=grid)
+        doms = ospde.solver.solve_dominators(data, [data.noise])
+        for check in (apriori_check, positive_part_bound_check):
+            direct = json.loads(json.dumps(check(data, [u], doms).as_dict()))
+            assert report[direct["name"]] == direct
+
+    def test_verify_estimates_without_dominator_are_config_error(self, tmp_path):
+        text = BASE.replace('verify.checks = ["ito_square", "skorokhod"]', self.ESTIMATES)
+        cfg = write_cfg(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        code = main(["verify", "--config", str(cfg), "--out", str(out),
+                     "--artifacts", str(out / "sample_000_seed_41")])
+        assert code == 2
+        err = json.loads((out / "error.json").read_text())
+        assert err["stage"] == "config-error" and "dominator" in err["error"]
+
+    @pytest.mark.parametrize("command, flag", [
+        ("penalize-sweep", "--workers"), ("compare", "--workers"), ("capacity", "--workers"),
+        ("verify", "--workers"), ("capacity", "--seed"), ("verify", "--seed")])
+    def test_flag_the_command_ignores_is_refused(self, tmp_path, capsys, command, flag):
+        cfg = str(write_cfg(tmp_path, BASE))
+        extra = {"compare": ["--config2", cfg], "verify": ["--artifacts", str(tmp_path)]}
+        with pytest.raises(SystemExit) as info:
+            main([command, "--config", cfg, *extra.get(command, []), flag, "3"])
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err

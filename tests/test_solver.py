@@ -316,6 +316,20 @@ class TestProblemData:
         with pytest.warns(UserWarning, match="dominator"):
             solve_linear_spde(data)
 
+    @pytest.mark.parametrize("field, shape", [("f", (32, 17)), ("g", (33, 17, 2)),
+                                              ("h", (33, 17, 3))])
+    def test_dominator_source_that_does_not_fit_rejected(self, field, shape):
+        # 32 steps, 17 nodes, 1 axis, 2 noise modes: each source needs (33, 17, ...)
+        grid = build_grid(1, (0.0, 1.0), 16)
+        dom = DominatorData(initial=Field.zeros(grid), **{field: np.ones(shape)})
+        with pytest.raises(ConfigurationError, match=rf"^dominator\.{field} has shape"):
+            standard_problem(cells=16, steps=32, dominator=dom)
+
+    def test_dominator_initial_off_the_grid_rejected(self):
+        dom = DominatorData(initial=Field.zeros(build_grid(1, (0.0, 1.0), 8)))
+        with pytest.raises(ConfigurationError, match=r"^dominator\.initial "):
+            standard_problem(cells=16, steps=32, dominator=dom)
+
 
 def contact_problem():
     """A 1D problem whose projected and penalized solves touch the obstacle

@@ -9,7 +9,8 @@ from conftest import (mix_coeffs, refine_noise, signed_coeffs, standard_problem,
 import ospde.solver
 from ospde.errors import AssumptionError, ConfigurationError
 from ospde.grid import Field, build_grid
-from ospde.solver import OBSTACLE_OFF, DominatorData, solve_linear_spde, solve_mode
+from ospde.solver import (OBSTACLE_OFF, DominatorData, prepare_batch, solve_batch,
+                          solve_dominators, solve_linear_spde, solve_mode)
 from ospde.stochastics import CoefficientSet, NoisePath, sample_noise
 from ospde.verify import (apriori_check, comparison_experiment, ito_square_residual,
                           positive_part_bound_check, positive_part_residual,
@@ -167,7 +168,7 @@ class TestEstimates:
             data, xi=Field.zeros(grid),
             noise=NoisePath(J=2, dt=data.dt, increments=np.zeros((2, data.steps)), seed=0))
         res = solve_mode(data, "unconstrained")
-        rep = apriori_check(res, data)
+        rep = apriori_check(data, [res.u], solve_dominators(data, [data.noise]))
         assert rep.lhs == 0.0
         assert rep.implied_constant is None
 
@@ -181,7 +182,7 @@ class TestEstimates:
         res = solve_mode(data, "projected")
         sprime = solve_linear_spde(data)
         T = float(data.times[-1])
-        lhs = [apriori_check(res, data, t=t, dominators=[sprime]).lhs
+        lhs = [apriori_check(data, [res.u], [sprime], t=t).lhs
                for t in (T / 4, T / 2, T)]
         assert lhs[0] <= lhs[1] <= lhs[2]
 
@@ -195,7 +196,7 @@ class TestEstimates:
         res = solve_mode(data, "projected")
         sprime = solve_linear_spde(data)
         with pytest.raises(ConfigurationError, match=f"^{count} dominator path"):
-            check([res], [data], dominators=[sprime] * count)
+            check(data, [res.u], [sprime] * count)
 
     def test_positive_part_bound_nonpositive_solution(self):
         # xi <= 0, f <= 0, g0 = h0 = 0, S <= 0: the solution stays nonpositive
@@ -213,7 +214,7 @@ class TestEstimates:
             noise=NoisePath(J=2, dt=data.dt, increments=np.zeros((2, data.steps)), seed=0))
         res = solve_mode(data, "projected")
         assert res.u.frames.max() <= 1e-12
-        rep = positive_part_bound_check(res, data)
+        rep = positive_part_bound_check(data, [res.u], solve_dominators(data, [data.noise]))
         assert rep.lhs <= 1e-12
         # u <= S' = 0 everywhere: every indicator-restricted ingredient vanishes
         for key, val in rep.ingredients.items():
@@ -227,9 +228,27 @@ class TestEstimates:
             f=np.full((65, grid.n_nodes), 2.0))
         data = standard_problem(cells=24, steps=64, dominator=dom)
         res = solve_mode(data, "projected")
-        rep = positive_part_bound_check(res, data)
+        rep = positive_part_bound_check(data, [res.u], solve_dominators(data, [data.noise]))
         assert rep.lhs > 0
         assert rep.implied_constant is not None and rep.implied_constant > 0
+
+    @pytest.mark.filterwarnings("ignore:obstacle exceeds its dominator")
+    @pytest.mark.parametrize("check", [apriori_check, positive_part_bound_check])
+    def test_batch_is_the_mean_of_single_paths(self, check):
+        grid = build_grid(1, (0.0, 1.0), 16)
+        data = standard_problem(cells=16, steps=32, dominator=_dominators(grid, 32)["full"])
+        noises = [sample_noise(2, data.dt, data.steps, s) for s in (5, 0, 2)]
+        solved = solve_batch(prepare_batch(data, noises, "projected"))
+        paths = [solved.sample(s).u for s in range(len(noises))]
+        doms = solve_dominators(data, noises)
+        batch = check(data, paths, doms)
+        alone = [check(data, [path], [dom]) for path, dom in zip(paths, doms)]
+        lhs = [rep.lhs for rep in alone]
+        assert batch.sample_count == 3
+        assert batch.lhs == np.mean(lhs)
+        assert batch.lhs_stderr == np.std(lhs) / np.sqrt(3)
+        assert batch.ingredients == {key: np.mean([rep.ingredients[key] for rep in alone])
+                                     for key in batch.ingredients}
 
 
 def contact_pair():
@@ -423,7 +442,8 @@ def test_estimates_are_pinned_bit_for_bit(case):
     result = solve_mode(data, "projected")
     diagnostics = {}
     solve_linear_spde(data, diagnostics=diagnostics)
-    got = {"apriori": apriori_check(result, data).as_dict(),
-           "positive_part_bound": positive_part_bound_check(result, data).as_dict(),
+    doms = solve_dominators(data, [data.noise])
+    got = {"apriori": apriori_check(data, [result.u], doms).as_dict(),
+           "positive_part_bound": positive_part_bound_check(data, [result.u], doms).as_dict(),
            "diagnostics": diagnostics}
     assert dict(_float_hex("", got)) == PINNED_ESTIMATES[case]
