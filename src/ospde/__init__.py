@@ -10,11 +10,11 @@ facts of the underlying theory.
 from .errors import AssumptionError, ConfigurationError, SolverError
 from .grid import (EllipticOperator, Field, Grid, assemble_operator, build_grid,
                    divergence, energy, gradient_sq, node_gradient, sobolev_ratio)
-from .norms import (FieldPath, NormToolbox, data_ingredients, dual_sharp_upper,
-                    gradient_norm_22, mixed_norm, pairing, sharp_norm)
+from .norms import (FieldPath, data_ingredients, dual_sharp_upper, gradient_norm_22,
+                    mixed_norm, pairing, sharp_norm)
 from .solver import (OBSTACLE_OFF, BatchResult, DiscreteMeasure, DominatorData, ProblemData,
                      SolveResult, prepare_batch, skorokhod_defect, solve_batch,
-                     solve_dominators, solve_linear_spde, solve_mode)
+                     solve_dominators, solve_mode)
 from .stochastics import CoefficientSet, NoisePath, sample_noise, validate_assumptions
 from .verify import (ComparisonReport, EstimateReport, ResidualReport, apriori_check,
                      comparison_experiment, ito_square_residual,

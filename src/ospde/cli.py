@@ -30,7 +30,7 @@ import numpy as np
 from .capacity import box_set, capacity as compute_capacity
 from .config import RunConfig, load_config
 from .errors import AssumptionError, ConfigurationError, SolverError, coerce
-from .norms import FieldPath, NormToolbox, dual_sharp_upper, mixed_norm, sharp_norm
+from .norms import FieldPath, dual_sharp_upper, mixed_norm, sharp_norm
 from .persist import load_run, save_run, write_rows
 from .solver import (SolveResult, prepare_batch, skorokhod_defect, solve_batch,
                      solve_dominators, solve_mode)
@@ -74,13 +74,12 @@ def _run_one_sample(raw_cfg: dict, seed: int, out_dir: str) -> dict:
     result = solve_mode(data, cfg.solver_mode, cfg.penalty_n)
     defect = skorokhod_defect(result.u, data.obstacle, result.measure)
     T = float(data.times[-1])
-    toolbox = NormToolbox.for_dim(grid.dim)
     sup_norm = mixed_norm(result.u, 2, math.inf, T)
     norms = [("mixed", 2, "inf", T, sup_norm),
              ("mixed", 2, 2, T, mixed_norm(result.u, 2, 2, T)),
              ("mixed", 2, 1, T, mixed_norm(result.u, 2, 1, T)),
-             ("sharp", "", "", T, sharp_norm(result.u, T, toolbox)),
-             ("dual_sharp_upper", "", "", T, dual_sharp_upper(result.u, T, toolbox))]
+             ("sharp", "", "", T, sharp_norm(result.u, T)),
+             ("dual_sharp_upper", "", "", T, dual_sharp_upper(result.u, T))]
     meta = save_run(out_dir, result, config_hash=cfg.hash, seed=seed, grid=grid,
                     solver_mode=cfg.solver_mode,
                     penalty_n=result.diagnostics.get("penalty_level"),
@@ -121,7 +120,13 @@ def cmd_simulate(args, cfg: RunConfig, out: Path) -> int:
 
     jobs = [(cfg.raw, seed, str(out / f"sample_{i:03d}_seed_{seed}"))
             for i, seed in enumerate(seeds)]
-    workers = args.workers or coerce(int, "output.workers", cfg.block("output").get("workers", 1))
+    if args.workers is not None:
+        key, workers = "--workers", args.workers
+    else:
+        key, workers = "output.workers", coerce(int, "output.workers",
+                                                cfg.block("output").get("workers", 1))
+    if workers < 1:
+        raise StageError("config-error", f"{key} = {workers} must be at least 1")
     if workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_run_one_sample, *zip(*jobs)))
@@ -139,9 +144,14 @@ def cmd_simulate(args, cfg: RunConfig, out: Path) -> int:
 
 def cmd_penalize_sweep(args, cfg: RunConfig, out: Path) -> int:
     out.mkdir(parents=True, exist_ok=True)
-    levels = ([coerce(int, "--n-values", v) for v in args.n_values.split(",")] if args.n_values
-              else [coerce(int, "solver.sweep_n", v)
-                    for v in cfg.block("solver").get("sweep_n", [10, 100, 1000, 10000])])
+    if args.n_values:
+        levels = [coerce(int, "--n-values", v) for v in args.n_values.split(",")]
+    else:
+        sweep = cfg.block("solver").get("sweep_n", [10, 100, 1000, 10000])
+        if not isinstance(sweep, list) or not sweep:
+            raise StageError("config-error",
+                             f"solver.sweep_n = {sweep!r} is not a non-empty list")
+        levels = [coerce(int, "solver.sweep_n", v) for v in sweep]
     seeds = cfg.sample_seeds(args.seed, args.samples)
     grid = cfg.make_grid()
     data = cfg.build_problem(seeds[0], grid=grid)
@@ -249,22 +259,24 @@ def _default_test_function(grid):
     return phi
 
 
-# Check name -> report of a stored run.  Each entry looks its check function
-# up among this module's globals when it runs, so a wrapper set there (a
-# tracer, a test's monkeypatch) sees the call.
+# Check name -> report of a stored run, given the sample's dominator paths
+# (None unless a check of _DOMINATOR_CHECKS runs).  Each entry looks its
+# check function up among this module's globals when it runs, so a wrapper
+# set there (a tracer, a test's monkeypatch) sees the call.
 _CHECKS = {
-    "weak_form": lambda result, data: weak_form_residual(
+    "weak_form": lambda result, data, doms: weak_form_residual(
         result, data, _default_test_function(data.op.grid)).as_dict(),
-    "ito_square": lambda result, data: ito_square_residual(result, data).as_dict(),
-    "positive_part": lambda result, data: positive_part_residual(result, data).as_dict(),
-    "skorokhod": lambda result, data: {
+    "ito_square": lambda result, data, doms: ito_square_residual(result, data).as_dict(),
+    "positive_part": lambda result, data, doms: positive_part_residual(result, data).as_dict(),
+    "skorokhod": lambda result, data, doms: {
         "name": "skorokhod",
         "defect": skorokhod_defect(result.u, data.obstacle, result.measure)},
-    "apriori": lambda result, data: apriori_check(
-        data, [result.u], solve_dominators(data, [data.noise])).as_dict(),
-    "positive_part_bound": lambda result, data: positive_part_bound_check(
-        data, [result.u], solve_dominators(data, [data.noise])).as_dict(),
+    "apriori": lambda result, data, doms: apriori_check(data, [result.u], doms).as_dict(),
+    "positive_part_bound": lambda result, data, doms: positive_part_bound_check(
+        data, [result.u], doms).as_dict(),
 }
+# The checks that read the dominator, which one verify marches once.
+_DOMINATOR_CHECKS = {"apriori", "positive_part_bound"}
 
 
 def cmd_verify(args, cfg: RunConfig, out: Path) -> int:
@@ -281,11 +293,16 @@ def cmd_verify(args, cfg: RunConfig, out: Path) -> int:
     result = SolveResult(u=u, measure=measure, diagnostics={})
 
     checks = cfg.block("verify").get("checks", ["ito_square", "skorokhod"])
-    unknown = [c for c in checks if c not in _CHECKS]
+    if not isinstance(checks, list):
+        raise StageError("config-error", f"verify.checks = {checks!r} is not a list; "
+                                         f"available: {list(_CHECKS)}")
+    unknown = [c for c in checks if not isinstance(c, str) or c not in _CHECKS]
     if unknown:
         raise StageError("config-error", f"unknown verify checks {unknown}; "
                                          f"available: {list(_CHECKS)}")
-    reports = {check: _CHECKS[check](result, data) for check in checks}
+    doms = (solve_dominators(data, [data.noise]) if _DOMINATOR_CHECKS.intersection(checks)
+            else None)
+    reports = {check: _CHECKS[check](result, data, doms) for check in checks}
 
     with open(art / "verify_report.json", "w", encoding="utf-8") as fh:
         json.dump({"config_hash": cfg.hash, "seed": meta["seed"],

@@ -48,13 +48,23 @@ __all__ = [
     "same_grid",
     "assemble_operator",
     "energy",
-    "energy_values",
     "node_gradient",
     "divergence",
     "gradient_sq",
     "gradient_sq_frames",
     "sobolev_ratio",
+    "SHARP_CONVENTION",
 ]
+
+# The dimension convention of the #-norm max(|u|_{2,inf}, |u|_{2*,2}): per
+# grid dimension, the Sobolev exponent 2* and the dual-pair family that
+# bounds the dual #-norm from above.  The pairs are the conjugates of
+# (2, inf), of (2*, 2) and of their midpoint interpolation pair, so (2, 1)
+# is always a member.
+SHARP_CONVENTION = {
+    1: (np.inf, ((2.0, 1.0), (1.0, 2.0), (4 / 3, 4 / 3))),
+    2: (4.0, ((2.0, 1.0), (4 / 3, 2.0), (1.6, 4 / 3))),
+}
 
 
 def same_grid(a: "Grid", b: "Grid") -> bool:
@@ -401,12 +411,6 @@ def energy(op: EllipticOperator, u: Field, v: Field) -> float:
     return float(op.grid.cell_measure * (u.interior() @ (op.stiffness @ v.interior())))
 
 
-def energy_values(op: EllipticOperator, values: np.ndarray) -> float:
-    """E(u, u) for a full-node array (boundary entries ignored)."""
-    ui = op.grid.restrict(values)
-    return float(op.grid.cell_measure * (ui @ (op.stiffness @ ui)))
-
-
 # -- discrete gradients -------------------------------------------------------
 
 
@@ -474,18 +478,16 @@ def gradient_sq_frames(grid: Grid, frames: np.ndarray) -> list[float]:
     return out
 
 
-def sobolev_ratio(grid: Grid, u: Field, exponent_2d: float = 4.0) -> float:
-    """|u|_{2*} / |grad u|_2 with 2* = inf for d=1 and a configured finite
-    exponent for d=2 (default 4)."""
+def sobolev_ratio(grid: Grid, u: Field) -> float:
+    """|u|_{2*} / |grad u|_2 with the exponent 2* of ``SHARP_CONVENTION``:
+    inf for d=1, 4 for d=2."""
     vals = u.values
     if not np.any(vals):
         raise ConfigurationError("sobolev_ratio undefined for the zero field")
     den = np.sqrt(gradient_sq(grid, vals))
-    if grid.dim == 1:
+    p = SHARP_CONVENTION[grid.dim][0]
+    if p == np.inf:
         num = float(np.abs(vals).max())
     else:
-        p = float(exponent_2d)
-        if not (2.0 < p < np.inf):
-            raise ConfigurationError(f"d=2 Sobolev exponent must lie in (2, inf), got {p}")
         num = float((grid.quad_weights @ np.abs(vals) ** p) ** (1.0 / p))
     return num / den

@@ -13,12 +13,14 @@ weights, so constants integrate to the domain volume exactly.  Frames are
 arbitrary sampled functions -- data paths such as zero-point coefficients
 need not vanish on the boundary, unlike solution fields.
 
-The #-norm is max(|u|_{2,inf;t}, |u|_{2*,2;t}) with the dimension
-convention 2* = inf for d = 1.  Its dual lives in an algebraic-sum space;
-the exact dual norm is an infimum over decompositions, which we bound from
-above by the minimum over a fixed family of conjugate-pair norms
-(always including (2, 1), so the sqrt(t) * |v|_{2,2;t} bound holds).
-Every downstream estimate uses the dual norm on the large side of an
+The #-norm is max(|u|_{2,inf;t}, |u|_{2*,2;t}); 2* depends on the
+dimension alone (inf for d = 1, 4 for d = 2), as ``grid.SHARP_CONVENTION``
+records, and ``sharp_norm`` reads it from the path's grid.  Its dual lives
+in an algebraic-sum space; the exact dual norm is an infimum over
+decompositions, which ``dual_sharp_upper`` bounds from above by the minimum
+over the dimension's fixed family of conjugate-pair norms (always
+including (2, 1), so the sqrt(t) * |v|_{2,2;t} bound holds).  Every
+downstream estimate uses the dual norm on the large side of an
 inequality, so an upper bound keeps all inequalities valid; reported
 values are upper bounds, not the infimum.
 """
@@ -32,11 +34,10 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigurationError
-from .grid import Grid, _readonly, gradient_sq_frames, same_grid
+from .grid import SHARP_CONVENTION, Grid, _readonly, gradient_sq_frames, same_grid
 
 __all__ = [
     "FieldPath",
-    "NormToolbox",
     "mixed_norm",
     "sharp_norm",
     "dual_sharp_upper",
@@ -107,61 +108,6 @@ class FieldPath:
         return cls(grid, times, np.tile(base, (times.size, 1)))
 
 
-def _conjugate(p: float) -> float:
-    if p == 1:
-        return math.inf
-    if p == math.inf:
-        return 1.0
-    return p / (p - 1.0)
-
-
-@dataclass(frozen=True)
-class NormToolbox:
-    """Dimension conventions for the #-norm and its dual upper bound.
-
-    ``dual_pairs`` are conjugates of pairs interpolating between (2, inf)
-    and (2*, 2); the pair (2, 1) is always a member.
-    """
-
-    sobolev_exponent: float
-    c1: float
-    dual_pairs: tuple[tuple[float, float], ...]
-
-    def __post_init__(self):
-        if (2.0, 1.0) not in self.dual_pairs:
-            raise ConfigurationError("dual pair family must contain (2, 1)")
-        for p, q in self.dual_pairs:
-            # conjugate pair must interpolate the (2, inf) -- (2*, 2) segment
-            pc, qc = _conjugate(p), _conjugate(q)
-            rho = 1.0 if qc == math.inf else 1.0 - 2.0 / qc
-            inv_p_expected = rho / 2.0 + (1 - rho) / self.sobolev_exponent
-            if not (0.0 - 1e-12 <= rho <= 1.0 + 1e-12):
-                raise ConfigurationError(f"dual pair ({p}, {q}) is not conjugate to an "
-                                         "interpolation pair")
-            if abs((0.0 if pc == math.inf else 1.0 / pc) - inv_p_expected) > 1e-12:
-                raise ConfigurationError(f"dual pair ({p}, {q}) is not conjugate to an "
-                                         "interpolation pair")
-
-    @classmethod
-    def for_dim(cls, dim: int, exponent_2d: float = 4.0, c_sobolev: float | None = None) -> "NormToolbox":
-        if dim == 1:
-            two_star = math.inf
-            c_s = 0.5 if c_sobolev is None else c_sobolev
-        elif dim == 2:
-            two_star = float(exponent_2d)
-            c_s = 1.0 if c_sobolev is None else c_sobolev
-        else:
-            raise ConfigurationError(f"unsupported dimension {dim}")
-        p2c = _conjugate(two_star)           # conjugate of 2*; equals 1 for d=1
-        pairs = [(2.0, 1.0), (p2c, 2.0)]
-        # midpoint interpolation (rho = 1/2) of the conjugate segment
-        inv_p = 0.5 * (0.5 + (0.0 if p2c == math.inf else 1.0 / p2c))
-        inv_q = 0.5 * (1.0 + 0.5)
-        pairs.append((1.0 / inv_p, 1.0 / inv_q))
-        return cls(sobolev_exponent=two_star, c1=max(c_s, 1.0),
-                   dual_pairs=tuple(pairs))
-
-
 def _spatial_norms(path: FieldPath, p: float) -> np.ndarray:
     """Weighted L^p norm of every frame."""
     f = path.frames
@@ -184,16 +130,18 @@ def mixed_norm(path: FieldPath, p: float, q: float, t: float) -> float:
     return float((np.sum(s[:k] ** q) * path.dt) ** (1.0 / q))
 
 
-def sharp_norm(path: FieldPath, t: float, toolbox: NormToolbox) -> float:
-    """max(|u|_{2,inf;t}, |u|_{2*,2;t})."""
+def sharp_norm(path: FieldPath, t: float) -> float:
+    """max(|u|_{2,inf;t}, |u|_{2*,2;t}), with 2* of the path's dimension."""
+    two_star = SHARP_CONVENTION[path.grid.dim][0]
     return max(mixed_norm(path, 2, math.inf, t),
-               mixed_norm(path, toolbox.sobolev_exponent, 2, t))
+               mixed_norm(path, two_star, 2, t))
 
 
-def dual_sharp_upper(path: FieldPath, t: float, toolbox: NormToolbox) -> float:
+def dual_sharp_upper(path: FieldPath, t: float) -> float:
     """Certified upper bound on the dual #-norm: min over the conjugate-pair
-    family of single-space mixed norms."""
-    return min(mixed_norm(path, p, q, t) for p, q in toolbox.dual_pairs)
+    family of the path's dimension of single-space mixed norms."""
+    pairs = SHARP_CONVENTION[path.grid.dim][1]
+    return min(mixed_norm(path, p, q, t) for p, q in pairs)
 
 
 def pairing(u: FieldPath, v: FieldPath, t: float) -> float:
@@ -226,8 +174,8 @@ def magnitude_path(grid: Grid, times, components: np.ndarray) -> FieldPath:
                      np.sqrt(np.sum(comp * comp, axis=2)))
 
 
-def data_ingredients(grid: Grid, times, t: float, initial: np.ndarray, f, g, h,
-                     toolbox: NormToolbox) -> tuple[float, float, float, float]:
+def data_ingredients(grid: Grid, times, t: float, initial: np.ndarray,
+                     f, g, h) -> tuple[float, float, float, float]:
     """The four terms of the paper's integrability condition on the data:
     |initial|_2^2, (dual#(f))^2, |g|_{2,2;t}^2 and |h|_{2,2;t}^2.
 
@@ -235,7 +183,7 @@ def data_ingredients(grid: Grid, times, t: float, initial: np.ndarray, f, g, h,
     mode-valued frames (K+1, n_nodes, m) measured by their pointwise
     magnitude.  A source given as None contributes 0.0.
     """
-    f_sq = 0.0 if f is None else dual_sharp_upper(FieldPath(grid, times, f), t, toolbox) ** 2
+    f_sq = 0.0 if f is None else dual_sharp_upper(FieldPath(grid, times, f), t) ** 2
     g_sq, h_sq = (0.0 if c is None else mixed_norm(magnitude_path(grid, times, c), 2, 2, t) ** 2
                   for c in (g, h))
     return float(grid.quad_weights @ initial ** 2), f_sq, g_sq, h_sq

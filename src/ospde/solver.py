@@ -28,9 +28,10 @@ over time steps: it advances a batch of noise paths with stacked states,
 sharing the step factorization and each step's source evaluation and
 obstacle solve.  ``prepare_batch`` makes a problem's batch, whose sources
 are the coefficient maps, and runs the hypotheses gate.
-``solve_dominators`` marches the dominating linear SPDE (the bound S' on
-the obstacle), whose sources are the dominator's sampled paths, ungated
-and unconstrained.  A single solve, ``solve_mode``, is a batch of one.
+``solve_dominators`` is the one entry point to the dominating linear SPDE
+(the bound S' on the obstacle), whose sources are the dominator's sampled
+paths, ungated and unconstrained; one path is a list of one noise.  A
+single solve, ``solve_mode``, is a batch of one.
 Either way each path's numbers are those of marching it alone, bit for bit.
 
 Measure weights are densities per unit space-time volume: total mass is
@@ -50,10 +51,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import AssumptionError, ConfigurationError, SolverError
-from .grid import (EllipticOperator, Field, _readonly, divergence, energy_values,
-                   node_gradient, same_grid)
+from .grid import EllipticOperator, Field, _readonly, divergence, node_gradient, same_grid
 from .lcp import StepMatrix, psor
-from .norms import FieldPath, NormToolbox, data_ingredients
+from .norms import FieldPath
 from .stochastics import CoefficientSet, NoisePath, validate_assumptions
 
 __all__ = [
@@ -63,7 +63,6 @@ __all__ = [
     "SolveResult",
     "Batch",
     "BatchResult",
-    "solve_linear_spde",
     "solve_dominators",
     "solve_mode",
     "prepare_batch",
@@ -212,39 +211,11 @@ def _require_assumptions(data: ProblemData) -> None:
                               + report.summary())
 
 
-def solve_linear_spde(data: ProblemData, diagnostics: dict | None = None) -> FieldPath:
-    """Drive the dominating linear SPDE from its own data on the shared noise:
-    ``solve_dominators`` on the one path ``data.noise``.
-
-    When a ``diagnostics`` dict is supplied it receives the energy/data
-    ratio of the a priori bound for this realization.
-    """
-    path = solve_dominators(data, [data.noise])[0]
-    if diagnostics is not None:
-        dom = data.dominator
-        grid = data.op.grid
-        times = data.times
-        frames = path.frames
-        T = float(times[-1])
-        toolbox = NormToolbox.for_dim(grid.dim)
-        w = grid.quad_weights
-        sup_sq = float(max(np.sum(w * fr * fr) for fr in frames))
-        en = sum(energy_values(data.op, frames[k + 1]) for k in range(data.steps)) * data.dt
-        xi_sq, f_sq, g_sq, h_sq = data_ingredients(grid, times, T, dom.initial.values,
-                                                   dom.f, dom.g, dom.h, toolbox)
-        data_sq = xi_sq + f_sq + g_sq + h_sq
-        diagnostics["sup_sq"] = sup_sq
-        diagnostics["energy_integral"] = en
-        diagnostics["data_sq"] = data_sq
-        diagnostics["ratio"] = (sup_sq + en) / data_sq if data_sq > 0 else float("nan")
-    return path
-
-
 def solve_dominators(data: ProblemData, noises: Sequence[NoisePath]) -> list[FieldPath]:
-    """The dominating linear SPDE of ``data`` on every path of ``noises``,
-    marched as one batch; path s is bit for bit that of
-    ``solve_linear_spde`` on noise s.  Warns once if the obstacle exceeds
-    the dominator on any path."""
+    """The dominating linear SPDE of ``data``, driven by its own data on
+    every path of ``noises`` and marched as one batch; path s is bit for
+    bit that of marching noise s alone, ``solve_dominators(data, [noise])``.
+    Warns once if the obstacle exceeds the dominator on any path."""
     batch = solve_batch(_dominator_batch(data, noises))
     grid = data.op.grid
     gap = (data.obstacle.frames[None, :, grid.interior]

@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import AssumptionError, ConfigurationError
 from .grid import node_gradient, same_grid
-from .norms import FieldPath, NormToolbox, data_ingredients, gradient_norm_22, mixed_norm
+from .norms import FieldPath, data_ingredients, gradient_norm_22, mixed_norm
 from .solver import ProblemData, SolveResult, prepare_batch, solve_batch
 from .stochastics import sample_noise
 
@@ -275,7 +275,6 @@ def _estimate(name, data: ProblemData, paths: Sequence[FieldPath],
         raise ConfigurationError(f"{len(dominators)} dominator path(s) for "
                                  f"{len(paths)} solution path(s)")
     grid, times = data.op.grid, data.times
-    toolbox = NormToolbox.for_dim(grid.dim)
     if t is None:
         t = float(times[-1])
     S = len(paths)
@@ -306,9 +305,9 @@ def _estimate(name, data: ProblemData, paths: Sequence[FieldPath],
             lhs_samples.append(mixed_norm(path, 2, math.inf, t) ** 2
                                + gradient_norm_22(path, t) ** 2)
         ing_samples.append(
-            data_ingredients(grid, times, t, initial, *(c[s] for c in shifted), toolbox)
+            data_ingredients(grid, times, t, initial, *(c[s] for c in shifted))
             + data_ingredients(grid, times, t, s0,
-                               *(None if c is None else c[s] for c in dom_sources), toolbox))
+                               *(None if c is None else c[s] for c in dom_sources)))
 
     lhs_mean = float(np.mean(lhs_samples))
     lhs_stderr = float(np.std(lhs_samples) / np.sqrt(S)) if S > 1 else 0.0

@@ -4,8 +4,8 @@ solves, identity closure, and the d=2 norm conventions."""
 import numpy as np
 import pytest
 
-from ospde.grid import Field, assemble_operator, build_grid
-from ospde.norms import FieldPath, NormToolbox
+from ospde.grid import SHARP_CONVENTION, Field, assemble_operator, build_grid
+from ospde.norms import FieldPath
 from ospde.solver import OBSTACLE_OFF, ProblemData, skorokhod_defect, solve_mode
 from ospde.stochastics import CoefficientSet, sample_noise
 from ospde.verify import ito_square_residual, weak_form_residual
@@ -96,9 +96,9 @@ class TestSolvers2D:
 
 class TestNorms2D:
     def test_toolbox_pairs_for_exponent_four(self):
-        tb = NormToolbox.for_dim(2, exponent_2d=4.0)
-        assert tb.sobolev_exponent == 4.0
-        assert (2.0, 1.0) in tb.dual_pairs
-        assert any(abs(p - 4 / 3) < 1e-12 and q == 2.0 for p, q in tb.dual_pairs)
+        two_star, pairs = SHARP_CONVENTION[2]
+        assert two_star == 4.0
+        assert (2.0, 1.0) in pairs
+        assert any(abs(p - 4 / 3) < 1e-12 and q == 2.0 for p, q in pairs)
         assert any(abs(p - 8 / 5) < 1e-12 and abs(q - 4 / 3) < 1e-12
-                   for p, q in tb.dual_pairs)
+                   for p, q in pairs)

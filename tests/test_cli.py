@@ -158,6 +158,7 @@ class TestSimulate:
             ("dominator.start", 'dominator.preset = constant_source\ndominator.start = "top"',
              ["simulate"]),
             ("noise.seeds", "noise.seeds = 5", ["simulate"]),
+            ("solver.sweep_n", "solver.sweep_n = 5", ["penalize-sweep"]),
             ("--n-values", "", ["penalize-sweep", "--n-values", "10,abc"])]])
     def test_unparsable_value_is_config_error(self, tmp_path, capsys, key, line, argv):
         cfg = write_cfg(tmp_path, BASE + line + "\n")
@@ -165,6 +166,19 @@ class TestSimulate:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert code == 2 and err["stage"] == "config-error"
         assert err["error"].startswith(f"{key} = ")
+
+    @pytest.mark.parametrize("key, line, flags", [
+        ("--workers", "", ["--workers", "-4"]),
+        ("--workers", "output.workers = 2", ["--workers", "0"]),
+        ("output.workers", "output.workers = 0", [])], ids=["flag", "flag-zero", "config"])
+    def test_worker_count_below_one_is_config_error(self, tmp_path, key, line, flags):
+        cfg = write_cfg(tmp_path, BASE + line + "\n")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out),
+                     "--samples", "2", *flags]) == 2
+        err = json.loads((out / "error.json").read_text())
+        assert err["stage"] == "config-error" and err["error"].startswith(f"{key} = ")
+        assert not list(out.glob("sample_*"))
 
     def test_round_trip_matches_solution(self, tmp_path):
         cfg_path = write_cfg(tmp_path, BASE)
@@ -256,6 +270,15 @@ class TestSubcommands:
         err = json.loads((out / "error.json").read_text())
         assert err["stage"] == "config-error" and "penalization level" in err["error"]
         assert calls == []
+        assert not (out / "penalize_sweep.csv").exists()
+
+    def test_empty_sweep_is_config_error(self, tmp_path):
+        cfg = write_cfg(tmp_path, BASE + "solver.sweep_n = []\n")
+        out = tmp_path / "sweep"
+        assert main(["penalize-sweep", "--config", str(cfg), "--out", str(out)]) == 2
+        err = json.loads((out / "error.json").read_text())
+        assert err["stage"] == "config-error"
+        assert err["error"].startswith("solver.sweep_n = [] is not a non-empty list")
         assert not (out / "penalize_sweep.csv").exists()
 
     @pytest.mark.parametrize("command, loads", [("simulate", 1), ("verify", 1), ("compare", 2)])
@@ -463,7 +486,45 @@ class TestSubcommands:
         assert code == 2
         assert json.loads((out / "error.json").read_text())["stage"] == "config-error"
 
+    @pytest.mark.parametrize("value, message", [
+        ('"skorokhod"', "verify.checks = 'skorokhod' is not a list"),
+        ('[["skorokhod"]]', "unknown verify checks [['skorokhod']]")], ids=["string", "nested"])
+    def test_checks_that_are_not_a_list_of_names_are_config_error(self, tmp_path, value,
+                                                                  message):
+        cfg = write_cfg(tmp_path, BASE.replace('verify.checks = ["ito_square", "skorokhod"]',
+                                               f"verify.checks = {value}"))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        code = main(["verify", "--config", str(cfg), "--out", str(out),
+                     "--artifacts", str(out / "sample_000_seed_41")])
+        err = json.loads((out / "error.json").read_text())
+        assert code == 2 and err["stage"] == "config-error"
+        assert err["error"].startswith(message)
+
     ESTIMATES = 'verify.checks = ["apriori", "positive_part_bound"]'
+
+    @pytest.mark.filterwarnings("ignore:obstacle exceeds its dominator")
+    @pytest.mark.parametrize("checks, marches", [
+        ('["apriori", "positive_part_bound"]', 1), ('["positive_part_bound"]', 1),
+        ('["ito_square", "skorokhod"]', 0)], ids=["both", "one", "neither"])
+    def test_verify_marches_the_dominator_at_most_once(self, tmp_path, monkeypatch,
+                                                       checks, marches):
+        calls = []
+        solve_dominators = cli.solve_dominators
+
+        def counting_solve_dominators(*args):
+            calls.append(1)
+            return solve_dominators(*args)
+
+        monkeypatch.setattr(cli, "solve_dominators", counting_solve_dominators)
+        text = BASE.replace('verify.checks = ["ito_square", "skorokhod"]',
+                            f"verify.checks = {checks}\ndominator.preset = noisy")
+        cfg = write_cfg(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        assert main(["verify", "--config", str(cfg),
+                     "--artifacts", str(out / "sample_000_seed_41")]) == 0
+        assert len(calls) == marches
 
     @pytest.mark.filterwarnings("ignore:obstacle exceeds its dominator")
     def test_verify_estimates_match_a_direct_call(self, tmp_path):

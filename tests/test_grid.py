@@ -264,7 +264,7 @@ class TestSobolevRatio:
         g = build_grid(2, [(0, 1), (0, 1)], (12, 12))
         u = Field.from_function(
             g, lambda x: np.sin(np.pi * x[:, 0]) * np.sin(np.pi * x[:, 1]))
-        assert 0 < sobolev_ratio(g, u, exponent_2d=4.0) < 1.0
+        assert 0 < sobolev_ratio(g, u) < 1.0
 
 
 class TestField:

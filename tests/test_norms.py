@@ -6,9 +6,9 @@ import pytest
 from conftest import standard_problem
 
 from ospde.errors import ConfigurationError
-from ospde.grid import build_grid
-from ospde.norms import (FieldPath, NormToolbox, data_ingredients, dual_sharp_upper,
-                         gradient_norm_22, mixed_norm, pairing, sharp_norm)
+from ospde.grid import SHARP_CONVENTION, build_grid
+from ospde.norms import (FieldPath, data_ingredients, dual_sharp_upper, gradient_norm_22,
+                         mixed_norm, pairing, sharp_norm)
 from ospde.stochastics import CoefficientSet
 
 GRID = build_grid(1, (0.0, 1.0), 32)
@@ -75,11 +75,11 @@ class TestMixedNorm:
         # the rho = 1/2 pair between the extremes (2, inf) and (inf, 2) of the
         # d=1 convention is (4, 4); its norm is below the max of the extremes
         rng = np.random.default_rng(8)
-        tb = NormToolbox.for_dim(1)
+        two_star = SHARP_CONVENTION[1][0]
         for _ in range(100):
             u = random_path(rng)
             extreme = max(mixed_norm(u, 2, math.inf, T),
-                          mixed_norm(u, tb.sobolev_exponent, 2, T))
+                          mixed_norm(u, two_star, 2, T))
             assert mixed_norm(u, 4, 4, T) <= extreme * (1 + 1e-9)
 
     def test_horizon_beyond_path_rejected(self):
@@ -95,21 +95,19 @@ class TestMixedNorm:
 
 class TestSharpNorm:
     def test_zero_path(self):
-        tb = NormToolbox.for_dim(1)
         z = FieldPath.constant(GRID, TIMES, 0.0)
-        assert sharp_norm(z, T, tb) == 0.0
-        assert dual_sharp_upper(z, T, tb) == 0.0
+        assert sharp_norm(z, T) == 0.0
+        assert dual_sharp_upper(z, T) == 0.0
 
     def test_energy_bound_d1_100_paths(self):
         # vs c1 (|u|_{2,inf}^2 + |grad u|_{2,2}^2)^(1/2) with c1 = max(1/2, 1)
-        tb = NormToolbox.for_dim(1)
-        assert tb.c1 == 1.0
+        c1 = 1.0
         rng = np.random.default_rng(9)
         for _ in range(100):
             u = random_path(rng, zero_boundary=True)
-            rhs = tb.c1 * np.sqrt(mixed_norm(u, 2, math.inf, T) ** 2
-                                  + gradient_norm_22(u, T) ** 2)
-            assert sharp_norm(u, T, tb) <= rhs * (1 + 1e-12)
+            rhs = c1 * np.sqrt(mixed_norm(u, 2, math.inf, T) ** 2
+                               + gradient_norm_22(u, T) ** 2)
+            assert sharp_norm(u, T) <= rhs * (1 + 1e-12)
 
     def test_constant_in_time_sup_part(self):
         rng = np.random.default_rng(10)
@@ -121,25 +119,35 @@ class TestSharpNorm:
 
 class TestDualUpper:
     def test_below_sqrt_t_22(self):
-        tb = NormToolbox.for_dim(1)
         rng = np.random.default_rng(11)
         for _ in range(100):
             v = random_path(rng)
-            assert dual_sharp_upper(v, T, tb) <= np.sqrt(T) * mixed_norm(v, 2, 2, T) * (1 + 1e-12)
+            assert dual_sharp_upper(v, T) <= np.sqrt(T) * mixed_norm(v, 2, 2, T) * (1 + 1e-12)
 
     def test_duality_inequality_100_pairs(self):
-        tb = NormToolbox.for_dim(1)
         rng = np.random.default_rng(12)
         for _ in range(100):
             u = random_path(rng, zero_boundary=True)
             v = random_path(rng)
             assert abs(pairing(u, v, T)) <= (
-                sharp_norm(u, T, tb) * dual_sharp_upper(v, T, tb)) * (1 + 1e-10)
+                sharp_norm(u, T) * dual_sharp_upper(v, T)) * (1 + 1e-10)
 
     def test_pair_family_contains_2_1(self):
-        with pytest.raises(ConfigurationError):
-            NormToolbox(sobolev_exponent=math.inf, c1=1.0,
-                        dual_pairs=((1.0, 2.0),))
+        # in every dimension, every pair (p, q) is conjugate to a pair
+        # interpolating (2, inf) and (2*, 2): with rho = 1 - 2 / q',
+        # 1 / p' = rho / 2 + (1 - rho) / 2*
+        def conjugate(p):
+            return math.inf if p == 1 else 1.0 if p == math.inf else p / (p - 1.0)
+
+        assert sorted(SHARP_CONVENTION) == [1, 2]
+        for two_star, pairs in SHARP_CONVENTION.values():
+            assert (2.0, 1.0) in pairs
+            for p, q in pairs:
+                pc, qc = conjugate(p), conjugate(q)
+                rho = 1.0 if qc == math.inf else 1.0 - 2.0 / qc
+                assert -1e-12 <= rho <= 1.0 + 1e-12
+                assert 1.0 / pc == pytest.approx(rho / 2.0 + (1.0 - rho) / two_star,
+                                                 abs=1e-12)
 
 
 class TestPairing:
@@ -205,8 +213,7 @@ def zero_point_ingredients(data, t):
     y, z = np.zeros(grid.n_nodes), np.zeros_like(x)
     f, g, h = (np.stack([np.asarray(fn(tk, x, y, z), dtype=float) for tk in data.times])
                for fn in (data.coeffs.f, data.coeffs.g, data.coeffs.h))
-    return data_ingredients(grid, data.times, t, data.xi.values, f, g, h,
-                            NormToolbox.for_dim(grid.dim))
+    return data_ingredients(grid, data.times, t, data.xi.values, f, g, h)
 
 
 class TestDataIngredients:

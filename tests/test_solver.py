@@ -15,7 +15,7 @@ from ospde.grid import Field, assemble_operator, build_grid, divergence
 from ospde.norms import FieldPath, mixed_norm
 from ospde.solver import (OBSTACLE_OFF, DiscreteMeasure, DominatorData, ProblemData,
                           prepare_batch, skorokhod_defect, solve_batch, solve_dominators,
-                          solve_linear_spde, solve_mode)
+                          solve_mode)
 from ospde.stochastics import CoefficientSet, NoisePath, sample_noise
 
 
@@ -117,25 +117,27 @@ class TestAgainstAnalyticOracles:
                 op=op, xi=Field.zeros(g), coeffs=CoefficientSet.zero(2),
                 obstacle=FieldPath.constant(g, times, OBSTACLE_OFF), noise=noise,
                 dominator=DominatorData(initial=Field.zeros(g), h=hprof))
-            path = solve_linear_spde(data)
+            path = solve_dominators(data, [data.noise])[0]
             vals.append(g.cell_measure * float(np.sum(g.restrict(path.frames[-1]) ** 2)))
         mc, se = np.mean(vals), np.std(vals) / np.sqrt(len(vals))
         assert abs(mc - exact_sq) <= 4.0 * se
 
 
 class TestSolveLinearSpde:
+    """The dominating linear SPDE, marched by ``solve_dominators`` on one path."""
+
     @pytest.mark.filterwarnings("ignore:obstacle exceeds its dominator")
     def test_zero_dominator_data(self):
         probe = standard_problem(cells=16, steps=32)
         dom = DominatorData(initial=Field.zeros(probe.op.grid))
         data = standard_problem(cells=16, steps=32, dominator=dom)
-        path = solve_linear_spde(data)
+        path = solve_dominators(data, [data.noise])[0]
         assert np.all(path.frames == 0.0)
 
     def test_missing_dominator_rejected(self):
         data = standard_problem(cells=16, steps=32)
         with pytest.raises(ConfigurationError, match="dominator"):
-            solve_linear_spde(data)
+            solve_dominators(data, [data.noise])
 
     def test_additive_noise_is_mean_zero(self):
         # h' only: S' is a stochastic convolution with zero mean
@@ -153,7 +155,7 @@ class TestSolveLinearSpde:
                 op=op, xi=Field.zeros(grid), coeffs=CoefficientSet.zero(J),
                 obstacle=FieldPath.constant(grid, times, OBSTACLE_OFF), noise=noise,
                 dominator=DominatorData(initial=Field.zeros(grid), h=hprof))
-            terminal.append(solve_linear_spde(data).frames[-1])
+            terminal.append(solve_dominators(data, [data.noise])[0].frames[-1])
         terminal = np.array(terminal)
         mean = terminal.mean(axis=0)
         stderr = terminal.std(axis=0) / np.sqrt(len(terminal)) + 1e-15
@@ -162,7 +164,6 @@ class TestSolveLinearSpde:
     @pytest.mark.filterwarnings("ignore:obstacle exceeds its dominator")
     def test_no_blowup_over_seeds(self):
         sups = []
-        diags = {}
         for seed in range(50):
             data = standard_problem(cells=16, steps=64, seed=7000 + seed,
                                     dominator=None)
@@ -170,10 +171,9 @@ class TestSolveLinearSpde:
             dom = DominatorData(initial=data.xi,
                                 f=np.full((data.steps + 1, grid.n_nodes), 2.0))
             data = standard_problem(cells=16, steps=64, seed=7000 + seed, dominator=dom)
-            path = solve_linear_spde(data, diagnostics=diags)
+            path = solve_dominators(data, [data.noise])[0]
             sups.append(max(float(grid.quad_weights @ fr ** 2) for fr in path.frames))
         assert np.isfinite(np.mean(sups))
-        assert np.isfinite(diags["ratio"])
 
 
 class TestConstrainedSolvers:
@@ -314,7 +314,7 @@ class TestProblemData:
         dom = DominatorData(initial=data.xi)  # plain heat flow decays below 0.2
         data = standard_problem(cells=16, steps=32, dominator=dom)
         with pytest.warns(UserWarning, match="dominator"):
-            solve_linear_spde(data)
+            solve_dominators(data, [data.noise])
 
     @pytest.mark.parametrize("field, shape", [("f", (32, 17)), ("g", (33, 17, 2)),
                                               ("h", (33, 17, 3))])
@@ -356,7 +356,7 @@ class TestBatch:
         noises = [sample_noise(2, data.dt, data.steps, s) for s in seeds]
         if mode == "dominator":
             for path, noise in zip(solve_dominators(data, noises), noises):
-                alone = solve_linear_spde(replace(data, noise=noise))
+                alone = solve_dominators(data, [noise])[0]
                 assert path.frames.tobytes() == alone.frames.tobytes()
             return
         batch = solve_batch(prepare_batch(data, noises, mode, 100))

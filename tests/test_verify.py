@@ -10,7 +10,7 @@ import ospde.solver
 from ospde.errors import AssumptionError, ConfigurationError
 from ospde.grid import Field, build_grid
 from ospde.solver import (OBSTACLE_OFF, DominatorData, prepare_batch, solve_batch,
-                          solve_dominators, solve_linear_spde, solve_mode)
+                          solve_dominators, solve_mode)
 from ospde.stochastics import CoefficientSet, NoisePath, sample_noise
 from ospde.verify import (apriori_check, comparison_experiment, ito_square_residual,
                           positive_part_bound_check, positive_part_residual,
@@ -99,7 +99,7 @@ class TestItoSquare:
             f=np.full((65, grid.n_nodes), 3.0))
         data = standard_problem(cells=24, steps=64, obstacle_values=sine, dominator=dom)
         res = solve_mode(data, "projected")
-        sprime = solve_linear_spde(data)
+        sprime = solve_dominators(data, [data.noise])[0]
         assert np.all(sprime.frames[:, grid.interior]
                       >= data.obstacle.frames[:, grid.interior] - 1e-9)
         pair = sum(
@@ -180,7 +180,7 @@ class TestEstimates:
             f=np.full((65, grid.n_nodes), 2.0))
         data = standard_problem(cells=24, steps=64, dominator=dom)
         res = solve_mode(data, "projected")
-        sprime = solve_linear_spde(data)
+        sprime = solve_dominators(data, [data.noise])[0]
         T = float(data.times[-1])
         lhs = [apriori_check(data, [res.u], [sprime], t=t).lhs
                for t in (T / 4, T / 2, T)]
@@ -194,7 +194,7 @@ class TestEstimates:
         data = standard_problem(cells=16, steps=16,
                                 dominator=DominatorData(initial=Field.zeros(grid)))
         res = solve_mode(data, "projected")
-        sprime = solve_linear_spde(data)
+        sprime = solve_dominators(data, [data.noise])[0]
         with pytest.raises(ConfigurationError, match=f"^{count} dominator path"):
             check(data, [res.u], [sprime] * count)
 
@@ -358,10 +358,9 @@ def _dominators(grid, steps):
     }
 
 
-# float.hex of every float the estimate reports and the dominator's
-# diagnostics hold on the standard problem (16 cells, 32 steps, seed 1000);
-# the data-norm terms are summed in this order, so any change to how they
-# are computed shows here.
+# float.hex of every float the estimate reports hold on the standard
+# problem (16 cells, 32 steps, seed 1000); the data-norm terms are summed in
+# this order, so any change to how they are computed shows here.
 PINNED_ESTIMATES = {
     "full": {
         "apriori.lhs": "0x1.b99fc380e8fb2p+0",
@@ -388,10 +387,6 @@ PINNED_ESTIMATES = {
         "positive_part_bound.ingredients.dominator_h_22_sq": "0x1.3e67881536d3ep-7",
         "positive_part_bound.rhs_sum": "0x1.b88bdefa0e118p-1",
         "positive_part_bound.implied_constant": "0x1.1f24c1cc3d245p+0",
-        "diagnostics.sup_sq": "0x1.98b2cbd5ae9bep-4",
-        "diagnostics.energy_integral": "0x1.cc4b6e06147c0p-4",
-        "diagnostics.data_sq": "0x1.76d089ffa917ap-2",
-        "diagnostics.ratio": "0x1.28c3550c3c94ap-1",
     },
     "initial_only": {
         "apriori.lhs": "0x1.b99fc380e8fb2p+0",
@@ -418,10 +413,6 @@ PINNED_ESTIMATES = {
         "positive_part_bound.ingredients.dominator_h_22_sq": "0x0.0p+0",
         "positive_part_bound.rhs_sum": "0x1.258fcc331b501p-1",
         "positive_part_bound.implied_constant": "0x1.aeea2b5b88a8dp+0",
-        "diagnostics.sup_sq": "0x1.0000000000000p-3",
-        "diagnostics.energy_integral": "0x1.e8bd615638a15p-5",
-        "diagnostics.data_sq": "0x1.0000000000000p-3",
-        "diagnostics.ratio": "0x1.7a2f58558e285p+0",
     },
 }
 
@@ -440,10 +431,7 @@ def test_estimates_are_pinned_bit_for_bit(case):
     data = standard_problem(cells=16, steps=32, seed=1000,
                             dominator=_dominators(build_grid(1, (0.0, 1.0), 16), 32)[case])
     result = solve_mode(data, "projected")
-    diagnostics = {}
-    solve_linear_spde(data, diagnostics=diagnostics)
     doms = solve_dominators(data, [data.noise])
     got = {"apriori": apriori_check(data, [result.u], doms).as_dict(),
-           "positive_part_bound": positive_part_bound_check(data, [result.u], doms).as_dict(),
-           "diagnostics": diagnostics}
+           "positive_part_bound": positive_part_bound_check(data, [result.u], doms).as_dict()}
     assert dict(_float_hex("", got)) == PINNED_ESTIMATES[case]
