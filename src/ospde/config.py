@@ -58,6 +58,13 @@ def config_hash(raw: dict) -> str:
     ).hexdigest()
 
 
+def _entries(kind, key: str, value):
+    """``value`` with every entry, at any list depth, coerced to ``kind``."""
+    if isinstance(value, list):
+        return [_entries(kind, key, v) for v in value]
+    return coerce(kind, key, value)
+
+
 def _params(block: dict, *skip: str) -> dict:
     return {k: v for k, v in block.items() if k not in skip}
 
@@ -97,7 +104,9 @@ class RunConfig:
 
     def make_grid(self) -> Grid:
         g = self.raw["grid"]
-        return build_grid(coerce(int, "grid.dim", g["dim"]), g["extent"], g["counts"])
+        return build_grid(coerce(int, "grid.dim", g["dim"]),
+                          _entries(float, "grid.extent", g["extent"]),
+                          _entries(int, "grid.counts", g["counts"]))
 
     def make_operator(self, grid: Grid) -> EllipticOperator:
         op = self.block("operator")
@@ -108,18 +117,15 @@ class RunConfig:
         return assemble_operator(grid, a, lam, Lam)
 
     def make_times(self) -> np.ndarray:
-        t = self.raw["time"]
-        steps = int(t["steps"])
-        return np.arange(steps + 1) * (float(t["T"]) / steps)
+        return np.arange(self.steps + 1) * self.dt
 
     @property
     def dt(self) -> float:
-        t = self.raw["time"]
-        return float(t["T"]) / int(t["steps"])
+        return coerce(float, "time.T", self.raw["time"]["T"]) / self.steps
 
     @property
     def steps(self) -> int:
-        return int(self.raw["time"]["steps"])
+        return coerce(int, "time.steps", self.raw["time"]["steps"])
 
     @property
     def noise_modes(self) -> int:

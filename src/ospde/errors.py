@@ -19,8 +19,15 @@ class SolverError(RuntimeError):
 
 
 def coerce(kind, key: str, value):
-    """``kind(value)``, or a ConfigurationError naming the config key ``key``."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise ConfigurationError(f"{key} = {value!r} is not a valid {kind.__name__}") from None
+    """``kind(value)``, or a ConfigurationError naming the config key ``key``.
+
+    A boolean is refused whatever the kind, and an ``int`` is whole: an int,
+    an integral float (``1e4``) or an integer string, never a float that
+    ``int`` would truncate."""
+    truncated = kind is int and isinstance(value, float) and not value.is_integer()
+    if not isinstance(value, bool) and not truncated:
+        try:
+            return kind(value)
+        except (TypeError, ValueError):
+            pass
+    raise ConfigurationError(f"{key} = {value!r} is not a valid {kind.__name__}")

@@ -115,12 +115,6 @@ class Grid:
         """Interior slice of a full-node array."""
         return np.asarray(values)[..., self.interior]
 
-    def extend(self, interior_values: np.ndarray) -> np.ndarray:
-        """Full-node array with zeros on the boundary."""
-        out = np.zeros(self.n_nodes, dtype=float)
-        out[self.interior] = interior_values
-        return out
-
     def cell_centers(self) -> np.ndarray:
         axes = [
             self.extent[a][0] + (np.arange(self.counts[a]) + 0.5) * self.spacing[a]

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -94,12 +93,6 @@ class FieldPath:
             raise ConfigurationError(
                 f"horizon {t} beyond final time stamp {self.horizon}")
         return min(int(np.floor((t + tol) / self.dt)), self.steps)
-
-    @classmethod
-    def from_function(cls, grid: Grid, times, fn: Callable[[float, np.ndarray], np.ndarray]) -> "FieldPath":
-        times = np.asarray(times, dtype=float)
-        frames = np.stack([np.asarray(fn(t, grid.coords), dtype=float) for t in times])
-        return cls(grid, times, frames)
 
     @classmethod
     def constant(cls, grid: Grid, times, values) -> "FieldPath":

@@ -325,23 +325,17 @@ def prepare_batch(data: ProblemData, noises: Sequence[NoisePath], mode: str = "p
     named by ``mode`` (as in ``solve_mode``): refuse an unknown scheme, a
     path that does not fit the problem, or data outside the hypotheses.
 
-    The batch's sources are the coefficient maps, run once per step on the
-    S * n stacked interior nodes as one stack of rows."""
+    The batch's sources are the coefficient maps, evaluated once per step
+    on the S paths' interior nodes (``CoefficientSet.evaluate``)."""
     advance, extra = _scheme(mode, penalty_n, data.dt)
     _require_fit(data, noises)
     _require_assumptions(data)
-    grid, coeffs = data.op.grid, data.coeffs
-    x_int = np.tile(grid.coords[grid.interior], (len(noises), 1))
+    grid = data.op.grid
+    x_int = grid.coords[grid.interior]
 
     def sources(k, u):
-        y_int = grid.restrict(u)
-        z_int = node_gradient(grid, u)[:, grid.interior]
-        y = y_int.reshape(-1)
-        z = z_int.reshape(y.size, -1)
-        t = float(data.times[k])
-        return [np.asarray(fn(t, x_int, y, z), dtype=float).reshape(y_int.shape + tail)
-                for fn, tail in ((coeffs.f, ()), (coeffs.g, z.shape[1:]),
-                                 (coeffs.h, (coeffs.modes,)))]
+        return data.coeffs.evaluate(float(data.times[k]), x_int, grid.restrict(u),
+                                    node_gradient(grid, u)[:, grid.interior])
 
     return Batch(data, tuple(noises), data.xi.values, sources, advance, extra)
 

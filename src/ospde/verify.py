@@ -167,12 +167,9 @@ def _step_coefficients(data: ProblemData, u: np.ndarray, k: int, z_old: np.ndarr
                        z_new: np.ndarray):
     """f and g at the updated state u[k + 1] (gradient z_new), h at the
     previous state u[k] (gradient z_old), all at time t_k, on every node."""
-    grid = data.op.grid
-    t_k = float(data.times[k])
-    y_new = u[k + 1]
-    f_new = np.asarray(data.coeffs.f(t_k, grid.coords, y_new, z_new), dtype=float)
-    g_new = np.asarray(data.coeffs.g(t_k, grid.coords, y_new, z_new), dtype=float)
-    h_old = np.asarray(data.coeffs.h(t_k, grid.coords, u[k], z_old), dtype=float)
+    coords, t_k = data.op.grid.coords, float(data.times[k])
+    f_new, g_new = data.coeffs.evaluate(t_k, coords, u[k + 1], z_new, "fg")
+    (h_old,) = data.coeffs.evaluate(t_k, coords, u[k], z_old, "h")
     return f_new, g_new, h_old
 
 
@@ -248,18 +245,14 @@ def positive_part_residual(result: SolveResult, data: ProblemData) -> ResidualRe
 
 def _maps_along(data: ProblemData, frames: np.ndarray):
     """f, g and h of ``data`` at every frame of S paths (S, steps + 1, n_nodes),
-    on every node: each map runs once per time step on the S paths' nodes
-    stacked as one stack of rows."""
+    on every node: the maps are evaluated once per time step on the S
+    paths' nodes."""
     grid, coeffs = data.op.grid, data.coeffs
-    S, _, n = frames.shape
-    x = np.tile(grid.coords, (S, 1))
     out = [np.empty(frames.shape + tail) for tail in ((), (grid.dim,), (coeffs.modes,))]
     by_step = frames.transpose(1, 0, 2)
     for k, (y, z) in enumerate(zip(by_step, _gradients(grid, by_step))):
-        t_k = float(data.times[k])
-        for fn, o in zip((coeffs.f, coeffs.g, coeffs.h), out):
-            o[:, k] = np.asarray(fn(t_k, x, y.reshape(-1), z.reshape(S * n, -1)),
-                                 float).reshape(o.shape[:1] + o.shape[2:])
+        for o, value in zip(out, coeffs.evaluate(float(data.times[k]), grid.coords, y, z)):
+            o[:, k] = value
     return out
 
 
@@ -371,15 +364,11 @@ def _trajectory_ordering(data1: ProblemData, data2: ProblemData, u: np.ndarray) 
     tol = 1e-10
     for k, (y, z) in enumerate(zip(u[:-1], _gradients(grid, u[:-1]))):
         t_k = float(data1.times[k])
-        f1 = np.asarray(data1.coeffs.f(t_k, grid.coords, y, z), float)
-        f2 = np.asarray(data2.coeffs.f(t_k, grid.coords, y, z), float)
+        f1, g1, h1 = data1.coeffs.evaluate(t_k, grid.coords, y, z)
+        f2, g2, h2 = data2.coeffs.evaluate(t_k, grid.coords, y, z)
         if np.any(f1 > f2 + tol):
             raise AssumptionError("comparison precondition violated: drift ordering "
                                   f"fails along the first trajectory at step {k}")
-        g1 = np.asarray(data1.coeffs.g(t_k, grid.coords, y, z), float)
-        g2 = np.asarray(data2.coeffs.g(t_k, grid.coords, y, z), float)
-        h1 = np.asarray(data1.coeffs.h(t_k, grid.coords, y, z), float)
-        h2 = np.asarray(data2.coeffs.h(t_k, grid.coords, y, z), float)
         if np.abs(g1 - g2).max(initial=0.0) > tol or np.abs(h1 - h2).max(initial=0.0) > tol:
             raise AssumptionError("comparison precondition violated: flux or noise "
                                   f"coefficients differ at step {k}")

@@ -1,12 +1,15 @@
 import csv
+import dataclasses
 import hashlib
 import json
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ospde.cli as cli
+import ospde.config
 import ospde.solver
 from ospde.cli import main
 from ospde.config import RunConfig, load_config, parse_config_text
@@ -78,6 +81,12 @@ class TestConfigParsing:
         cfg = load_config(write_cfg(tmp_path, text))
         with pytest.raises(ConfigurationError, match="no sample seeds"):
             cfg.sample_seeds()
+
+    def test_whole_numbers_are_ints(self, tmp_path):
+        text = BASE + 'time.steps = 16.0\ngrid.counts = "8"\nsolver.penalty_n = 1e4\n'
+        cfg = load_config(write_cfg(tmp_path, text))
+        assert (cfg.steps, cfg.make_grid().counts, cfg.penalty_n) == (16, (8,), 10000)
+        assert cfg.make_times()[-1] == pytest.approx(0.1)
 
     def test_hash_is_stable_and_sensitive(self, tmp_path):
         c1 = load_config(write_cfg(tmp_path, BASE))
@@ -159,7 +168,18 @@ class TestSimulate:
              ["simulate"]),
             ("noise.seeds", "noise.seeds = 5", ["simulate"]),
             ("solver.sweep_n", "solver.sweep_n = 5", ["penalize-sweep"]),
-            ("--n-values", "", ["penalize-sweep", "--n-values", "10,abc"])]])
+            ("--n-values", "", ["penalize-sweep", "--n-values", "10,abc"])]] + [
+        pytest.param(key, line, ["simulate"], id=f"{key}-{i}") for i, (key, line) in enumerate([
+            ("time.steps", "time.steps = 16.9"),
+            ("time.steps", "time.steps = true"),
+            ("time.T", "time.T = true"),
+            ("noise.J", "noise.J = 2.5"),
+            ("solver.penalty_n", "solver.penalty_n = 1000.7"),
+            ("noise.seed", "noise.seed = 1000.5"),
+            ("grid.counts", 'grid.counts = "abc"'),
+            ("grid.counts", "grid.counts = 8.9"),
+            ("grid.extent", 'grid.extent = "x"'),
+            ("grid.extent", 'grid.extent = [0.0, "x"]')])])
     def test_unparsable_value_is_config_error(self, tmp_path, capsys, key, line, argv):
         cfg = write_cfg(tmp_path, BASE + line + "\n")
         code = main([*argv, "--config", str(cfg), "--out", str(tmp_path / "out")])
@@ -223,6 +243,42 @@ class TestSubcommands:
         assert err["stage"] == "assumption-failure"
         assert "contraction" in err["error"]
         assert not (out / "compare.csv").exists()
+
+    @pytest.mark.parametrize("command, calls", [
+        ("verify", {"f": 140, "g": 140, "h": 140}),
+        ("compare", {"f": 152, "g": 152, "h": 152})])
+    def test_map_calls_are_pinned(self, tmp_path, monkeypatch, command, calls):
+        """Counts every call of the maps the config builds, the way the
+        benchmark's tracer does: ``simulate`` then ``verify`` of three
+        replays, or ``compare`` of two configs on two seeds."""
+        counts = Counter()
+        build = ospde.config.make_coefficients
+
+        def counted(*args, **kwargs):
+            coeffs = build(*args, **kwargs)
+
+            def wrap(name, fn):
+                def call(*a):
+                    counts[name] += 1
+                    return fn(*a)
+                return call
+
+            return dataclasses.replace(coeffs, **{m: wrap(m, getattr(coeffs, m))
+                                                  for m in "fgh"})
+
+        monkeypatch.setattr(ospde.config, "make_coefficients", counted)
+        cfg = write_cfg(tmp_path, BASE.replace(
+            '["ito_square", "skorokhod"]', '["weak_form", "ito_square", "positive_part"]'))
+        out = tmp_path / "out"
+        if command == "verify":
+            assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+            assert main(["verify", "--config", str(cfg), "--out", str(out),
+                         "--artifacts", str(out / "sample_000_seed_41")]) == 0
+        else:
+            cfg2 = write_cfg(tmp_path, BASE + "coefficients.f_shift = 0.5\n", "shifted.cfg")
+            assert main(["compare", "--config", str(cfg), "--config2", str(cfg2),
+                         "--out", str(out), "--samples", "2"]) == 0
+        assert dict(counts) == calls
 
     @pytest.mark.parametrize("command", ["simulate", "compare", "penalize-sweep"])
     def test_zero_samples_is_config_error(self, tmp_path, command):

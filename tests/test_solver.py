@@ -404,3 +404,15 @@ class TestBatch:
         for prepare in (prepare_batch, solve_dominators):
             with pytest.raises(ConfigurationError, match="seed 9 does not fit"):
                 prepare(data, [sample_noise(3, data.dt, data.steps, 9)])
+
+    @pytest.mark.parametrize("name, shape", [("f", "(256, 1)"), ("h", "(256, 2)")])
+    def test_wrong_shaped_map_is_config_error(self, name, shape):
+        # f as a column would broadcast to (m, m) in the Lipschitz probe, and
+        # h with 2 of 4 modes would reach the march before failing
+        base = mix_coeffs(4)
+        bad = {"f": lambda t, x, y, z: base.f(t, x, y, z)[:, None],
+               "h": lambda t, x, y, z: base.h(t, x, y, z)[:, :2]}[name]
+        data = standard_problem(modes=4, coeffs=replace(base, **{name: bad}))
+        with pytest.raises(ConfigurationError,
+                           match=f"^coefficient map {name} returned shape {re.escape(shape)}"):
+            prepare_batch(data, [data.noise])

@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from conftest import state_free_coeffs
+from conftest import mix_coeffs, state_free_coeffs
 
 from ospde.errors import ConfigurationError
 from ospde.stochastics import CoefficientSet, sample_noise, validate_assumptions
@@ -70,6 +72,18 @@ class TestValidateAssumptions:
         assert not rep.items["H1-f"].passed
         assert rep.items["H1-f"].observed == pytest.approx(1.0, rel=1e-3)
 
+    def test_impure_map_detected(self):
+        calls = []
+
+        def f(t, x, y, z):
+            calls.append(1)
+            return np.full(x.shape[0], float(len(calls)))
+
+        z = CoefficientSet.zero(1)
+        rep = validate_assumptions(replace(z, f=f), lam=1.0)
+        assert not rep.items["purity"].passed and not rep.ok
+        assert len(calls) == 12  # three f calls in each of four probe rounds
+
     def test_enlarging_constants_is_monotone(self):
         base = state_free_coeffs()
         rep1 = validate_assumptions(base, lam=1.0)
@@ -85,3 +99,16 @@ class TestValidateAssumptions:
         rep = validate_assumptions(CoefficientSet.zero(1), lam=1.0)
         d = rep.as_dict()
         assert set(d) == {"H1-f", "H2-g-y", "H2-g-z", "H3-h-y", "H3-h-z", "H4", "purity"}
+
+
+class TestEvaluate:
+    def test_stacked_samples_match_each_sample_alone(self):
+        cs = mix_coeffs(3)
+        x = np.linspace(0.0, 1.0, 5)[:, None]
+        rng = np.random.default_rng(0)
+        y, z = rng.normal(size=(2, 5)), rng.normal(size=(2, 5, 1))
+        f, g, h = cs.evaluate(0.1, x, y, z)
+        assert (f.shape, g.shape, h.shape) == ((2, 5), (2, 5, 1), (2, 5, 3))
+        for s in range(2):
+            h_alone, f_alone = cs.evaluate(0.1, x, y[s], z[s], "hf")
+            assert np.array_equal(f[s], f_alone) and np.array_equal(h[s], h_alone)
