@@ -15,11 +15,12 @@ from .norms import (FieldPath, data_ingredients, dual_sharp_upper, gradient_norm
 from .solver import (OBSTACLE_OFF, BatchResult, DiscreteMeasure, DominatorData, ProblemData,
                      SolveResult, prepare_batch, skorokhod_defect, solve_batch,
                      solve_dominators, solve_mode)
-from .stochastics import CoefficientSet, NoisePath, sample_noise, validate_assumptions
-from .verify import (ComparisonReport, EstimateReport, ResidualReport, apriori_check,
-                     comparison_experiment, ito_square_residual,
-                     positive_part_bound_check, positive_part_residual,
-                     weak_form_residual)
+from .stochastics import (CoefficientSet, NoisePath, coarsen, sample_noise,
+                          validate_assumptions)
+from .verify import (ComparisonReport, EstimateReport, PenalizationReport, ResidualReport,
+                     apriori_check, comparison_experiment, ito_square_residual,
+                     penalization_sweep, positive_part_bound_check, positive_part_residual,
+                     refinement_study, weak_form_residual)
 from .capacity import CompactSet, box_set, capacity, smallest_potential
 
 __version__ = "0.1.0"

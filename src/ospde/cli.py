@@ -30,12 +30,11 @@ import numpy as np
 from .capacity import box_set, capacity as compute_capacity
 from .config import RunConfig, load_config
 from .errors import AssumptionError, ConfigurationError, SolverError, coerce
-from .norms import FieldPath, dual_sharp_upper, mixed_norm, sharp_norm
+from .norms import dual_sharp_upper, mixed_norm, sharp_norm
 from .persist import load_run, save_run, write_rows
-from .solver import (SolveResult, prepare_batch, skorokhod_defect, solve_batch,
-                     solve_dominators, solve_mode)
+from .solver import SolveResult, skorokhod_defect, solve_dominators, solve_mode
 from .verify import (apriori_check, comparison_experiment, ito_square_residual,
-                     positive_part_bound_check, positive_part_residual,
+                     penalization_sweep, positive_part_bound_check, positive_part_residual,
                      weak_form_residual)
 
 _EXIT_CODES = {
@@ -153,28 +152,10 @@ def cmd_penalize_sweep(args, cfg: RunConfig, out: Path) -> int:
                              f"solver.sweep_n = {sweep!r} is not a non-empty list")
         levels = [coerce(int, "solver.sweep_n", v) for v in sweep]
     seeds = cfg.sample_seeds(args.seed, args.samples)
-    grid = cfg.make_grid()
-    data = cfg.build_problem(seeds[0], grid=grid)
-    noises = [cfg.sample_noise(seed) for seed in seeds]
-    T = float(data.times[-1])
-
-    # every level is refused before the first solve
-    projected = prepare_batch(data, noises, "projected")
-    penalized = [prepare_batch(data, noises, "penalized", n) for n in levels]
-    star = solve_batch(projected).frames
-    columns = []  # per level, one row per seed
-    for n, batch in zip(levels, penalized):
-        result = solve_batch(batch)
-        level_rows = []
-        for s, seed in enumerate(seeds):
-            pen = result.sample(s)
-            dist = mixed_norm(FieldPath(grid, data.times, pen.u.frames - star[s]),
-                              2, math.inf, T)
-            level_rows.append((seed, n, dist,
-                               skorokhod_defect(pen.u, data.obstacle, pen.measure),
-                               pen.measure.total_mass()))
-        columns.append(level_rows)
-    rows = [row for seed_rows in zip(*columns) for row in seed_rows]
+    report = penalization_sweep(cfg.build_problem(seeds[0]),
+                                [cfg.sample_noise(seed) for seed in seeds], levels)
+    rows = [(seed, n, report.distances[i, j], report.defects[i, j], report.masses[i, j])
+            for i, seed in enumerate(seeds) for j, n in enumerate(levels)]
     write_rows(out / "penalize_sweep.csv",
                ["seed", "n", "distance_to_projected", "skorokhod_defect", "measure_mass"],
                "%d,%d,%.17g,%.17g,%.17g", rows, config_hash=cfg.hash)
@@ -218,8 +199,9 @@ def cmd_capacity(args, cfg: RunConfig, out: Path) -> int:
             raise StageError("config-error", f"capacity.widths = {widths!r} is 1D only; "
                                              f"give a {grid.dim}D box as capacity.interval")
         center = coerce(float, "capacity.center", block.get("center", 0.5))
-        if not isinstance(widths, list):
-            raise StageError("config-error", f"capacity.widths = {widths!r} is not a list")
+        if not isinstance(widths, list) or not widths:
+            raise StageError("config-error",
+                             f"capacity.widths = {widths!r} is not a non-empty list")
         widths = [coerce(float, f"capacity.widths[{i}]", w) for i, w in enumerate(widths)]
         boxes = [np.array([[center - w / 2.0, center + w / 2.0]]) for w in widths]
     else:
@@ -296,6 +278,9 @@ def cmd_verify(args, cfg: RunConfig, out: Path) -> int:
     if not isinstance(checks, list):
         raise StageError("config-error", f"verify.checks = {checks!r} is not a list; "
                                          f"available: {list(_CHECKS)}")
+    if not checks:
+        raise StageError("config-error", f"verify.checks = [] names no check; "
+                                         f"available: {list(_CHECKS)}")
     unknown = [c for c in checks if not isinstance(c, str) or c not in _CHECKS]
     if unknown:
         raise StageError("config-error", f"unknown verify checks {unknown}; "
@@ -364,8 +349,11 @@ def main(argv=None) -> int:
     try:
         try:
             cfg = load_config(args.config)
-            out_dir = Path(args.out) if args.out else Path(
-                cfg.block("output").get("directory", "out"))
+            directory = cfg.block("output").get("directory", "out")
+            if not isinstance(directory, str) or not directory:
+                raise ConfigurationError(f"output.directory = {directory!r} is not a "
+                                         "non-empty path string")
+            out_dir = Path(args.out or directory)
         except (ConfigurationError, OSError) as exc:
             return _fail(None, "config-error", str(exc))
         return args.func(args, cfg, out_dir)

@@ -127,16 +127,20 @@ class Grid:
 
 
 def build_grid(dim: int, extent, counts) -> Grid:
-    """Build a grid; counts are cells per axis (>= 3), nodes are counts + 1.
+    """Build a grid; counts are whole cells per axis (>= 3), nodes are
+    counts + 1, and ``dim`` is the int 1 or 2.
 
     ``extent`` is ``(lo, hi)`` for d=1 or a per-axis sequence of bounds.
     """
-    if dim not in (1, 2):
-        raise ConfigurationError(f"dim must be 1 or 2, got {dim}")
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim not in (1, 2):
+        raise ConfigurationError(f"dim must be the int 1 or 2, got {dim!r}")
     ext = np.atleast_2d(np.asarray(extent, dtype=float))
     if ext.shape != (dim, 2):
         raise ConfigurationError(f"extent must be {dim} (lo, hi) pairs, got shape {ext.shape}")
-    cnt = np.atleast_1d(np.asarray(counts, dtype=int))
+    cnt = np.atleast_1d(counts)
+    if cnt.dtype.kind not in "iuf" or not np.all(np.isfinite(cnt) & (cnt == np.trunc(cnt))):
+        raise ConfigurationError(f"counts must be whole numbers, got {cnt.tolist()}")
+    cnt = cnt.astype(int)
     if cnt.shape != (dim,):
         raise ConfigurationError(f"counts must have {dim} entries, got {cnt.shape}")
     if np.any(cnt < 3):

@@ -8,8 +8,11 @@ increments from its own counter-based Philox stream keyed by (seed, j), so
 * truncating a path to its first m steps equals generating a fresh path
   with m steps and the same seed.
 
-A path is never stored: its seed rebuilds it (``verify`` does so).  The
-paper's data norms of a problem are ``norms.data_ingredients``.
+A path is never stored: its seed rebuilds it (``verify`` does so).
+``coarsen`` samples the same Brownian path at a multiple of its step, by
+summing blocks of increments; refinement studies march one fine path at
+several resolutions this way (``verify.refinement_study``).  The paper's
+data norms of a problem are ``norms.data_ingredients``.
 
 Mode-coefficient maps must have exactly zero tail beyond the retained J
 modes, which keeps the discrete quadratic-variation identities exact
@@ -37,6 +40,7 @@ __all__ = [
     "CoefficientSet",
     "AssumptionReport",
     "sample_noise",
+    "coarsen",
     "validate_assumptions",
 ]
 
@@ -75,6 +79,19 @@ def sample_noise(J: int, dt: float, steps: int, seed: int) -> NoisePath:
         gen = np.random.Generator(np.random.Philox(key=key))
         rows[j] = gen.standard_normal(steps) * root
     return NoisePath(J=J, dt=float(dt), increments=rows, seed=int(seed))
+
+
+def coarsen(noise: NoisePath, factor: int) -> NoisePath:
+    """The same Brownian path at ``factor`` times the step: each increment
+    sums a block of ``factor`` consecutive increments of ``noise``, and the
+    seed is kept.  ``factor`` must be a positive integer dividing the
+    path's steps."""
+    if (isinstance(factor, bool) or not isinstance(factor, (int, np.integer)) or factor < 1
+            or noise.steps % factor):
+        raise ConfigurationError(f"coarsening factor {factor!r} must be a positive integer "
+                                 f"dividing the path's {noise.steps} steps")
+    blocks = noise.increments.reshape(noise.J, noise.steps // factor, factor).sum(axis=2)
+    return NoisePath(J=noise.J, dt=noise.dt * factor, increments=blocks, seed=noise.seed)
 
 
 @dataclass(frozen=True)

@@ -22,33 +22,43 @@ noises, which the caller marches -- and report every right-hand ingredient
 separately together with the implied constant (left side over ingredient
 sum); the constants themselves are not pinned by theory, so only their
 stability is testable.
+
+The lab's two experiments march one batch per level.  A refinement study
+(``refinement_study``) solves a problem at several (cells, steps) levels on
+shared fine Brownian paths, each coarsened to the level's step
+(``stochastics.coarsen``); a penalization sweep (``penalization_sweep``)
+measures penalized solves at levels n against the projected one on the same
+noises.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import pairwise
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import AssumptionError, ConfigurationError
 from .grid import node_gradient, same_grid
 from .norms import FieldPath, data_ingredients, gradient_norm_22, mixed_norm
-from .solver import ProblemData, SolveResult, prepare_batch, solve_batch
-from .stochastics import sample_noise
+from .solver import ProblemData, SolveResult, prepare_batch, skorokhod_defect, solve_batch
+from .stochastics import NoisePath, coarsen, sample_noise
 
 __all__ = [
     "ResidualReport",
     "EstimateReport",
     "ComparisonReport",
+    "PenalizationReport",
     "weak_form_residual",
     "ito_square_residual",
     "positive_part_residual",
     "apriori_check",
     "positive_part_bound_check",
     "comparison_experiment",
+    "refinement_study",
+    "penalization_sweep",
 ]
 
 _INDICATOR_TOL = 1e-12
@@ -402,3 +412,77 @@ def comparison_experiment(data1: ProblemData, data2: ProblemData,
             for u1, u2 in zip(frames1, frames2)]
     return ComparisonReport(min_gap=min(gaps), per_sample=gaps,
                             seeds=[int(s) for s in seeds])
+
+
+def refinement_study(problem: Callable[[int, int, NoisePath], ProblemData],
+                     levels: Sequence[tuple[int, int]], fine: Sequence[NoisePath],
+                     mode: str) -> list[list[tuple[ProblemData, SolveResult]]]:
+    """Solve ``problem(cells, steps, noise)`` with the scheme named by
+    ``mode`` (as in ``prepare_batch``) at each (cells, steps) of ``levels``,
+    on every ``fine`` path coarsened to ``steps`` steps (``coarsen``).
+
+    Every level is made, and refused, before any solve; then each level
+    marches its paths as one batch.  Returns per level, per path, the
+    problem carrying that path's noise and its solve.
+    """
+    if not fine:
+        raise ConfigurationError("a refinement study needs at least one fine path")
+    batches = []
+    for cells, steps in levels:
+        if steps < 1 or any(noise.steps % steps for noise in fine):
+            raise ConfigurationError(f"level ({cells}, {steps}): {steps} steps do not divide "
+                                     "the fine paths' steps")
+        noises = [coarsen(noise, noise.steps // steps) for noise in fine]
+        batches.append(prepare_batch(problem(cells, steps, noises[0]), noises, mode))
+    out = []
+    for batch in batches:
+        result = solve_batch(batch)
+        out.append([(replace(batch.data, noise=noise), result.sample(s))
+                    for s, noise in enumerate(batch.noises)])
+    return out
+
+
+@dataclass
+class PenalizationReport:
+    """Penalized solves against the projected one on S noises: row s of each
+    (S, L) array is noise s, column l is the l-th penalty level."""
+
+    distances: np.ndarray          # mixed_norm(u_n - u_projected, 2, inf, T)
+    defects: np.ndarray            # skorokhod_defect of u_n
+    masses: np.ndarray             # total mass of u_n's measure
+    projected_defects: np.ndarray  # (S,): skorokhod_defect of u_projected
+
+
+def penalization_sweep(data: ProblemData, noises: Sequence[NoisePath],
+                       levels: Sequence[int]) -> PenalizationReport:
+    """Solve ``data`` on every path of ``noises``, projected and penalized at
+    each level n of ``levels``, and measure each penalized solve against
+    the projected one on the same noise.
+
+    Every batch is made, and refused, before any solve.  The projected
+    batch marches first, then one batch per level; only one level's frames
+    are alive at a time.
+    """
+    if not levels:
+        raise ConfigurationError("a penalization sweep needs at least one level")
+    projected = prepare_batch(data, noises, "projected")
+    penalized = [prepare_batch(data, noises, "penalized", n) for n in levels]
+    grid, times, obstacle = data.op.grid, data.times, data.obstacle
+    T = float(times[-1])
+
+    def solves(batch):
+        result = solve_batch(batch)
+        return [result.sample(s) for s in range(len(noises))]
+
+    star = solves(projected)
+    projected_defects = np.array([skorokhod_defect(r.u, obstacle, r.measure) for r in star])
+    star = [r.u.frames for r in star]  # only the frames: weights would add to the peak
+
+    def measure(level):
+        return [(mixed_norm(FieldPath(grid, times, pen.u.frames - ref), 2, math.inf, T),
+                 skorokhod_defect(pen.u, obstacle, pen.measure), pen.measure.total_mass())
+                for pen, ref in zip(level, star)]
+
+    # (L, S, 3) -> three (S, L) arrays
+    table = np.array([measure(solves(batch)) for batch in penalized]).transpose(2, 1, 0)
+    return PenalizationReport(*table, projected_defects)

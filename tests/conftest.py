@@ -3,30 +3,15 @@ import pytest
 
 from ospde.grid import Field, assemble_operator, build_grid
 from ospde.norms import FieldPath
+from ospde.presets import make_coefficients
 from ospde.solver import OBSTACLE_OFF, ProblemData
-from ospde.stochastics import CoefficientSet, NoisePath, sample_noise
+from ospde.stochastics import CoefficientSet, sample_noise
 
 
-def mix_coeffs(modes=2, f_base=1.0, f_shift=0.0, f_sin=0.5, f_grad=0.2,
-               g_sin=0.2, h_base=0.3, h_sin=0.2):
-    """The standard Lipschitz test nonlinearities (alpha = beta = 0)."""
-    w = 2.0 ** (-0.5 * np.arange(modes))
-    w = w / np.linalg.norm(w)
-
-    def f(t, x, y, z):
-        return (f_base * np.sin(np.pi * x[:, 0]) + f_shift
-                + f_sin * np.sin(y) + f_grad * z[:, 0])
-
-    def g(t, x, y, z):
-        out = np.zeros((x.shape[0], x.shape[1]))
-        out[:, 0] = g_sin * np.tanh(y)
-        return out
-
-    def h(t, x, y, z):
-        return (h_base * np.cos(np.pi * x[:, 0]) + h_sin * np.sin(y))[:, None] * w[None, :]
-
-    C = max(f_sin, f_grad, g_sin, h_sin)
-    return CoefficientSet(f=f, g=g, h=h, C=C, alpha=0.0, beta=0.0, modes=modes)
+def mix_coeffs(modes=2, **params):
+    """The standard Lipschitz test nonlinearities: the ``lipschitz_mix``
+    preset, alpha = beta = 0."""
+    return make_coefficients("lipschitz_mix", None, modes, params)
 
 
 def signed_coeffs(modes=2):
@@ -49,30 +34,9 @@ def signed_coeffs(modes=2):
     return CoefficientSet(f=f, g=g, h=h, C=0.5, alpha=0.0, beta=0.0, modes=modes)
 
 
-def state_free_coeffs(modes=2, f_base=1.0, g_amp=0.3, h_amp=0.4):
-    w = 2.0 ** (-0.5 * np.arange(modes))
-    w = w / np.linalg.norm(w)
-
-    def f(t, x, y, z):
-        return f_base * np.sin(np.pi * x[:, 0]) + 1.0
-
-    def g(t, x, y, z):
-        out = np.zeros((x.shape[0], x.shape[1]))
-        out[:, 0] = g_amp * np.sin(2 * np.pi * x[:, 0])
-        return out
-
-    def h(t, x, y, z):
-        return (h_amp * np.cos(np.pi * x[:, 0]))[:, None] * w[None, :]
-
-    return CoefficientSet(f=f, g=g, h=h, C=0.0, alpha=0.0, beta=0.0, modes=modes)
-
-
-def refine_noise(base: NoisePath, factor: int) -> NoisePath:
-    """Coarsen a fine noise path by summing blocks of increments (the same
-    Brownian path sampled at a coarser step)."""
-    J, steps = base.increments.shape
-    agg = base.increments.reshape(J, steps // factor, factor).sum(axis=2)
-    return NoisePath(J=J, dt=base.dt * factor, increments=agg, seed=base.seed)
+def state_free_coeffs(modes=2):
+    """The ``state_free`` preset with f = sin(pi x) + 1."""
+    return make_coefficients("state_free", None, modes, {"f_const": 1.0})
 
 
 def standard_problem(cells=24, steps=128, T=0.25, seed=1000, modes=2,
@@ -108,6 +72,38 @@ def unconstrained_problem(cells=64, steps=128, T=0.25, seed=3, modes=2,
     obstacle = FieldPath.constant(grid, times, OBSTACLE_OFF)
     return ProblemData(op=op, xi=xi, coeffs=coeffs or state_free_coeffs(modes),
                        obstacle=obstacle, noise=noise)
+
+
+def mixed_problem(cells, steps, noise):
+    """The unconstrained problem with the Lipschitz mixed nonlinearities."""
+    return unconstrained_problem(cells=cells, steps=steps, coeffs=mix_coeffs(2), noise=noise)
+
+
+def signed_problem(cells, steps, noise):
+    """The unconstrained problem whose solutions change sign."""
+    return unconstrained_problem(cells=cells, steps=steps, coeffs=signed_coeffs(2),
+                                 xi_fn=lambda x: np.sin(2 * np.pi * x[:, 0]), noise=noise)
+
+
+def mean_terminals(residual, study):
+    """Per level of a refinement study, the mean terminal of ``residual``
+    over its paths."""
+    return [float(np.mean([residual(res, data).terminal for data, res in level]))
+            for level in study]
+
+
+def count_calls(monkeypatch, owner, name):
+    """Wrap ``owner.name`` for the test: each call appends its positional
+    arguments to the returned list."""
+    calls = []
+    wrapped = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return wrapped(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
 
 
 @pytest.fixture(scope="session")

@@ -9,25 +9,23 @@ obstacle S = 0.2 and initial state sin(pi x) + 0.3.  Desk-scale
 resolutions are chosen per criterion within 256 cells / 2048 steps.
 """
 
-import math
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import (mix_coeffs, refine_noise, signed_coeffs, standard_problem,
-                      state_free_coeffs, unconstrained_problem)
+from conftest import (mean_terminals, mix_coeffs, mixed_problem, signed_problem,
+                      standard_problem, state_free_coeffs, unconstrained_problem)
 
 from ospde.capacity import box_set, capacity
 from ospde.errors import AssumptionError
 from ospde.grid import Field, assemble_operator, build_grid, sobolev_ratio
-from ospde.norms import FieldPath, mixed_norm
-from ospde.solver import (OBSTACLE_OFF, DominatorData, prepare_batch, skorokhod_defect,
-                          solve_batch, solve_dominators, solve_mode)
+from ospde.solver import OBSTACLE_OFF, DominatorData, solve_dominators, solve_mode
 from ospde.stochastics import CoefficientSet, NoisePath, sample_noise
 from ospde.verify import (apriori_check, comparison_experiment, ito_square_residual,
-                          positive_part_bound_check, positive_part_residual)
+                          penalization_sweep, positive_part_bound_check,
+                          positive_part_residual, refinement_study)
 
 CELLS, STEPS, T = 24, 128, 0.25
 LEVELS = (10, 100, 1000, 10000)
@@ -41,49 +39,30 @@ def report(number, name, ok, detail):
 
 @pytest.fixture(scope="module")
 def penalization_runs():
-    """Per seed: projected oracle, distances d(n), and defects."""
-    out = []
-    for seed in SEEDS:
-        data = standard_problem(cells=CELLS, steps=STEPS, T=T, seed=seed)
-        star = solve_mode(data, "projected")
-        grid = data.op.grid
-        dists, defects = {}, {}
-        for n in LEVELS:
-            pen = solve_mode(data, "penalized", n)
-            diff = FieldPath(grid, data.times, pen.u.frames - star.u.frames)
-            dists[n] = mixed_norm(diff, 2, math.inf, T)
-            defects[n] = skorokhod_defect(pen.u, data.obstacle, pen.measure)
-        out.append({
-            "seed": seed,
-            "distances": dists,
-            "penalized_defects": defects,
-            "projected_defect": skorokhod_defect(star.u, data.obstacle, star.measure),
-        })
-    return out
+    """Distances to the projected solve and defects, per seed and level."""
+    data = standard_problem(cells=CELLS, steps=STEPS, T=T, seed=SEEDS[0])
+    return penalization_sweep(data, [sample_noise(2, T / STEPS, STEPS, seed) for seed in SEEDS],
+                              LEVELS)
 
 
 def test_criterion_1_penalization_convergence(penalization_runs):
-    mono = all(
-        all(run["distances"][a] > run["distances"][b]
-            for a, b in zip(LEVELS, LEVELS[1:]))
-        for run in penalization_runs)
-    ratios = [run["distances"][10000] / run["distances"][10]
-              for run in penalization_runs]
+    d = penalization_runs.distances
+    mono = bool(np.all(d[:, :-1] > d[:, 1:]))
+    ratios = d[:, -1] / d[:, 0]
     ok = mono and max(ratios) <= 0.1
     report(1, "penalization convergence", ok,
-           f"strictly decreasing for {len(penalization_runs)} seeds: {mono}; "
+           f"strictly decreasing for {len(d)} seeds: {mono}; "
            f"max d(1e4)/d(10) = {max(ratios):.4f} (need <= 0.1)")
 
 
 def test_criterion_2_skorokhod_condition(penalization_runs):
-    proj_worst = max(run["projected_defect"] for run in penalization_runs)
-    pen_ok = all(run["penalized_defects"][10000] <= 10 * run["distances"][10000]
-                 for run in penalization_runs)
-    pen_worst = max(run["penalized_defects"][10000] for run in penalization_runs)
+    proj_worst = max(penalization_runs.projected_defects)
+    pen = penalization_runs.defects[:, -1]
+    pen_ok = bool(np.all(pen <= 10 * penalization_runs.distances[:, -1]))
     ok = proj_worst <= 1e-8 and pen_ok
     report(2, "Skorokhod condition", ok,
            f"worst projected defect = {proj_worst:.2e} (need <= 1e-8); "
-           f"worst penalized defect at n=1e4 = {pen_worst:.2e} "
+           f"worst penalized defect at n=1e4 = {max(pen):.2e} "
            f"(need <= 10 d(1e4) per seed: {pen_ok})")
 
 
@@ -115,17 +94,10 @@ def test_criterion_4_ito_identity():
         res = solve_mode(data, "unconstrained")
         worst_step = max(worst_step, ito_square_residual(res, data).max_step)
 
-    def mean_terminal(steps):
-        vals = []
-        for seed in range(20):
-            fine = sample_noise(2, T / 256, 256, 3000 + seed)
-            data = unconstrained_problem(cells=32, steps=steps, coeffs=mix_coeffs(2),
-                                         noise=refine_noise(fine, 256 // steps))
-            res = solve_mode(data, "unconstrained")
-            vals.append(ito_square_residual(res, data).terminal)
-        return float(np.mean(vals))
-
-    factor = mean_terminal(64) / mean_terminal(128)
+    fine = [sample_noise(2, T / 256, 256, 3000 + seed) for seed in range(20)]
+    coarse, finer = mean_terminals(ito_square_residual, refinement_study(
+        mixed_problem, [(32, 64), (32, 128)], fine, "unconstrained"))
+    factor = coarse / finer
     ok = worst_step <= 1e-9 and 1.5 <= factor <= 3.0
     report(4, "Ito identity", ok,
            f"linear per-step residual = {worst_step:.2e} (need <= 1e-9); "
@@ -146,18 +118,10 @@ def test_criterion_5_positive_part_identity():
     assert res.u.frames.min() >= 0.0
     one_sign_step = positive_part_residual(res, data).max_step
 
-    def mean_terminal(cells, steps):
-        vals = []
-        for seed in range(20):
-            fine = sample_noise(2, T / 256, 256, 4000 + seed)
-            d = unconstrained_problem(cells=cells, steps=steps, coeffs=signed_coeffs(2),
-                                      xi_fn=lambda x: np.sin(2 * np.pi * x[:, 0]),
-                                      noise=refine_noise(fine, 256 // steps))
-            r = solve_mode(d, "unconstrained")
-            vals.append(positive_part_residual(r, d).terminal)
-        return float(np.mean(vals))
-
-    factor = mean_terminal(32, 64) / mean_terminal(64, 128)
+    fine = [sample_noise(2, T / 256, 256, 4000 + seed) for seed in range(20)]
+    coarse, finer = mean_terminals(positive_part_residual, refinement_study(
+        signed_problem, [(32, 64), (64, 128)], fine, "unconstrained"))
+    factor = coarse / finer
     ok = one_sign_step <= 1e-9 and 1.3 <= factor <= 3.0
     report(5, "positive-part identity", ok,
            f"one-signed per-step residual = {one_sign_step:.2e} (need <= 1e-9); "
@@ -200,30 +164,25 @@ def test_criterion_7_sobolev_bound():
 
 
 def test_criterion_8_estimate_stability():
-    seeds = [4200 + i for i in range(50)]
-
-    def batch(cells, steps):
+    def problem(cells, steps, noise):
         grid = build_grid(1, (0.0, 1.0), cells)
-        noises = [refine_noise(sample_noise(2, T / 256, 256, seed), 256 // steps)
-                  for seed in seeds]
         dom = DominatorData(
             initial=Field.from_function(grid, lambda x: np.sin(np.pi * x[:, 0]) + 0.3),
             f=np.full((steps + 1, grid.n_nodes), 2.0))
-        data = standard_problem(cells=cells, steps=steps, dominator=dom, noise=noises[0])
-        solved = solve_batch(prepare_batch(data, noises, "projected"))
-        paths = [solved.sample(s).u for s in range(len(noises))]
+        return standard_problem(cells=cells, steps=steps, dominator=dom, noise=noise)
+
+    fine = [sample_noise(2, T / 256, 256, 4200 + i) for i in range(50)]
+    k, kp = [], []
+    for level in refinement_study(problem, [(CELLS, STEPS), (2 * CELLS, 2 * STEPS)], fine,
+                                  "projected"):
+        data, paths = level[0][0], [res.u for _, res in level]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # domination fails near the boundary
-            doms = solve_dominators(data, noises)
-        return data, paths, doms
-
-    k, kp = {}, {}
-    for cells, steps in ((CELLS, STEPS), (2 * CELLS, 2 * STEPS)):
-        data, paths, doms = batch(cells, steps)
-        k[cells] = apriori_check(data, paths, doms).implied_constant
-        kp[cells] = positive_part_bound_check(data, paths, doms).implied_constant
-    r_apriori = k[CELLS] / k[2 * CELLS]
-    r_pospart = kp[CELLS] / kp[2 * CELLS]
+            doms = solve_dominators(data, [d.noise for d, _ in level])
+        k.append(apriori_check(data, paths, doms).implied_constant)
+        kp.append(positive_part_bound_check(data, paths, doms).implied_constant)
+    r_apriori = k[0] / k[1]
+    r_pospart = kp[0] / kp[1]
     ok = 0.5 <= r_apriori <= 2.0 and 0.5 <= r_pospart <= 2.0
     report(8, "estimate stability", ok,
            f"implied-constant ratios under (h, dt) -> (h/2, dt/2): "

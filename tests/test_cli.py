@@ -8,6 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import count_calls
+
 import ospde.cli as cli
 import ospde.config
 import ospde.solver
@@ -49,6 +51,20 @@ def write_cfg(tmp_path, text, name="run.cfg"):
     p = tmp_path / name
     p.write_text(text)
     return p
+
+
+def simulated(tmp_path, text=BASE):
+    """Simulate the one sample of the config ``text``: the config's path, the
+    output directory and the sample's directory."""
+    cfg = write_cfg(tmp_path, text)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    return cfg, out, out / "sample_000_seed_41"
+
+
+def verify(cfg, out, sample):
+    """The exit code of ``verify`` replaying ``sample`` under ``cfg``."""
+    return main(["verify", "--config", str(cfg), "--out", str(out), "--artifacts", str(sample)])
 
 
 def read_csv(path):
@@ -179,7 +195,9 @@ class TestSimulate:
             ("grid.counts", 'grid.counts = "abc"'),
             ("grid.counts", "grid.counts = 8.9"),
             ("grid.extent", 'grid.extent = "x"'),
-            ("grid.extent", 'grid.extent = [0.0, "x"]')])])
+            ("grid.extent", 'grid.extent = [0.0, "x"]'),
+            ("output.directory", "output.directory = 5"),
+            ("output.directory", 'output.directory = ""')])])
     def test_unparsable_value_is_config_error(self, tmp_path, capsys, key, line, argv):
         cfg = write_cfg(tmp_path, BASE + line + "\n")
         code = main([*argv, "--config", str(cfg), "--out", str(tmp_path / "out")])
@@ -201,13 +219,10 @@ class TestSimulate:
         assert not list(out.glob("sample_*"))
 
     def test_round_trip_matches_solution(self, tmp_path):
-        cfg_path = write_cfg(tmp_path, BASE)
-        out = tmp_path / "out"
-        main(["simulate", "--config", str(cfg_path), "--out", str(out)])
+        cfg_path, _, sample = simulated(tmp_path)
         cfg = load_config(cfg_path)
         grid = cfg.make_grid()
-        u, measure, meta = load_run(out / "sample_000_seed_41", grid,
-                                    expected_hash=cfg.hash)
+        u, measure, meta = load_run(sample, grid, expected_hash=cfg.hash)
         from ospde.solver import solve_mode
         res = solve_mode(cfg.build_problem(41, grid=grid), "projected")
         assert np.allclose(u.frames, res.u.frames, atol=1e-15)
@@ -339,19 +354,10 @@ class TestSubcommands:
 
     @pytest.mark.parametrize("command, loads", [("simulate", 1), ("verify", 1), ("compare", 2)])
     def test_config_parsed_once_per_file(self, tmp_path, monkeypatch, command, loads):
-        cfg = write_cfg(tmp_path, BASE)
-        out = tmp_path / "out"
-        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
-        calls = []
-        load = cli.load_config
-
-        def counting_load(path):
-            calls.append(path)
-            return load(path)
-
-        monkeypatch.setattr(cli, "load_config", counting_load)
+        cfg, out, sample = simulated(tmp_path)
+        calls = count_calls(monkeypatch, cli, "load_config")
         argv = {"simulate": ["--out", str(out)],
-                "verify": ["--out", str(out), "--artifacts", str(out / "sample_000_seed_41")],
+                "verify": ["--out", str(out), "--artifacts", str(sample)],
                 "compare": ["--out", str(tmp_path / "cmp"), "--config2", str(cfg)]}[command]
         assert main([command, "--config", str(cfg), *argv]) == 0
         assert len(calls) == loads
@@ -390,6 +396,7 @@ class TestSubcommands:
         ('capacity.center = "mid"\ncapacity.widths = [0.2]', "capacity.center"),
         ('capacity.widths = [0.2, "wide"]', "capacity.widths[1]"),
         ("capacity.widths = 0.2", "capacity.widths"),
+        ("capacity.widths = []", "capacity.widths"),
         ('capacity.interval = ["a", 0.5]', "capacity.interval"),
         ("capacity.interval = [[0.25, 0.75], [0.25, 0.75]]", "capacity.interval"),
     ])
@@ -437,59 +444,41 @@ class TestSubcommands:
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
 
     def test_verify_replays_artifacts(self, tmp_path):
-        cfg = write_cfg(tmp_path, BASE)
-        out = tmp_path / "out"
-        main(["simulate", "--config", str(cfg), "--out", str(out)])
-        sample = out / "sample_000_seed_41"
-        assert main(["verify", "--config", str(cfg), "--artifacts", str(sample)]) == 0
+        cfg, out, sample = simulated(tmp_path)
+        assert verify(cfg, out, sample) == 0
         report = json.loads((sample / "verify_report.json").read_text())
         assert set(report["checks"]) == {"ito_square", "skorokhod"}
         assert report["checks"]["skorokhod"]["defect"] <= 1e-8
 
     def test_unexpected_check_error_is_verify_failure(self, tmp_path, monkeypatch):
-        cfg = write_cfg(tmp_path, BASE)
-        out = tmp_path / "out"
-        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        cfg, out, sample = simulated(tmp_path)
 
         def broken_check(*args, **kwargs):
             raise ValueError("bad replay")
 
         monkeypatch.setattr("ospde.cli.ito_square_residual", broken_check)
-        code = main(["verify", "--config", str(cfg), "--out", str(out),
-                     "--artifacts", str(out / "sample_000_seed_41")])
-        assert code == 5
+        assert verify(cfg, out, sample) == 5
         assert json.loads((out / "error.json").read_text())["stage"] == "verify-failure"
 
     def test_verify_refuses_hash_mismatch(self, tmp_path):
-        cfg = write_cfg(tmp_path, BASE)
-        out = tmp_path / "out"
-        main(["simulate", "--config", str(cfg), "--out", str(out)])
+        _, out, sample = simulated(tmp_path)
         other = write_cfg(tmp_path, BASE.replace("0.2", "0.25"), "other.cfg")
-        code = main(["verify", "--config", str(other), "--out", str(out),
-                     "--artifacts", str(out / "sample_000_seed_41")])
-        assert code == 6
+        assert verify(other, out, sample) == 6
 
     def test_missing_artifacts_explicit_error(self, tmp_path):
-        cfg = write_cfg(tmp_path, BASE)
-        code = main(["verify", "--config", str(cfg), "--out", str(tmp_path / "out"),
-                     "--artifacts", str(tmp_path / "nowhere")])
-        assert code == 7
+        assert verify(write_cfg(tmp_path, BASE), tmp_path / "out", tmp_path / "nowhere") == 7
 
     @pytest.mark.parametrize("edit", ["drop_last_frame", "rename_header"])
     def test_verify_refuses_malformed_artifacts(self, tmp_path, edit):
-        cfg = write_cfg(tmp_path, BASE)
-        out = tmp_path / "out"
-        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
-        u_csv = out / "sample_000_seed_41" / "u.csv"
+        cfg, out, sample = simulated(tmp_path)
+        u_csv = sample / "u.csv"
         lines = u_csv.read_text().splitlines()
         if edit == "drop_last_frame":
             lines = [ln for ln in lines if not ln.startswith("32,")]
         else:
             lines[1] = lines[1].replace("value", "u")
         u_csv.write_text("\n".join(lines) + "\n")
-        code = main(["verify", "--config", str(cfg), "--out", str(out),
-                     "--artifacts", str(out / "sample_000_seed_41")])
-        assert code == 6
+        assert verify(cfg, out, sample) == 6
         assert json.loads((out / "error.json").read_text())["stage"] == "artifact-mismatch"
 
     @pytest.mark.parametrize("edit", [
@@ -499,15 +488,11 @@ class TestSubcommands:
         lambda meta: None,
     ], ids=["no_steps", "no_seed", "dt_text", "not_json"])
     def test_verify_refuses_bad_metadata(self, tmp_path, edit):
-        cfg = write_cfg(tmp_path, BASE)
-        out = tmp_path / "out"
-        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
-        path = out / "sample_000_seed_41" / "metadata.json"
+        cfg, out, sample = simulated(tmp_path)
+        path = sample / "metadata.json"
         meta = edit(json.loads(path.read_text()))
         path.write_text("{not json" if meta is None else json.dumps(meta))
-        code = main(["verify", "--config", str(cfg), "--out", str(out),
-                     "--artifacts", str(out / "sample_000_seed_41")])
-        assert code == 6
+        assert verify(cfg, out, sample) == 6
         err = json.loads((out / "error.json").read_text())
         assert err["stage"] == "artifact-mismatch" and "metadata.json" in err["error"]
 
@@ -522,40 +507,31 @@ class TestSubcommands:
             assert not list(out.glob("sample_*"))
 
     def test_csv_written_whatever_the_formats(self, tmp_path):
-        cfg = write_cfg(tmp_path, BASE + 'output.formats = ["json"]\n')
-        out = tmp_path / "out"
-        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
-        sample = out / "sample_000_seed_41"
+        cfg, out, sample = simulated(tmp_path, BASE + 'output.formats = ["json"]\n')
         assert {p.name for p in sample.iterdir()} == {
             "metadata.json", "u.csv", "measure.csv", "norms.csv"}
-        assert main(["verify", "--config", str(cfg), "--out", str(out),
-                     "--artifacts", str(sample)]) == 0
+        assert verify(cfg, out, sample) == 0
 
     def test_unknown_check_rejected(self, tmp_path):
         text = BASE.replace('verify.checks = ["ito_square", "skorokhod"]',
                             'verify.checks = ["nonsense"]')
-        cfg = write_cfg(tmp_path, text)
-        out = tmp_path / "out"
-        main(["simulate", "--config", str(cfg), "--out", str(out)])
-        code = main(["verify", "--config", str(cfg), "--out", str(out),
-                     "--artifacts", str(out / "sample_000_seed_41")])
-        assert code == 2
+        cfg, out, sample = simulated(tmp_path, text)
+        assert verify(cfg, out, sample) == 2
         assert json.loads((out / "error.json").read_text())["stage"] == "config-error"
 
     @pytest.mark.parametrize("value, message", [
         ('"skorokhod"', "verify.checks = 'skorokhod' is not a list"),
-        ('[["skorokhod"]]', "unknown verify checks [['skorokhod']]")], ids=["string", "nested"])
+        ('[["skorokhod"]]', "unknown verify checks [['skorokhod']]"),
+        ("[]", "verify.checks = [] names no check")], ids=["string", "nested", "empty"])
     def test_checks_that_are_not_a_list_of_names_are_config_error(self, tmp_path, value,
                                                                   message):
-        cfg = write_cfg(tmp_path, BASE.replace('verify.checks = ["ito_square", "skorokhod"]',
-                                               f"verify.checks = {value}"))
-        out = tmp_path / "out"
-        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
-        code = main(["verify", "--config", str(cfg), "--out", str(out),
-                     "--artifacts", str(out / "sample_000_seed_41")])
+        cfg, out, sample = simulated(tmp_path, BASE.replace(
+            'verify.checks = ["ito_square", "skorokhod"]', f"verify.checks = {value}"))
+        code = verify(cfg, out, sample)
         err = json.loads((out / "error.json").read_text())
         assert code == 2 and err["stage"] == "config-error"
         assert err["error"].startswith(message)
+        assert not (sample / "verify_report.json").exists()
 
     ESTIMATES = 'verify.checks = ["apriori", "positive_part_bound"]'
 
@@ -565,32 +541,18 @@ class TestSubcommands:
         ('["ito_square", "skorokhod"]', 0)], ids=["both", "one", "neither"])
     def test_verify_marches_the_dominator_at_most_once(self, tmp_path, monkeypatch,
                                                        checks, marches):
-        calls = []
-        solve_dominators = cli.solve_dominators
-
-        def counting_solve_dominators(*args):
-            calls.append(1)
-            return solve_dominators(*args)
-
-        monkeypatch.setattr(cli, "solve_dominators", counting_solve_dominators)
+        calls = count_calls(monkeypatch, cli, "solve_dominators")
         text = BASE.replace('verify.checks = ["ito_square", "skorokhod"]',
                             f"verify.checks = {checks}\ndominator.preset = noisy")
-        cfg = write_cfg(tmp_path, text)
-        out = tmp_path / "out"
-        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
-        assert main(["verify", "--config", str(cfg),
-                     "--artifacts", str(out / "sample_000_seed_41")]) == 0
+        assert verify(*simulated(tmp_path, text)) == 0
         assert len(calls) == marches
 
     @pytest.mark.filterwarnings("ignore:obstacle exceeds its dominator")
     def test_verify_estimates_match_a_direct_call(self, tmp_path):
         text = BASE.replace('verify.checks = ["ito_square", "skorokhod"]',
                             self.ESTIMATES + "\ndominator.preset = noisy")
-        cfg_path = write_cfg(tmp_path, text)
-        out = tmp_path / "out"
-        assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
-        sample = out / "sample_000_seed_41"
-        assert main(["verify", "--config", str(cfg_path), "--artifacts", str(sample)]) == 0
+        cfg_path, out, sample = simulated(tmp_path, text)
+        assert verify(cfg_path, out, sample) == 0
         report = json.loads((sample / "verify_report.json").read_text())["checks"]
 
         cfg = load_config(cfg_path)
@@ -604,12 +566,8 @@ class TestSubcommands:
 
     def test_verify_estimates_without_dominator_are_config_error(self, tmp_path):
         text = BASE.replace('verify.checks = ["ito_square", "skorokhod"]', self.ESTIMATES)
-        cfg = write_cfg(tmp_path, text)
-        out = tmp_path / "out"
-        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
-        code = main(["verify", "--config", str(cfg), "--out", str(out),
-                     "--artifacts", str(out / "sample_000_seed_41")])
-        assert code == 2
+        cfg, out, sample = simulated(tmp_path, text)
+        assert verify(cfg, out, sample) == 2
         err = json.loads((out / "error.json").read_text())
         assert err["stage"] == "config-error" and "dominator" in err["error"]
 

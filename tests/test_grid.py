@@ -31,6 +31,19 @@ class TestBuildGrid:
         with pytest.raises(ConfigurationError):
             build_grid(1, (0.0, 1.0), 2)
 
+    @pytest.mark.parametrize("dim, counts, message", [
+        (1, 8.9, "counts must be whole"), (2, (8, 8.5), "counts must be whole"),
+        (1, np.nan, "counts must be whole"), (1, "8", "counts must be whole"),
+        (1.0, 8, "dim must be the int"), (True, 8, "dim must be the int")])
+    def test_fractional_counts_and_non_int_dim_rejected(self, dim, counts, message):
+        extent = (0.0, 1.0) if np.ndim(counts) == 0 else [(0.0, 1.0)] * 2
+        with pytest.raises(ConfigurationError, match=message):
+            build_grid(dim, extent, counts)
+
+    @pytest.mark.parametrize("counts", [8, 8.0, np.int64(8)])
+    def test_integral_counts_accepted(self, counts):
+        assert build_grid(1, (0.0, 1.0), counts).counts == (8,)
+
     def test_degenerate_extent_rejected(self):
         with pytest.raises(ConfigurationError):
             build_grid(1, (1.0, 1.0), 8)

@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from conftest import mix_coeffs, standard_problem, state_free_coeffs
+from conftest import count_calls, mix_coeffs, standard_problem, unconstrained_problem
 
 import ospde.lcp as lcp
 from ospde.errors import AssumptionError, ConfigurationError, SolverError
@@ -17,6 +17,7 @@ from ospde.solver import (OBSTACLE_OFF, DiscreteMeasure, DominatorData, ProblemD
                           prepare_batch, skorokhod_defect, solve_batch, solve_dominators,
                           solve_mode)
 from ospde.stochastics import CoefficientSet, NoisePath, sample_noise
+from ospde.verify import penalization_sweep, refinement_study
 
 
 def source_problem(grid, op, dt, steps, f=None, g=None):
@@ -72,22 +73,16 @@ class TestUnconstrainedSources:
 class TestAgainstAnalyticOracles:
     def test_heat_decay_matches_closed_form(self):
         # pure heat flow from sin(pi x): u(T) = exp(-pi^2 T) sin(pi x)
-        def err(cells, steps):
-            g = build_grid(1, (0.0, 1.0), cells)
-            op = assemble_operator(g, 1.0, 1.0, 1.0)
-            T = 0.1
-            dt = T / steps
-            times = np.arange(steps + 1) * dt
-            data = ProblemData(
-                op=op, xi=Field.from_function(g, lambda x: np.sin(np.pi * x[:, 0])),
-                coeffs=CoefficientSet.zero(1),
-                obstacle=FieldPath.constant(g, times, OBSTACLE_OFF),
-                noise=NoisePath(J=1, dt=dt, increments=np.zeros((1, steps)), seed=0))
-            res = solve_mode(data, "unconstrained")
-            exact = np.exp(-np.pi ** 2 * T) * np.sin(np.pi * g.coords[:, 0])
-            return float(np.abs(res.u.frames[-1] - exact).max())
+        def heat(cells, steps, noise):
+            return unconstrained_problem(cells=cells, steps=steps, T=0.1, modes=1,
+                                         coeffs=CoefficientSet.zero(1), noise=noise)
 
-        coarse, fine = err(32, 64), err(64, 256)
+        still = NoisePath(J=1, dt=0.1 / 256, increments=np.zeros((1, 256)), seed=0)
+        coarse, fine = (
+            float(np.abs(res.u.frames[-1] - np.exp(-np.pi ** 2 * 0.1)
+                         * np.sin(np.pi * data.op.grid.coords[:, 0])).max())
+            for [(data, res)] in refinement_study(heat, [(32, 64), (64, 256)], [still],
+                                                  "unconstrained"))
         assert fine < 1e-3
         assert coarse / fine > 3.0
 
@@ -110,15 +105,13 @@ class TestAgainstAnalyticOracles:
             C = M @ (C + dt * (H @ H.T)) @ M.T
         exact_sq = g.cell_measure * np.trace(C)
 
-        vals = []
-        for seed in range(300):
-            noise = sample_noise(2, dt, steps, 81_000 + seed)
-            data = ProblemData(
-                op=op, xi=Field.zeros(g), coeffs=CoefficientSet.zero(2),
-                obstacle=FieldPath.constant(g, times, OBSTACLE_OFF), noise=noise,
-                dominator=DominatorData(initial=Field.zeros(g), h=hprof))
-            path = solve_dominators(data, [data.noise])[0]
-            vals.append(g.cell_measure * float(np.sum(g.restrict(path.frames[-1]) ** 2)))
+        noises = [sample_noise(2, dt, steps, 81_000 + seed) for seed in range(300)]
+        data = ProblemData(
+            op=op, xi=Field.zeros(g), coeffs=CoefficientSet.zero(2),
+            obstacle=FieldPath.constant(g, times, OBSTACLE_OFF), noise=noises[0],
+            dominator=DominatorData(initial=Field.zeros(g), h=hprof))
+        vals = [g.cell_measure * float(np.sum(g.restrict(path.frames[-1]) ** 2))
+                for path in solve_dominators(data, noises)]
         mc, se = np.mean(vals), np.std(vals) / np.sqrt(len(vals))
         assert abs(mc - exact_sq) <= 4.0 * se
 
@@ -148,31 +141,25 @@ class TestSolveLinearSpde:
         w = np.array([0.8, 0.6])
         hprof = np.tile((0.5 * np.sin(np.pi * grid.coords[:, 0]))[:, None] * w[None, :],
                         (steps + 1, 1, 1))
-        terminal = []
-        for seed in range(200):
-            noise = sample_noise(J, dt, steps, 5000 + seed)
-            data = ProblemData(
-                op=op, xi=Field.zeros(grid), coeffs=CoefficientSet.zero(J),
-                obstacle=FieldPath.constant(grid, times, OBSTACLE_OFF), noise=noise,
-                dominator=DominatorData(initial=Field.zeros(grid), h=hprof))
-            terminal.append(solve_dominators(data, [data.noise])[0].frames[-1])
-        terminal = np.array(terminal)
+        noises = [sample_noise(J, dt, steps, 5000 + seed) for seed in range(200)]
+        data = ProblemData(
+            op=op, xi=Field.zeros(grid), coeffs=CoefficientSet.zero(J),
+            obstacle=FieldPath.constant(grid, times, OBSTACLE_OFF), noise=noises[0],
+            dominator=DominatorData(initial=Field.zeros(grid), h=hprof))
+        terminal = np.array([path.frames[-1] for path in solve_dominators(data, noises)])
         mean = terminal.mean(axis=0)
         stderr = terminal.std(axis=0) / np.sqrt(len(terminal)) + 1e-15
         assert np.all(np.abs(mean) <= 5.0 * stderr)
 
     @pytest.mark.filterwarnings("ignore:obstacle exceeds its dominator")
     def test_no_blowup_over_seeds(self):
-        sups = []
-        for seed in range(50):
-            data = standard_problem(cells=16, steps=64, seed=7000 + seed,
-                                    dominator=None)
-            grid = data.op.grid
-            dom = DominatorData(initial=data.xi,
-                                f=np.full((data.steps + 1, grid.n_nodes), 2.0))
-            data = standard_problem(cells=16, steps=64, seed=7000 + seed, dominator=dom)
-            path = solve_dominators(data, [data.noise])[0]
-            sups.append(max(float(grid.quad_weights @ fr ** 2) for fr in path.frames))
+        data = standard_problem(cells=16, steps=64)
+        grid = data.op.grid
+        dom = DominatorData(initial=data.xi, f=np.full((data.steps + 1, grid.n_nodes), 2.0))
+        data = replace(data, dominator=dom)
+        noises = [sample_noise(2, data.dt, data.steps, 7000 + seed) for seed in range(50)]
+        sups = [max(float(grid.quad_weights @ fr ** 2) for fr in path.frames)
+                for path in solve_dominators(data, noises)]
         assert np.isfinite(np.mean(sups))
 
 
@@ -211,21 +198,14 @@ class TestConstrainedSolvers:
 
     def test_penalization_distance_decreases(self):
         data = standard_problem(cells=24, steps=64)
-        star = solve_mode(data, "projected")
-        grid = data.op.grid
-        T = float(data.times[-1])
-        dists = []
-        for n in (10, 100, 1000):
-            pen = solve_mode(data, "penalized", n)
-            dists.append(mixed_norm(FieldPath(grid, data.times,
-                                              pen.u.frames - star.u.frames), 2, math.inf, T))
-        assert dists[0] > dists[1] > dists[2]
+        d = penalization_sweep(data, [data.noise], (10, 100, 1000)).distances[0]
+        assert d[0] > d[1] > d[2]
 
     def test_penalized_mass_bounded_in_n(self):
         data = standard_problem(cells=24, steps=64)
         proj_mass = solve_mode(data, "projected").measure.total_mass()
-        for n in (10, 100, 1000, 10000):
-            assert solve_mode(data, "penalized", n).measure.total_mass() <= 10 * proj_mass
+        masses = penalization_sweep(data, [data.noise], (10, 100, 1000, 10000)).masses[0]
+        assert np.all(masses <= 10 * proj_mass)
 
     def test_shared_noise_determinism(self):
         data = standard_problem(cells=24, steps=64, seed=77)
@@ -267,29 +247,20 @@ class TestConstrainedSolvers:
     def test_deterministic_obstacle_first_order_in_h(self):
         # deterministic obstacle heat flow vs the same scheme on a 4x finer
         # grid, restricted to the coarse nodes: errors shrink ~ first order
-        T, steps = 0.1, 256
+        def flow(cells, steps, noise):
+            return standard_problem(cells=cells, steps=steps, T=0.1, modes=1, xi_offset=0.0,
+                                    coeffs=CoefficientSet.zero(1), noise=noise)
 
-        def solve_on(cells):
-            grid = build_grid(1, (0.0, 1.0), cells)
-            op = assemble_operator(grid, 1.0, 1.0, 1.0)
-            dt = T / steps
-            times = np.arange(steps + 1) * dt
-            noise = NoisePath(J=1, dt=dt, increments=np.zeros((1, steps)), seed=0)
-            with pytest.warns(UserWarning, match="initial condition"):
-                # the flat obstacle starts above sin(pi x) near the boundary
-                data = ProblemData(
-                    op=op, xi=Field.from_function(grid, lambda x: np.sin(np.pi * x[:, 0])),
-                    coeffs=CoefficientSet.zero(1),
-                    obstacle=FieldPath.constant(grid, times, 0.2), noise=noise)
-            return grid, solve_mode(data, "projected")
-
+        still = NoisePath(J=1, dt=0.1 / 256, increments=np.zeros((1, 256)), seed=0)
+        with pytest.warns(UserWarning, match="initial condition"):
+            # the flat obstacle starts above sin(pi x) near the boundary
+            study = refinement_study(flow, [(16, 256), (64, 256), (32, 256), (128, 256)],
+                                     [still], "projected")
         errs = []
-        for cells in (16, 32):
-            gc, coarse = solve_on(cells)
-            gf, fine = solve_on(4 * cells)
-            sub = fine.u.frames[:, ::4]
-            diff = FieldPath(gc, coarse.u.times, coarse.u.frames - sub)
-            errs.append(mixed_norm(diff, 2, math.inf, T))
+        for [(_, coarse)], [(_, fine)] in zip(study[::2], study[1::2]):
+            diff = FieldPath(coarse.u.grid, coarse.u.times,
+                             coarse.u.frames - fine.u.frames[:, ::4])
+            errs.append(mixed_norm(diff, 2, math.inf, 0.1))
         assert 1.3 <= errs[0] / errs[1] <= 4.0
 
     def test_skorokhod_zero_measure(self):
@@ -370,18 +341,7 @@ class TestBatch:
 
     @pytest.mark.parametrize("mode", ["projected", "penalized"])
     def test_counters(self, monkeypatch, mode):
-        calls = []
-        spsolve = lcp.spla.spsolve
-
-        class CountingSpla:
-            def __getattr__(self, name):
-                return getattr(spla, name)
-
-            def spsolve(self, *args, **kwargs):
-                calls.append(1)
-                return spsolve(*args, **kwargs)
-
-        monkeypatch.setattr(lcp, "spla", CountingSpla())
+        calls = count_calls(monkeypatch, lcp.spla, "spsolve")
         result = solve_mode(contact_problem(), mode, 100)
         iterations = result.diagnostics["iterations"]
         assert 0 < result.diagnostics["feasible_steps"] == iterations.count(0) < len(iterations)

@@ -6,7 +6,7 @@ import pytest
 from conftest import mix_coeffs, state_free_coeffs
 
 from ospde.errors import ConfigurationError
-from ospde.stochastics import CoefficientSet, sample_noise, validate_assumptions
+from ospde.stochastics import CoefficientSet, coarsen, sample_noise, validate_assumptions
 
 
 class TestSampleNoise:
@@ -36,6 +36,21 @@ class TestSampleNoise:
             sample_noise(0, 0.1, 10, 1)
         with pytest.raises(ConfigurationError):
             sample_noise(1, -0.1, 10, 1)
+
+
+class TestCoarsen:
+    def test_block_sums_on_a_multiple_of_the_step(self):
+        fine = sample_noise(3, 0.01, 12, 5)
+        coarse = coarsen(fine, 4)
+        blocks = [[fine.increments[j, 4 * k:4 * k + 4].sum() for k in range(3)]
+                  for j in range(3)]
+        assert np.array_equal(coarse.increments, blocks)
+        assert coarse.dt == fine.dt * 4 and coarse.seed == 5 and coarse.J == 3
+
+    @pytest.mark.parametrize("factor", [0, -2, 5, 2.0, True])
+    def test_bad_factor_refused(self, factor):
+        with pytest.raises(ConfigurationError, match="coarsening factor"):
+            coarsen(sample_noise(1, 0.01, 12, 5), factor)
 
 
 class TestValidateAssumptions:

@@ -3,8 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import (mix_coeffs, refine_noise, signed_coeffs, standard_problem,
-                      state_free_coeffs, unconstrained_problem)
+from conftest import (count_calls, mean_terminals, mix_coeffs, mixed_problem, signed_problem,
+                      standard_problem, state_free_coeffs, unconstrained_problem)
 
 import ospde.solver
 from ospde.errors import AssumptionError, ConfigurationError
@@ -13,8 +13,8 @@ from ospde.solver import (OBSTACLE_OFF, DominatorData, prepare_batch, solve_batc
                           solve_dominators, solve_mode)
 from ospde.stochastics import CoefficientSet, NoisePath, sample_noise
 from ospde.verify import (apriori_check, comparison_experiment, ito_square_residual,
-                          positive_part_bound_check, positive_part_residual,
-                          weak_form_residual)
+                          penalization_sweep, positive_part_bound_check,
+                          positive_part_residual, refinement_study, weak_form_residual)
 
 
 def bump(t, coords):
@@ -43,14 +43,10 @@ class TestWeakForm:
         assert rep.max_step <= 1e-10
 
     def test_nonlinear_residual_halves_with_dt(self):
-        terms = []
-        for steps in (64, 128):
-            fine = sample_noise(2, 0.25 / 256, 256, 17)
-            noise = refine_noise(fine, 256 // steps)
-            data = unconstrained_problem(cells=32, steps=steps, coeffs=mix_coeffs(2),
-                                         noise=noise)
-            res = solve_mode(data, "unconstrained")
-            terms.append(weak_form_residual(res, data, bump).terminal)
+        terms = mean_terminals(lambda res, data: weak_form_residual(res, data, bump),
+                               refinement_study(mixed_problem, [(32, 64), (32, 128)],
+                                                [sample_noise(2, 0.25 / 256, 256, 17)],
+                                                "unconstrained"))
         assert 1.5 <= terms[0] / terms[1] <= 3.0
 
     def test_support_violation_rejected(self):
@@ -77,18 +73,10 @@ class TestItoSquare:
     def test_linear_mean_residual_refines(self):
         # with the realized bracket the pathwise residual is machine zero for
         # state-independent data; state-dependent noise leaves an O(dt) bias
-        def mean_terminal(steps):
-            vals = []
-            for seed in range(20):
-                fine = sample_noise(2, 0.25 / 256, 256, 900 + seed)
-                data = unconstrained_problem(cells=32, steps=steps, coeffs=mix_coeffs(2),
-                                             noise=refine_noise(fine, 256 // steps))
-                res = solve_mode(data, "unconstrained")
-                vals.append(ito_square_residual(res, data).terminal)
-            return float(np.mean(vals))
-
-        coarse, fine = mean_terminal(64), mean_terminal(128)
-        assert 1.5 <= coarse / fine <= 3.0
+        fine = [sample_noise(2, 0.25 / 256, 256, 900 + seed) for seed in range(20)]
+        coarse, finer = mean_terminals(ito_square_residual, refinement_study(
+            mixed_problem, [(32, 64), (32, 128)], fine, "unconstrained"))
+        assert 1.5 <= coarse / finer <= 3.0
 
     def test_measure_pairing_sign_against_dominator(self):
         # int (u - S') d nu <= tolerance when the dominator really dominates
@@ -143,19 +131,32 @@ class TestPositivePart:
         assert np.allclose(rep_pos.increments, rep_ito.increments, atol=1e-15)
 
     def test_sign_changing_refines_jointly(self):
-        def terminal(cells, steps, seed):
-            fine = sample_noise(2, 0.25 / 512, 512, seed)
-            data = unconstrained_problem(cells=cells, steps=steps, coeffs=signed_coeffs(2),
-                                         xi_fn=lambda x: np.sin(2 * np.pi * x[:, 0]),
-                                         noise=refine_noise(fine, 512 // steps))
-            res = solve_mode(data, "unconstrained")
+        fine = [sample_noise(2, 0.25 / 512, 512, 700 + s) for s in range(8)]
+        study = refinement_study(signed_problem, [(32, 64), (64, 128)], fine, "unconstrained")
+        for data, res in (pair for level in study for pair in level):
             signs = np.sign(res.u.frames[:, data.op.grid.interior])
             assert signs.max() > 0 and signs.min() < 0
-            return positive_part_residual(res, data).terminal
+        coarse, finer = mean_terminals(positive_part_residual, study)
+        assert 1.3 <= coarse / finer <= 3.0
 
-        coarse = np.mean([terminal(32, 64, 700 + s) for s in range(8)])
-        fine = np.mean([terminal(64, 128, 700 + s) for s in range(8)])
-        assert 1.3 <= coarse / fine <= 3.0
+
+class TestExperiments:
+    def test_refinement_refuses_every_level_before_solving(self, monkeypatch):
+        calls = count_calls(monkeypatch, ospde.solver, "_step_matrix")
+        fine = [sample_noise(2, 0.25 / 256, 256, seed) for seed in (1, 2)]
+        with pytest.raises(ConfigurationError, match=r"level \(32, 100\): 100 steps"):
+            refinement_study(mixed_problem, [(32, 64), (32, 100)], fine, "unconstrained")
+        assert calls == []
+        with pytest.raises(ConfigurationError, match="at least one fine path"):
+            refinement_study(mixed_problem, [(32, 64)], [], "unconstrained")
+        study = refinement_study(mixed_problem, [(32, 64), (32, 128)], fine, "unconstrained")
+        assert len(calls) == 2
+        assert [[data.noise.seed for data, _ in level] for level in study] == [[1, 2]] * 2
+
+    def test_penalization_sweep_needs_a_level(self):
+        data = standard_problem(cells=16, steps=16)
+        with pytest.raises(ConfigurationError, match="at least one level"):
+            penalization_sweep(data, [data.noise], [])
 
 
 class TestEstimates:
@@ -308,20 +309,8 @@ class TestComparison:
         assert np.array(rep.per_sample).tobytes() == np.array(serial).tobytes()
         assert rep.seeds == seeds and rep.min_gap == min(serial)
 
-    @staticmethod
-    def count_kernel_calls(monkeypatch):
-        calls = []
-        kernel = ospde.solver.psor
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return kernel(*args, **kwargs)
-
-        monkeypatch.setattr(ospde.solver, "psor", counting)
-        return calls
-
     def test_unordered_obstacles_refused_before_any_solve(self, monkeypatch):
-        calls = self.count_kernel_calls(monkeypatch)
+        calls = count_calls(monkeypatch, ospde.solver, "psor")
         d1 = standard_problem(cells=16, steps=32, obstacle_level=0.25)
         d2 = standard_problem(cells=16, steps=32, obstacle_level=0.15)
         with pytest.raises(AssumptionError, match="obstacles are not ordered"):
@@ -331,7 +320,7 @@ class TestComparison:
         assert len(calls) == 2 * d1.steps
 
     def test_drift_order_refused_before_second_problem(self, monkeypatch):
-        calls = self.count_kernel_calls(monkeypatch)
+        calls = count_calls(monkeypatch, ospde.solver, "psor")
         d1 = standard_problem(cells=16, steps=32, coeffs=mix_coeffs(2, f_shift=0.1))
         d2 = standard_problem(cells=16, steps=32)
         with pytest.raises(AssumptionError, match="drift ordering"):
