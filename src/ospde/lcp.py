@@ -11,19 +11,26 @@ A solve marches many steps with one B, so ``StepMatrix`` builds B's CSC
 pattern once and every pass edits arrays of it instead of building scipy
 matrices: a penalized pass writes B_ii + d_i into the diagonal positions, a
 projected pass masks out the free block.  Either way the matrix handed to
-the sparse solver is, bit for bit, the one ``B + diags(d)`` or
-``B[free][:, free]`` would give.
+SuperLU is, bit for bit, the one ``B + diags(d)`` or ``B[free][:, free]``
+would give.  The active sets return across passes and steps, so
+``StepMatrix`` also keeps the SuperLU factor of each pass matrix it meets,
+keyed by penalty and active set, least recently used first out, while the
+kept matrices hold at most ``_KEPT_ENTRIES`` stored entries.  ``splu(A)``
+then ``.solve(b)`` runs the same SuperLU routines (dgstrf, dgstrs) with the
+same options as ``spsolve(A, b)``, so a kept factor gives the same bits as
+solving afresh.
 
 A batch of S solves marching together hands ``psor`` an (n, S) block of
 right-hand sides.  Each pass groups the unsettled columns by their active
-set; a group shares one matrix and one sparse solve with a multi-column
-right-hand side, which the sparse solver treats column by column, so every
-column comes out bit for bit as it would alone.
+set; a group shares one factor and one solve with a multi-column
+right-hand side, which SuperLU treats column by column, so every column
+comes out bit for bit as it would alone.
 """
 
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 
 import numpy as np
 import scipy.sparse as sp
@@ -33,16 +40,26 @@ from .errors import SolverError
 
 __all__ = ["StepMatrix", "psor"]
 
-# Stop when the set repeats and |B x - reaction - q|_inf is at most
-# _TOL * (1 + |q|_inf + |B|_inf |x|_inf), the size of the terms it rounds.
+# Stop when the set repeats and |B x - reaction - q|_inf is at most _TOL
+# times the size of the terms it rounds: 1 + |q|_inf + |B|_inf |x|_inf, plus
+# pen * |x_active|_inf for a penalized pass, whose matrix is B + pen * D.
 _TOL = 1e-12
+# Stored entries (nnz) of the pass matrices whose factors one StepMatrix
+# keeps.  SuperLU's factor takes about 20 times its matrix's entries, and a
+# 1D march's peak RSS rises by about 0.8 MB per 1024 kept entries.  A 1D
+# step's pass matrices fit many times over, while a 2D pass matrix on
+# 48 x 48 cells (about 11 000 entries) is factored and dropped.
+_KEPT_ENTRIES = 3072
 
 
 class StepMatrix:
     """The step matrix B (sorted CSR), its factorization ``lu`` and what
     every active-set pass reuses: a CSC copy of B whose pattern is that of
     B + diags(d) for every d >= 0, B's entries in that order, the column of
-    each entry, the positions of the diagonal, and |B|_inf."""
+    each entry, the positions of the diagonal, |B|_inf, and the factors of
+    the pass matrices met so far (``kept``, least recently used first,
+    holding ``kept_entries`` stored entries, at most ``_KEPT_ENTRIES``).
+    ``factorizations`` counts the pass matrices factored."""
 
     def __init__(self, B: sp.csr_matrix, lu):
         n = B.shape[0]
@@ -54,7 +71,9 @@ class StepMatrix:
                              np.diff(self.csc.indptr))
         self.diag = np.flatnonzero(self.csc.indices == self.col)
         self.norm = _norm_inf(B)
-        self.factorizations = 0  # sparse solves made by the passes
+        self.factorizations = 0
+        self.kept: OrderedDict[tuple[float, bytes], tuple] = OrderedDict()  # (factor, entries)
+        self.kept_entries = 0
 
     def shifted(self, d: np.ndarray) -> sp.csc_matrix:
         """B + diags(d): the cached CSC with B_ii + d_i written on its diagonal."""
@@ -72,6 +91,31 @@ class StepMatrix:
         return sp.csc_matrix((self.data[keep], position[idx[keep]], indptr),
                              shape=(counts.size, counts.size))
 
+    def factor(self, active: np.ndarray, key: bytes, pen: float):
+        """The SuperLU factor of the pass matrix of the nonempty set
+        ``active`` (``key`` is its ``tobytes()``): B + pen * D_active, or the
+        free block at infinite ``pen``.  A kept factor is reused; a new one
+        is kept, evicting the least recently used, unless its matrix alone
+        has more than ``_KEPT_ENTRIES`` entries."""
+        index = (pen, key)
+        kept = self.kept.get(index)
+        if kept is not None:
+            self.kept.move_to_end(index)
+            return kept[0]
+        if pen == math.inf:
+            A = self.free_block(~active)
+        else:
+            A = self.shifted(np.where(active, pen, 0.0))
+        lu = spla.splu(A)
+        self.factorizations += 1
+        if A.nnz <= _KEPT_ENTRIES:
+            while self.kept_entries + A.nnz > _KEPT_ENTRIES:
+                _, (_, entries) = self.kept.popitem(last=False)
+                self.kept_entries -= entries
+            self.kept[index] = (lu, A.nnz)
+            self.kept_entries += A.nnz
+        return lu
+
 
 def psor(step: StepMatrix, q: np.ndarray, psi: np.ndarray, pen: float = math.inf):
     """Solve the obstacle step with lower bound psi: the LCP (B, q) when
@@ -85,14 +129,15 @@ def psor(step: StepMatrix, q: np.ndarray, psi: np.ndarray, pen: float = math.inf
     solve x_free is a column's answer when feasible (0 passes), else the
     column's active set starts where x_free < psi.  A pass pins the active
     nodes at psi and solves the free block (projected), or solves
-    B + pen * D_active (penalized), on the pattern ``step`` caches; the
-    columns whose sets are equal share that matrix and one sparse solve.
+    B + pen * D_active (penalized), with the factor ``step`` keeps for that
+    set or a new one made on the pattern it caches; the columns whose sets
+    are equal share that factor and one solve.
     The next set is where x < psi or the reaction is positive.  From this
     start the sets nest on an M-matrix.  A repeated set gives the same
     iterate again, so a column's first repeat either meets the residual stop
     or fails.  A set that returns after one other set (counting x_free as the
     empty set's iterate) would alternate with it forever; it stops the same
-    way.  ``step.factorizations`` counts the sparse solves.
+    way.  ``step.factorizations`` counts the factorizations.
 
     Returns (x, passes) shaped like q: passes is an int, or an int array
     (S,) for a block.  Raises SolverError, with ``column`` set, at a
@@ -128,10 +173,10 @@ def _settle(step: StepMatrix, q: np.ndarray, x_free: np.ndarray, sets: np.ndarra
         for j in range(open_.size):
             groups.setdefault(sets[:, j].tobytes(), []).append(j)
         x_pass = x_free.copy()  # a column whose set is empty takes x_free again
-        for members in groups.values():
+        for key, members in groups.items():
             if sets[:, members[0]].any():
                 at = members if len(members) < open_.size else slice(None)
-                x_pass[:, at] = _solve_group(step, q[:, at], psi, sets[:, members[0]], pen)
+                x_pass[:, at] = _solve_group(step, q[:, at], psi, sets[:, members[0]], key, pen)
         Bx = step.B @ x_pass
         if pen == math.inf:
             reaction = np.where(sets, Bx - q, 0.0)
@@ -141,8 +186,10 @@ def _settle(step: StepMatrix, q: np.ndarray, x_free: np.ndarray, sets: np.ndarra
         repeated = (new == sets).all(axis=0) | (new == prev).all(axis=0)
         if repeated.any():
             residual = np.abs(Bx - reaction - q).max(axis=0)
-            bound = _TOL * ((1.0 + np.abs(q).max(axis=0))
-                            + step.norm * np.abs(x_pass).max(axis=0))
+            scale = (1.0 + np.abs(q).max(axis=0)) + step.norm * np.abs(x_pass).max(axis=0)
+            if pen != math.inf:
+                scale += pen * np.where(sets, np.abs(x_pass), 0.0).max(axis=0)
+            bound = _TOL * scale
             failed = repeated & (residual > bound)
             if failed.any():
                 j = int(np.argmax(failed))
@@ -162,10 +209,10 @@ def _settle(step: StepMatrix, q: np.ndarray, x_free: np.ndarray, sets: np.ndarra
 
 
 def _solve_group(step: StepMatrix, q: np.ndarray, psi: np.ndarray, active: np.ndarray,
-                 pen: float) -> np.ndarray:
+                 key: bytes, pen: float) -> np.ndarray:
     """The iterate of one pass for the columns q (n, m) that share the
-    nonempty set ``active``: one sparse solve with m right-hand sides."""
-    m = q.shape[1]
+    nonempty set ``active`` (``key`` is its ``tobytes()``): one solve with
+    m right-hand sides against the set's factor."""
     if pen == math.inf:
         free = ~active
         pinned = np.where(active, psi, 0.0)
@@ -176,12 +223,10 @@ def _solve_group(step: StepMatrix, q: np.ndarray, psi: np.ndarray, active: np.nd
             # ones to row sums that start at +0.0, so it equals the sum
             # over the active columns bit for bit
             rhs = q[free] - (step.B @ pinned)[free][:, None]
-            step.factorizations += 1
-            x[free] = spla.spsolve(step.free_block(free), rhs).reshape(-1, m)
+            x[free] = step.factor(active, key, pen).solve(rhs)
         return x
     d = np.where(active, pen, 0.0)
-    step.factorizations += 1
-    return spla.spsolve(step.shifted(d), q + (d * psi)[:, None]).reshape(-1, m)
+    return step.factor(active, key, pen).solve(q + (d * psi)[:, None])
 
 
 def _norm_inf(B: sp.csr_matrix) -> float:

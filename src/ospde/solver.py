@@ -234,8 +234,9 @@ class BatchResult:
     """One problem solved on S noise paths: frames (S, steps + 1, n_nodes)
     and measure weights (S, steps, n_interior), one row per path.
     ``diagnostics["iterations"]`` lists the active-set passes of every step,
-    path after path; ``factorizations`` counts the obstacle step's sparse
-    solves and ``feasible_steps`` the steps that needed no pass."""
+    path after path; ``factorizations`` counts the pass matrices the
+    obstacle step factored (a set that returns reuses the factor the march
+    kept for it) and ``feasible_steps`` the steps that needed no pass."""
 
     grid: object
     times: np.ndarray
@@ -246,7 +247,7 @@ class BatchResult:
     def sample(self, s: int) -> SolveResult:
         """Path s as a solve of its own: its frames, measure and active-set
         passes.  ``factorizations`` stays the batch's count, since the paths
-        share their sparse solves."""
+        share their factors."""
         K = self.weights.shape[1]
         iterations = self.diagnostics["iterations"][s * K:(s + 1) * K]
         return SolveResult(u=FieldPath(self.grid, self.times, self.frames[s]),

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import ospde.lcp as lcp
 from ospde.grid import Field, assemble_operator, build_grid
 from ospde.norms import FieldPath
 from ospde.presets import make_coefficients
@@ -104,6 +105,25 @@ def count_calls(monkeypatch, owner, name):
 
     monkeypatch.setattr(owner, name, counting)
     return calls
+
+
+class _ModuleView:
+    """Stands in for a module attribute of one module, so that a test can
+    wrap a function for that module's calls alone."""
+
+    def __init__(self, module):
+        self._module = module
+
+    def __getattr__(self, name):
+        return getattr(self._module, name)
+
+
+def count_lcp_factorizations(monkeypatch):
+    """Count the ``splu`` calls made from ``ospde.lcp``: the obstacle step's
+    pass factorizations, not the step matrix's own in ``ospde.solver``."""
+    view = _ModuleView(lcp.spla)
+    monkeypatch.setattr(lcp, "spla", view)
+    return count_calls(monkeypatch, view, "splu")
 
 
 @pytest.fixture(scope="session")

@@ -129,6 +129,21 @@ class TestSimulate:
         assert summary["samples"] == 1
         assert summary["aggregates"]["mean_skorokhod_defect"] <= 1e-8
 
+    def test_high_penalty_steps_settle(self, tmp_path):
+        # at n = 1e8 a penalized pass rounds like eps * pen * |u|, far above a
+        # stop that ignores the penalty: this run used to exit 4 at step 0
+        text = (Path(__file__).resolve().parents[1] / "configs" / "standard.cfg").read_text()
+        for old, new in [("grid.counts = 64", "grid.counts = 8"),
+                         ("time.steps = 256", "time.steps = 16"),
+                         ("obstacle.level = 0.2", "obstacle.level = 0.8"),
+                         ("solver.mode = projected",
+                          "solver.mode = penalized\nsolver.penalty_n = 100000000")]:
+            assert old in text
+            text = text.replace(old, new)
+        cfg = write_cfg(tmp_path, text)
+        with pytest.warns(UserWarning, match="obstacle exceeds the initial condition"):
+            assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+
     def test_same_seed_samples_identical(self, tmp_path):
         text = BASE.replace("noise.seed = 41", "noise.seeds = [41, 41]")
         text = text.replace("noise.samples = 1", "")

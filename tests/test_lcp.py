@@ -1,11 +1,14 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+
+from conftest import count_lcp_factorizations
 
 import ospde.lcp as lcp
 from ospde.errors import SolverError
@@ -104,20 +107,6 @@ def test_cached_pattern_matches_rebuilt_matrices_bit_for_bit(problem):
     assert passes == passes_ref
 
 
-class _CountingSpla:
-    """``scipy.sparse.linalg`` with a call count on ``spsolve``."""
-
-    def __init__(self):
-        self.calls = 0
-
-    def __getattr__(self, name):
-        return getattr(spla, name)
-
-    def spsolve(self, *args, **kwargs):
-        self.calls += 1
-        return spla.spsolve(*args, **kwargs)
-
-
 def _contact_step(pen):
     """A 1D step with contact whose passes leave a nonzero residual."""
     grid = build_grid(1, (0.0, 1.0), 24)
@@ -142,20 +131,20 @@ def test_set_returning_after_one_other_stops():
 @pytest.mark.parametrize("pen", [math.inf, 10.0], ids=["projected", "penalized"])
 def test_failed_repeat_stops_at_once(monkeypatch, pen):
     step, q, psi, pen = _contact_step(pen)
-    counter = _CountingSpla()
-    monkeypatch.setattr(lcp, "spla", counter)
+    calls = count_lcp_factorizations(monkeypatch)
     x, passes = psor(step, q, psi, pen)
-    needed = counter.calls
-    assert needed == passes < q.size + 1
+    needed = len(calls)
+    assert needed == step.factorizations == passes < q.size + 1
     reaction = (np.where(x <= psi, step.B @ x - q, 0.0) if pen == math.inf
                 else pen * np.maximum(psi - x, 0.0))
     assert np.abs(step.B @ x - reaction - q).max() > 0.0
 
-    counter.calls = 0
+    step = _contact_step(pen)[0]  # the first step keeps every factor it made
+    calls.clear()
     monkeypatch.setattr(lcp, "_TOL", 0.0)
     with pytest.raises(SolverError, match=r"residual \S+ above the stop 0\.000e\+00"):
         psor(step, q, psi, pen)
-    assert counter.calls == needed
+    assert len(calls) == needed
 
 
 @pytest.mark.parametrize("pen", [math.inf, 10.0], ids=["projected", "penalized"])
@@ -195,8 +184,14 @@ def step_block(draw):
     return B, lu, np.column_stack([columns[i] for i in order]), psi, pen
 
 
+_STIFF_2X2 = sp.csr_matrix(np.array([[5.21875, -2.109375], [-2.109375, 5.21875]]))
+
+
 @given(step_block())
 @settings(max_examples=200, deadline=None)
+# a penalized pass rounds like eps * pen * |x|: the stop must scale with pen
+@example((_STIFF_2X2, spla.splu(_STIFF_2X2.tocsc()), np.zeros((2, 1)), np.array([0.0, 1.0]),
+          71544.375))
 def test_block_solves_each_column_as_alone(problem):
     B, lu, Q, psi, pen = problem
     x, passes = psor(StepMatrix(B, lu), Q, psi, pen)
@@ -210,15 +205,14 @@ def test_block_solves_each_column_as_alone(problem):
 @pytest.mark.parametrize("pen", [math.inf, 10.0], ids=["projected", "penalized"])
 def test_block_shares_one_solve_per_distinct_set(monkeypatch, pen):
     step, q, psi, pen = _contact_step(pen)
-    counter = _CountingSpla()
-    monkeypatch.setattr(lcp, "spla", counter)
+    calls = count_lcp_factorizations(monkeypatch)
     x, passes = psor(step, q, psi, pen)
-    alone = counter.calls
+    alone = len(calls)
     feasible = step.B @ (np.maximum(psi, 0.0) + 1.0)
-    counter.calls = 0
-    step.factorizations = 0
+    step = _contact_step(pen)[0]  # the first step keeps every factor it made
+    calls.clear()
     X, P = psor(step, np.column_stack([q, feasible, q, q]), psi, pen)
-    assert counter.calls == step.factorizations == alone
+    assert len(calls) == step.factorizations == alone > 0
     assert P.tolist() == [passes, 0, passes, passes]
     assert X[:, 2].tobytes() == x.tobytes()
 
@@ -231,3 +225,66 @@ def test_failing_column_is_named(monkeypatch, pen):
     with pytest.raises(SolverError, match="above the stop") as info:
         psor(step, np.column_stack([feasible, feasible, q]), psi, pen)
     assert info.value.column == 2
+
+
+@st.composite
+def step_sequence(draw):
+    """A step problem and a march of obstacle steps on it: right-hand sides
+    (one column or two) that are drawn or repeat earlier ones, each step
+    with one of two obstacles, and a budget of kept entries that holds no
+    pass matrix, one penalized pass matrix, or the default."""
+    B, lu, q, psi, pen = draw(step_problem())
+    n = q.size
+    values = st.floats(-5.0, 5.0, allow_nan=False)
+    obstacles = [psi, psi + draw(st.floats(-1.0, 1.0))]
+    columns = [q]
+    steps = []
+    for _ in range(draw(st.integers(2, 6))):
+        if draw(st.booleans()):
+            columns.append(np.array(draw(st.lists(values, min_size=n, max_size=n))))
+        pick = st.integers(0, len(columns) - 1)
+        rhs = [columns[draw(pick)] for _ in range(draw(st.integers(1, 2)))]
+        steps.append((rhs[0] if len(rhs) == 1 else np.column_stack(rhs),
+                      obstacles[draw(st.integers(0, 1))]))
+    budget = draw(st.sampled_from([0, B.nnz, lcp._KEPT_ENTRIES]))
+    return B, lu, steps, pen, budget
+
+
+@given(step_sequence())
+@settings(max_examples=150, deadline=None)
+def test_kept_factors_give_the_bits_of_fresh_ones(problem):
+    B, lu, steps, pen, budget = problem
+    with mock.patch.object(lcp, "_KEPT_ENTRIES", budget):
+        step = StepMatrix(B, lu)
+        for q, psi in steps:
+            x, passes = psor(step, q, psi, pen)
+            x_fresh, passes_fresh = psor(StepMatrix(B, lu), q, psi, pen)
+            assert x.tobytes() == x_fresh.tobytes()
+            assert np.array_equal(passes, passes_fresh)
+            assert step.kept_entries == sum(size for _, size in step.kept.values()) <= budget
+
+
+@pytest.mark.parametrize("pen", [math.inf, 10.0], ids=["projected", "penalized"])
+def test_repeated_step_factors_nothing(monkeypatch, pen):
+    step, q, psi, pen = _contact_step(pen)
+    calls = count_lcp_factorizations(monkeypatch)
+    x, passes = psor(step, q, psi, pen)
+    assert len(calls) == passes > 0
+    calls.clear()
+    x_again, passes_again = psor(step, q, psi, pen)
+    assert calls == [] and step.factorizations == passes
+    assert x_again.tobytes() == x.tobytes() and passes_again == passes
+
+
+@pytest.mark.parametrize("pen", [math.inf, 10.0], ids=["projected", "penalized"])
+def test_matrix_over_the_budget_is_not_kept(monkeypatch, pen):
+    step, q, psi, pen = _contact_step(pen)
+    psor(step, q, psi, pen)
+    sizes = [size for _, size in step.kept.values()]
+    monkeypatch.setattr(lcp, "_KEPT_ENTRIES", min(sizes) - 1)
+    step = _contact_step(pen)[0]
+    calls = count_lcp_factorizations(monkeypatch)
+    x, passes = psor(step, q, psi, pen)
+    assert not step.kept and step.kept_entries == 0
+    psor(step, q, psi, pen)
+    assert len(calls) == 2 * passes == 2 * len(sizes)
