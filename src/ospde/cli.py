@@ -266,7 +266,7 @@ def cmd_verify(args, cfg: RunConfig, out: Path) -> int:
     grid = cfg.make_grid()
     try:
         u, measure, meta = load_run(art, grid, expected_hash=cfg.hash)
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, NotADirectoryError) as exc:
         raise StageError("artifact-missing",
                          f"no stored artifacts at {art}: {exc}")
     except ConfigurationError as exc:

@@ -133,7 +133,9 @@ def psor(step: StepMatrix, q: np.ndarray, psi: np.ndarray, pen: float = math.inf
     set or a new one made on the pattern it caches; the columns whose sets
     are equal share that factor and one solve.
     The next set is where x < psi or the reaction is positive.  From this
-    start the sets nest on an M-matrix.  A repeated set gives the same
+    start the sets nest on an M-matrix in exact arithmetic; in floating
+    point, degenerate contact (gap and reaction both zero at pinned nodes)
+    can make them cycle until the n + 1 cap.  A repeated set gives the same
     iterate again, so a column's first repeat either meets the residual stop
     or fails.  A set that returns after one other set (counting x_free as the
     empty set's iterate) would alternate with it forever; it stops the same

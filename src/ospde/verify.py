@@ -1,17 +1,24 @@
 """Discrete identity and estimate checks replayed over stored solves.
 
-The semi-implicit step satisfies an exact algebraic balance: pairing the
-update with any test function and summing by parts in time leaves no
-remainder beyond linear-solver roundoff.  The checks here therefore
-evaluate every integrand the way the continuum identities write them --
-drift and flux coefficients at the *updated* state, the noise coefficient
-at the *previous* state (it multiplies the increment predictably), the
-quadratic variation from realized increments -- so that
+The three identity checks are one balance paired with a test frame.  Over
+each step k the semi-implicit scheme satisfies, for any frame tau,
 
-* state-independent coefficients reproduce the balance to machine
+    <s_{k+1} - s_k, tau> + dt E(s_{k+1}, tau) + dt <g, grad tau>
+      - dt <f, tau> - <h dB_k, tau> - dt <nu_k, tau> = 0
+
+with s = u, up to linear-solver roundoff.  The weak form pairs u with a
+compactly supported test function; the squared-norm (Ito) balance pairs u
+with itself, doubled, since |u_{k+1}|^2 - |u_k|^2 + |u_{k+1} - u_k|^2 (the
+realized bracket) is 2 <u_{k+1} - u_k, u_{k+1}>; the positive-part balance
+pairs u^+ with itself, doubled.  Every integrand is evaluated the way the
+continuum identities write it -- drift and flux coefficients at the
+*updated* state, the noise coefficient at the *previous* state (it
+multiplies the increment predictably), all at u -- so that
+
+* state-independent coefficients close the balance of u to machine
   precision, and
-* state-dependent coefficients leave an O(dt) quadrature residual that
-  shrinks under refinement.
+* state-dependent coefficients, and u^+ where u changes sign, leave an
+  O(dt) quadrature residual that shrinks under refinement.
 
 Inner products weight interior nodes by the cell measure, matching the
 scheme's algebra; measure weights at step k pair with frames at t_{k+1}.
@@ -128,15 +135,6 @@ class EstimateReport:
                 "sample_count": self.sample_count}
 
 
-def _inner(grid, a: np.ndarray, b: np.ndarray) -> float:
-    return float(grid.cell_measure * np.dot(grid.restrict(a), grid.restrict(b)))
-
-
-def _norm_sq(grid, a: np.ndarray) -> float:
-    ai = grid.restrict(a)
-    return float(grid.cell_measure * np.dot(ai, ai))
-
-
 def _resolution_tag(data: ProblemData) -> str:
     return f"cells={data.op.grid.counts}, steps={data.steps}"
 
@@ -183,6 +181,26 @@ def _step_coefficients(data: ProblemData, u: np.ndarray, k: int, z_old: np.ndarr
     return f_new, g_new, h_old
 
 
+def _step_balance(name: str, result: SolveResult, data: ProblemData, state: np.ndarray,
+                  test: np.ndarray, factor: float) -> ResidualReport:
+    """``factor`` times the step balance of each step k (module docstring)
+    with s = ``state``, tau = ``test[k + 1]`` and f, g, h from
+    ``_step_coefficients``."""
+    grid, dt, K = data.op.grid, data.dt, data.op.stiffness
+    inc, weights, u = data.noise.increments, result.measure.weights, result.u.frames
+    out = np.zeros(data.steps)
+    walk = zip(pairwise(_gradients(grid, u)), _gradients(grid, test[1:]))
+    for k, ((z_old, z_new), tau_z) in enumerate(walk):
+        f_new, g_new, h_old = _step_coefficients(data, u, k, z_old, z_new)
+        s_new, s_old, f, noise = grid.restrict((state[k + 1], state[k], f_new,
+                                                h_old @ inc[:, k]))
+        flux = float(np.sum(g_new[grid.interior] * tau_z[grid.interior]))
+        scheme = s_new - s_old + dt * (K @ s_new - f - weights[k]) - noise
+        out[k] = factor * grid.cell_measure * (float(scheme @ grid.restrict(test[k + 1]))
+                                               + dt * flux)
+    return ResidualReport(name, np.asarray(data.times), out, _resolution_tag(data))
+
+
 def weak_form_residual(result: SolveResult, data: ProblemData, phi) -> ResidualReport:
     """Residual of the weak balance against one test function.
 
@@ -190,67 +208,22 @@ def weak_form_residual(result: SolveResult, data: ProblemData, phi) -> ResidualR
     ``phi(t, coords) -> values`` sampled to the grid; it must be compactly
     supported inside the domain.
     """
-    grid = data.op.grid
-    dt = data.dt
-    u = result.u.frames
-    phi_f = _phi_frames(data, phi)
-    K = data.op.stiffness
-    inc = data.noise.increments
-    weights = result.measure.weights
-
-    out = np.zeros(data.steps)
-    walk = zip(pairwise(_gradients(grid, u)), _gradients(grid, phi_f[1:]))
-    for k, ((z_old, z_new), phi_z) in enumerate(walk):
-        f_new, g_new, h_old = _step_coefficients(data, u, k, z_old, z_new)
-        phi_grad = phi_z[grid.interior]
-        r = (_inner(grid, u[k + 1], phi_f[k + 1]) - _inner(grid, u[k], phi_f[k])
-             - _inner(grid, u[k], phi_f[k + 1] - phi_f[k])
-             + dt * grid.cell_measure * float(grid.restrict(u[k + 1]) @ (K @ grid.restrict(phi_f[k + 1])))
-             + dt * grid.cell_measure * float(np.sum(g_new[grid.interior] * phi_grad))
-             - dt * _inner(grid, f_new, phi_f[k + 1])
-             - _inner(grid, h_old @ inc[:, k], phi_f[k + 1])
-             - dt * grid.cell_measure * float(weights[k] @ grid.restrict(phi_f[k + 1])))
-        out[k] = r
-    return ResidualReport("weak_form", np.asarray(data.times), out, _resolution_tag(data))
-
-
-def _square_identity_residual(name, result, data, positive_part: bool) -> ResidualReport:
-    grid = data.op.grid
-    dt = data.dt
-    K = data.op.stiffness
-    inc = data.noise.increments
-    weights = result.measure.weights
-    u = result.u.frames
-    out = np.zeros(data.steps)
-
-    v = np.maximum(u, 0.0) if positive_part else u
-    walk = zip(pairwise(_gradients(grid, u)), _gradients(grid, v[1:]))
-    for k, ((z_old, z_new), v_z) in enumerate(walk):
-        f_new, g_new, h_old = _step_coefficients(data, u, k, z_old, z_new)
-        v_new = v[k + 1]
-        v_old = v[k]
-        vi = grid.restrict(v_new)
-        v_grad = v_z[grid.interior]
-        r = (_norm_sq(grid, v_new) - _norm_sq(grid, v_old)
-             + _norm_sq(grid, v_new - v_old)                       # realized bracket
-             + 2 * dt * grid.cell_measure * float(vi @ (K @ vi))
-             - 2 * dt * _inner(grid, v_new, f_new)
-             + 2 * dt * grid.cell_measure * float(np.sum(g_new[grid.interior] * v_grad))
-             - 2 * _inner(grid, v_new, h_old @ inc[:, k])
-             - 2 * dt * grid.cell_measure * float(weights[k] @ vi))
-        out[k] = r
-    return ResidualReport(name, np.asarray(data.times), out, _resolution_tag(data))
+    return _step_balance("weak_form", result, data, result.u.frames, _phi_frames(data, phi), 1.0)
 
 
 def ito_square_residual(result: SolveResult, data: ProblemData) -> ResidualReport:
-    """Residual of the squared-norm energy balance along a stored solve."""
-    return _square_identity_residual("ito_square", result, data, positive_part=False)
+    """Residual of the squared-norm energy balance along a stored solve: the
+    step balance paired with u itself, doubled."""
+    u = result.u.frames
+    return _step_balance("ito_square", result, data, u, u, 2.0)
 
 
 def positive_part_residual(result: SolveResult, data: ProblemData) -> ResidualReport:
-    """Residual of the positive-part energy balance; coincides with
-    ``ito_square_residual`` whenever the solution keeps one sign."""
-    return _square_identity_residual("positive_part", result, data, positive_part=True)
+    """Residual of the positive-part energy balance: the squared-norm balance
+    of u^+, with the coefficients still at u; coincides bit for bit with
+    ``ito_square_residual`` whenever the solution is nonnegative."""
+    u_plus = np.maximum(result.u.frames, 0.0)
+    return _step_balance("positive_part", result, data, u_plus, u_plus, 2.0)
 
 
 def _maps_along(data: ProblemData, frames: np.ndarray):

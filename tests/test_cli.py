@@ -483,6 +483,13 @@ class TestSubcommands:
     def test_missing_artifacts_explicit_error(self, tmp_path):
         assert verify(write_cfg(tmp_path, BASE), tmp_path / "out", tmp_path / "nowhere") == 7
 
+    def test_artifacts_file_is_missing_artifacts(self, tmp_path):
+        not_a_dir = tmp_path / "run.csv"
+        not_a_dir.write_text("")
+        assert verify(write_cfg(tmp_path, BASE), tmp_path / "out", not_a_dir) == 7
+        err = json.loads((tmp_path / "out" / "error.json").read_text())
+        assert err["stage"] == "artifact-missing" and "Not a directory" in err["error"]
+
     @pytest.mark.parametrize("edit", ["drop_last_frame", "rename_header"])
     def test_verify_refuses_malformed_artifacts(self, tmp_path, edit):
         cfg, out, sample = simulated(tmp_path)

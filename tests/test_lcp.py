@@ -44,9 +44,10 @@ def step_problem(draw):
 def reference_psor(B, lu, q, psi, pen):
     """The kernel as it was before the cached pattern: each pass builds its
     matrix with ``B + sp.diags(d)`` or ``B[free]`` slicing, and runs to n + 1
-    passes when a repeated set misses the residual stop.  A set that returns
-    after one other set (x_free is the empty set's iterate) counts as a
-    repeat."""
+    passes when a repeated set misses the residual stop.  The stop is the
+    documented one: _TOL times 1 + |q| + |B| |x|, plus pen |x| over the
+    active set for a penalized pass.  A set that returns after one other set
+    (x_free is the empty set's iterate) counts as a repeat."""
     n = q.size
     x_free = lu.solve(q)
     active = x_free < psi
@@ -70,9 +71,11 @@ def reference_psor(B, lu, q, psi, pen):
             x = spla.spsolve((B + sp.diags(d)).tocsc(), q + d * psi)
             reaction = pen * np.maximum(psi - x, 0.0)
         new = (x < psi) | (reaction > 0.0)
+        stop = scale + lcp._norm_inf(B) * np.abs(x).max()
+        if pen != math.inf:
+            stop += pen * np.abs(x[active]).max(initial=0.0)
         if ((np.array_equal(new, active) or np.array_equal(new, prev))
-                and (np.abs(B @ x - reaction - q).max()
-                     <= lcp._TOL * (scale + lcp._norm_inf(B) * np.abs(x).max()))):
+                and np.abs(B @ x - reaction - q).max() <= lcp._TOL * stop):
             return x, passes
         prev, active = active, new
     raise SolverError("did not settle")
@@ -97,7 +100,15 @@ def test_active_set_solves_the_lcp_exactly(problem):
     assert (passes == 0) == bool(np.all(lu.solve(q) >= psi))
 
 
+def _given_step(B, q, psi, pen):
+    """A ``step_problem`` draw made by hand."""
+    B = sp.csr_matrix(np.array(B))
+    return B, spla.splu(B.tocsc()), np.array(q, dtype=float), np.array(psi, dtype=float), pen
+
+
 @given(step_problem())
+@example(_given_step([[5.21875, -2.109375], [-2.109375, 5.21875]], [0.0, 0.0], [0.0, 1.0],
+                     71544.375))    # settles only on the penalized stop's pen |x| term
 @settings(max_examples=300, deadline=None)
 def test_cached_pattern_matches_rebuilt_matrices_bit_for_bit(problem):
     B, lu, q, psi, pen = problem

@@ -9,6 +9,7 @@ from conftest import (count_calls, mean_terminals, mix_coeffs, mixed_problem, si
 import ospde.solver
 from ospde.errors import AssumptionError, ConfigurationError
 from ospde.grid import Field, build_grid
+from ospde.norms import FieldPath
 from ospde.solver import (OBSTACLE_OFF, DominatorData, prepare_batch, solve_batch,
                           solve_dominators, solve_mode)
 from ospde.stochastics import CoefficientSet, NoisePath, sample_noise
@@ -128,7 +129,8 @@ class TestPositivePart:
         rep_pos = positive_part_residual(res, data)
         rep_ito = ito_square_residual(res, data)
         assert rep_pos.max_step <= 1e-9
-        assert np.allclose(rep_pos.increments, rep_ito.increments, atol=1e-15)
+        # u^+ is u, so both checks run the same arithmetic
+        assert rep_pos.increments.tobytes() == rep_ito.increments.tobytes()
 
     def test_sign_changing_refines_jointly(self):
         fine = [sample_noise(2, 0.25 / 512, 512, 700 + s) for s in range(8)]
@@ -138,6 +140,32 @@ class TestPositivePart:
             assert signs.max() > 0 and signs.min() < 0
         coarse, finer = mean_terminals(positive_part_residual, study)
         assert 1.3 <= coarse / finer <= 3.0
+
+
+def _identity_checks(data):
+    """The three identity checks of a stored solve of ``data``, the weak form
+    against ``bump``."""
+    return {"weak_form": lambda res: weak_form_residual(res, data, bump),
+            "ito_square": lambda res: ito_square_residual(res, data),
+            "positive_part": lambda res: positive_part_residual(res, data)}
+
+
+class TestStepBalance:
+    @pytest.mark.parametrize("check", ["weak_form", "ito_square", "positive_part"])
+    def test_corrupted_frame_shows_at_the_steps_that_touch_it(self, check):
+        # state-free data and u >= 0.2 inside: every balance closes to roundoff
+        data = standard_problem(cells=24, steps=64, coeffs=state_free_coeffs(2))
+        res = solve_mode(data, "projected")
+        frames = res.u.frames.copy()
+        j = 20
+        frames[j, 12] += 1e-3           # x = 0.5, inside bump's support
+        bad = replace(res, u=FieldPath(res.u.grid, res.u.times, frames))
+        residual = _identity_checks(data)[check]
+        clean, hit = residual(res).increments, residual(bad).increments
+        assert np.abs(clean).max() <= 1e-14
+        assert np.abs(hit[[j - 1, j]]).min() >= 1e-6
+        rest = np.delete(np.arange(data.steps), [j - 1, j])
+        assert hit[rest].tobytes() == clean[rest].tobytes()
 
 
 class TestExperiments:
@@ -424,3 +452,26 @@ def test_estimates_are_pinned_bit_for_bit(case):
     got = {"apriori": apriori_check(data, [result.u], doms).as_dict(),
            "positive_part_bound": positive_part_bound_check(data, [result.u], doms).as_dict()}
     assert dict(_float_hex("", got)) == PINNED_ESTIMATES[case]
+
+
+# float.hex of every float the identity reports hold on the same standard
+# problem, projected; the balance's terms are summed in one order, so any
+# change to how they are computed shows here.
+PINNED_RESIDUALS = {
+    "weak_form.terminal": "0x1.7e7cbe8e957abp-10",
+    "weak_form.max_step": "0x1.3246ab59060fdp-12",
+    "weak_form.max_cumulative": "0x1.a69d0233d1bbep-10",
+    "ito_square.terminal": "0x1.248ac7f058a0ep-9",
+    "ito_square.max_step": "0x1.afd3c2c663ad0p-12",
+    "ito_square.max_cumulative": "0x1.25e163419eca5p-9",
+    "positive_part.terminal": "0x1.248ac7f058a0ep-9",
+    "positive_part.max_step": "0x1.afd3c2c663ad0p-12",
+    "positive_part.max_cumulative": "0x1.25e163419eca5p-9",
+}
+
+
+def test_residuals_are_pinned_bit_for_bit():
+    data = standard_problem(cells=16, steps=32, seed=1000)
+    result = solve_mode(data, "projected")
+    got = {name: residual(result).as_dict() for name, residual in _identity_checks(data).items()}
+    assert dict(_float_hex("", got)) == PINNED_RESIDUALS
