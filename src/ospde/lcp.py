@@ -14,8 +14,9 @@ projected pass masks out the free block.  Either way the matrix handed to
 SuperLU is, bit for bit, the one ``B + diags(d)`` or ``B[free][:, free]``
 would give.  The active sets return across passes and steps, so
 ``StepMatrix`` also keeps the SuperLU factor of each pass matrix it meets,
-keyed by penalty and active set, least recently used first out, while the
-kept matrices hold at most ``_KEPT_ENTRIES`` stored entries.  ``splu(A)``
+keyed by penalty and active set.  The newest factor is always kept; older
+ones go, least recently used first, while the kept matrices hold more than
+``_KEPT_ENTRIES`` stored entries.  ``splu(A)``
 then ``.solve(b)`` runs the same SuperLU routines (dgstrf, dgstrs) with the
 same options as ``spsolve(A, b)``, so a kept factor gives the same bits as
 solving afresh.
@@ -45,10 +46,12 @@ __all__ = ["StepMatrix", "psor"]
 # pen * |x_active|_inf for a penalized pass, whose matrix is B + pen * D.
 _TOL = 1e-12
 # Stored entries (nnz) of the pass matrices whose factors one StepMatrix
-# keeps.  SuperLU's factor takes about 20 times its matrix's entries, and a
-# 1D march's peak RSS rises by about 0.8 MB per 1024 kept entries.  A 1D
-# step's pass matrices fit many times over, while a 2D pass matrix on
-# 48 x 48 cells (about 11 000 entries) is factored and dropped.
+# keeps besides the newest.  SuperLU's factor takes about 20 times its
+# matrix's entries, and a 1D march's peak RSS rises by about 0.8 MB per 1024
+# kept entries.  A 1D step's pass matrices fit many times over, while a 2D
+# pass matrix on 48 x 48 cells (about 11 000 entries) is over the budget
+# alone, so a 2D march keeps its newest factor only: the set of a step's
+# last pass often starts the next step.
 _KEPT_ENTRIES = 3072
 
 
@@ -58,7 +61,8 @@ class StepMatrix:
     B + diags(d) for every d >= 0, B's entries in that order, the column of
     each entry, the positions of the diagonal, |B|_inf, and the factors of
     the pass matrices met so far (``kept``, least recently used first,
-    holding ``kept_entries`` stored entries, at most ``_KEPT_ENTRIES``).
+    holding ``kept_entries`` stored entries: the newest factor's and at
+    most ``_KEPT_ENTRIES`` besides).
     ``factorizations`` counts the pass matrices factored."""
 
     def __init__(self, B: sp.csr_matrix, lu):
@@ -95,8 +99,8 @@ class StepMatrix:
         """The SuperLU factor of the pass matrix of the nonempty set
         ``active`` (``key`` is its ``tobytes()``): B + pen * D_active, or the
         free block at infinite ``pen``.  A kept factor is reused; a new one
-        is kept, evicting the least recently used, unless its matrix alone
-        has more than ``_KEPT_ENTRIES`` entries."""
+        is kept, and the least recently used others are evicted while the
+        kept matrices hold more than ``_KEPT_ENTRIES`` entries."""
         index = (pen, key)
         kept = self.kept.get(index)
         if kept is not None:
@@ -108,12 +112,11 @@ class StepMatrix:
             A = self.shifted(np.where(active, pen, 0.0))
         lu = spla.splu(A)
         self.factorizations += 1
-        if A.nnz <= _KEPT_ENTRIES:
-            while self.kept_entries + A.nnz > _KEPT_ENTRIES:
-                _, (_, entries) = self.kept.popitem(last=False)
-                self.kept_entries -= entries
-            self.kept[index] = (lu, A.nnz)
-            self.kept_entries += A.nnz
+        self.kept[index] = (lu, A.nnz)
+        self.kept_entries += A.nnz
+        while self.kept_entries > _KEPT_ENTRIES and len(self.kept) > 1:
+            _, (_, entries) = self.kept.popitem(last=False)
+            self.kept_entries -= entries
         return lu
 
 

@@ -110,6 +110,8 @@ def save_run(directory, result: SolveResult, *, config_hash: str, seed: int,
         "steps": result.u.steps,
         "measure_mass": result.measure.total_mass(),
         "iterations_max": int(max(result.diagnostics.get("iterations", [0]) or [0])),
+        "feasible_steps": result.diagnostics.get("feasible_steps"),
+        "factorizations": result.diagnostics.get("factorizations"),
     }
     with open(directory / "metadata.json", "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2)

@@ -43,7 +43,7 @@ the measure follow that convention.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -308,6 +308,14 @@ class Batch:
     sources: Callable
     advance: Callable
     diagnostics: dict
+
+    def with_scheme(self, mode: str, penalty_n: int = 1000) -> Batch:
+        """This batch, made by ``prepare_batch``, marched by the scheme named
+        by ``mode`` instead.  Its paths and data passed the other refusals
+        already, so only the scheme's own refusals run (an unknown scheme, a
+        penalty level below 1); the hypotheses gate does not run again."""
+        advance, extra = _scheme(mode, penalty_n, self.data.dt)
+        return replace(self, advance=advance, diagnostics=extra)
 
 
 def _require_fit(data: ProblemData, noises: Sequence[NoisePath]) -> None:

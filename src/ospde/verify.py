@@ -41,6 +41,7 @@ noises.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field, replace
 from itertools import pairwise
 from typing import Callable, Sequence
@@ -396,7 +397,8 @@ def refinement_study(problem: Callable[[int, int, NoisePath], ProblemData],
 
     Every level is made, and refused, before any solve; then each level
     marches its paths as one batch.  Returns per level, per path, the
-    problem carrying that path's noise and its solve.
+    problem carrying that path's noise and its solve.  Each level's problem
+    is built, and warns, once.
     """
     if not fine:
         raise ConfigurationError("a refinement study needs at least one fine path")
@@ -410,8 +412,12 @@ def refinement_study(problem: Callable[[int, int, NoisePath], ProblemData],
     out = []
     for batch in batches:
         result = solve_batch(batch)
-        out.append([(replace(batch.data, noise=noise), result.sample(s))
-                    for s, noise in enumerate(batch.noises)])
+        with warnings.catch_warnings():
+            # each path's problem reruns the checks of its level's problem,
+            # which warned already; only the noise differs, and it fits
+            warnings.simplefilter("ignore")
+            paths = [replace(batch.data, noise=noise) for noise in batch.noises]
+        out.append([(data, result.sample(s)) for s, data in enumerate(paths)])
     return out
 
 
@@ -432,14 +438,16 @@ def penalization_sweep(data: ProblemData, noises: Sequence[NoisePath],
     each level n of ``levels``, and measure each penalized solve against
     the projected one on the same noise.
 
-    Every batch is made, and refused, before any solve.  The projected
-    batch marches first, then one batch per level; only one level's frames
-    are alive at a time.
+    Every batch is made, and refused, before any solve: the projected
+    batch runs the hypotheses gate once, and each level's batch is the
+    projected one with the penalized scheme.  The projected batch marches
+    first, then one batch per level; only one level's frames are alive at a
+    time.
     """
     if not levels:
         raise ConfigurationError("a penalization sweep needs at least one level")
     projected = prepare_batch(data, noises, "projected")
-    penalized = [prepare_batch(data, noises, "penalized", n) for n in levels]
+    penalized = [projected.with_scheme("penalized", n) for n in levels]
     grid, times, obstacle = data.op.grid, data.times, data.obstacle
     T = float(times[-1])
 

@@ -144,6 +144,14 @@ class TestSimulate:
         with pytest.warns(UserWarning, match="obstacle exceeds the initial condition"):
             assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
 
+    def test_metadata_holds_the_march_counters(self, tmp_path):
+        cfg, _, sample = simulated(tmp_path)
+        meta = json.loads((sample / "metadata.json").read_text())
+        config = load_config(cfg)
+        result = ospde.solver.solve_mode(config.build_problem(41), "projected")
+        assert meta["factorizations"] == result.diagnostics["factorizations"] > 0
+        assert meta["feasible_steps"] == result.diagnostics["feasible_steps"] > 0
+
     def test_same_seed_samples_identical(self, tmp_path):
         text = BASE.replace("noise.seed = 41", "noise.seeds = [41, 41]")
         text = text.replace("noise.samples = 1", "")
@@ -339,6 +347,13 @@ class TestSubcommands:
         assert err["stage"] == "config-error"
         assert "noise.seeds" in err["error"] and "--seed" in err["error"]
         assert not list(out.glob("sample_*"))
+
+    def test_penalize_sweep_runs_the_gate_once(self, tmp_path, monkeypatch):
+        calls = count_calls(monkeypatch, ospde.solver, "validate_assumptions")
+        cfg = write_cfg(tmp_path, BASE)
+        assert main(["penalize-sweep", "--config", str(cfg), "--out", str(tmp_path / "sweep"),
+                     "--n-values", "10,100,1000,10000"]) == 0
+        assert len(calls) == 1
 
     def test_penalize_sweep_refuses_every_level_before_solving(self, tmp_path, monkeypatch):
         calls = []

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 from dataclasses import replace
@@ -10,6 +11,7 @@ import scipy.sparse.linalg as spla
 from conftest import count_lcp_factorizations, mix_coeffs, standard_problem, unconstrained_problem
 
 import ospde.lcp as lcp
+from ospde.config import RunConfig, parse_config_text
 from ospde.errors import AssumptionError, ConfigurationError, SolverError
 from ospde.grid import Field, assemble_operator, build_grid, divergence
 from ospde.norms import FieldPath, mixed_norm
@@ -377,3 +379,51 @@ class TestBatch:
         with pytest.raises(ConfigurationError,
                            match=f"^coefficient map {name} returned shape {re.escape(shape)}"):
             prepare_batch(data, [data.noise])
+
+
+# A 2D march whose drift pushes the state onto the zero obstacle: on 32 x 32
+# cells a pass matrix holds about 4700 stored entries, over the obstacle
+# step's budget of kept entries.
+MARCH_2D = """
+grid.dim = 2
+grid.extent = [[0.0, 1.0], [0.0, 1.0]]
+grid.counts = [32, 32]
+operator.profile = constant
+operator.a = 1.0
+operator.lambda = 1.0
+operator.Lambda = 1.0
+time.T = 0.25
+time.steps = 32
+noise.J = 2
+noise.seed = 1000
+coefficients.preset = lipschitz_mix
+coefficients.f_shift = -10.0
+obstacle.preset = constant
+obstacle.level = 0.0
+initial.preset = sine_pi
+initial.amplitude = 1.0
+initial.offset = 0.0
+"""
+
+# sha256 of the frames, the weights and the per-step passes (as little-endian
+# int64) of MARCH_2D's solves, from the obstacle step that factored every
+# pass matrix over its budget afresh
+MARCH_2D_DIGESTS = {
+    "penalized": ("619399d48529c0349d113bc38a1073ecff8253923e2d5b9943f3a616912368e5",
+                  "66e952a69779a79e4ebe97017660f70c0a3da9e51b0f78bb387bf5d6683e5641",
+                  "383020fe2accf05fa8120c19abd551efd044ea0e8693ff2a6d751b480bdfc46c"),
+    "projected": ("e1513e2dfd684e942380f761b93ec0af65351823819c93d03048141e1b58030b",
+                  "dbd1c7a1341379be07ed46e5b98139312717682d95ba4b9fd7eff5ed25635ee3",
+                  "2479934b125dc2aed64ab0d0a29a6ddd4848194afb527e96f9aac30ae19be142"),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(MARCH_2D_DIGESTS))
+def test_2d_march_reuses_factors_over_the_budget(mode):
+    data = RunConfig(raw=parse_config_text(MARCH_2D)).build_problem(1000)
+    assert data.op.stiffness.nnz > lcp._KEPT_ENTRIES
+    result = solve_mode(data, mode, 1000)
+    iterations = result.diagnostics["iterations"]
+    assert result.diagnostics["factorizations"] < sum(iterations)
+    arrays = (result.u.frames, result.measure.weights, np.array(iterations, dtype="<i8"))
+    assert tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in arrays) == MARCH_2D_DIGESTS[mode]

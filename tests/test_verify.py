@@ -37,11 +37,19 @@ class TestWeakForm:
         assert rep.max_step <= 1e-10
 
     def test_obstacle_run_machine_exact_for_linear_data(self):
-        # stored measure weights close the balance for the projected scheme too
-        data = standard_problem(cells=24, steps=64, coeffs=state_free_coeffs(2))
-        res = solve_mode(data, "projected")
-        rep = weak_form_residual(res, data, bump)
-        assert rep.max_step <= 1e-10
+        # stored measure weights close the balance for the projected scheme
+        # too: the flat obstacle 0.2 touches only next to the boundary, where
+        # bump vanishes; 0.8 sin(pi x) touches where bump charges the measure
+        grid = build_grid(1, (0.0, 1.0), 24)
+        for obstacle in (None, 0.8 * np.sin(np.pi * grid.coords[:, 0])):
+            data = standard_problem(cells=24, steps=64, coeffs=state_free_coeffs(2),
+                                    obstacle_values=obstacle)
+            res = solve_mode(data, "projected")
+            weights = res.measure.weights
+            share = np.sum(weights * bump(0.0, grid.coords)[grid.interior]) / weights.sum()
+            assert (share > 0.5) == (obstacle is not None)
+            rep = weak_form_residual(res, data, bump)
+            assert rep.max_step <= 1e-10
 
     def test_nonlinear_residual_halves_with_dt(self):
         terms = mean_terminals(lambda res, data: weak_form_residual(res, data, bump),
@@ -180,6 +188,16 @@ class TestExperiments:
         study = refinement_study(mixed_problem, [(32, 64), (32, 128)], fine, "unconstrained")
         assert len(calls) == 2
         assert [[data.noise.seed for data, _ in level] for level in study] == [[1, 2]] * 2
+
+    def test_refinement_warns_once_per_level(self):
+        def above(cells, steps, noise):
+            return standard_problem(cells=cells, steps=steps, obstacle_level=2.0, noise=noise)
+
+        fine = [sample_noise(2, 0.25 / 64, 64, seed) for seed in (1, 2, 3)]
+        with pytest.warns(UserWarning) as caught:
+            study = refinement_study(above, [(8, 16), (8, 32)], fine, "projected")
+        assert [len(level) for level in study] == [3, 3]
+        assert sum("initial condition" in str(w.message) for w in caught) == 2
 
     def test_penalization_sweep_needs_a_level(self):
         data = standard_problem(cells=16, steps=16)
