@@ -22,10 +22,18 @@ same options as ``spsolve(A, b)``, so a kept factor gives the same bits as
 solving afresh.
 
 A batch of S solves marching together hands ``psor`` an (n, S) block of
-right-hand sides.  Each pass groups the unsettled columns by their active
-set; a group shares one factor and one solve with a multi-column
-right-hand side, which SuperLU treats column by column, so every column
-comes out bit for bit as it would alone.
+right-hand sides, with one obstacle (n,) for every column or one per column
+(n, S), as when two problems march as one batch.  Each pass groups the
+unsettled columns by their active set; a group shares one factor and one
+solve with a multi-column right-hand side, which SuperLU treats column by
+column, while each column keeps its own pinned values and reactions, so
+every column comes out bit for bit as it would alone.
+
+On degenerate contact, where a node's gap and reaction are both zero in
+exact arithmetic, rounding can make the plain active-set rule cycle.  A
+projected column that shows it, by a node entering its set after the first
+pass, which exact arithmetic never does, pins such nodes instead
+(``_settle``).
 """
 
 from __future__ import annotations
@@ -127,22 +135,23 @@ def psor(step: StepMatrix, q: np.ndarray, psi: np.ndarray, pen: float = math.inf
     Despite its name this is the active-set method, not projected SOR; the
     name is kept because callers resolve the kernel as ``ospde.solver.psor``,
     the benchmark's per-layer tracer among them.  ``q`` is one right-hand
-    side (n,) or a block of columns (n, S) sharing psi (n,); each column is
-    solved exactly as it would be alone.  ``step.lu`` prefactors B; its
-    solve x_free is a column's answer when feasible (0 passes), else the
-    column's active set starts where x_free < psi.  A pass pins the active
-    nodes at psi and solves the free block (projected), or solves
-    B + pen * D_active (penalized), with the factor ``step`` keeps for that
-    set or a new one made on the pattern it caches; the columns whose sets
-    are equal share that factor and one solve.
-    The next set is where x < psi or the reaction is positive.  From this
-    start the sets nest on an M-matrix in exact arithmetic; in floating
-    point, degenerate contact (gap and reaction both zero at pinned nodes)
-    can make them cycle until the n + 1 cap.  A repeated set gives the same
-    iterate again, so a column's first repeat either meets the residual stop
-    or fails.  A set that returns after one other set (counting x_free as the
-    empty set's iterate) would alternate with it forever; it stops the same
-    way.  ``step.factorizations`` counts the factorizations.
+    side (n,) or a block of columns (n, S); ``psi`` is one obstacle (n,)
+    that every column shares, or, for a block, one obstacle per column
+    (n, S).  Each column is solved exactly as it would be alone with its own
+    obstacle.  ``step.lu`` prefactors B; its solve x_free is a column's
+    answer when feasible (0 passes), else the column's active set starts
+    where x_free < psi.  A pass pins the active nodes at psi and solves the
+    free block (projected), or solves B + pen * D_active (penalized), with
+    the factor ``step`` keeps for that set or a new one made on the pattern
+    it caches; the columns whose sets are equal share that factor and one
+    solve, while their pinned values, right-hand sides and reactions stay
+    their own.  The next set is where x < psi or the reaction is positive,
+    except on degenerate contact (see ``_settle``).  A repeated set gives
+    the same iterate again, so a column's first repeat either meets the
+    residual stop or fails.  A set that returns after one other set
+    (counting x_free as the empty set's iterate) would alternate with it
+    forever; it stops the same way.  ``step.factorizations`` counts the
+    factorizations.
 
     Returns (x, passes) shaped like q: passes is an int, or an int array
     (S,) for a block.  Raises SolverError, with ``column`` set, at a
@@ -151,28 +160,56 @@ def psor(step: StepMatrix, q: np.ndarray, psi: np.ndarray, pen: float = math.inf
     q = np.asarray(q, dtype=float)
     psi = np.asarray(psi, dtype=float)
     Q = q.reshape(q.shape[0], -1)
+    Psi = psi.reshape(psi.shape[0], -1)  # (n, 1) shared, or (n, S)
     x = step.lu.solve(Q)
-    active = x < psi[:, None]
+    active = x < Psi
     passes = np.zeros(Q.shape[1], dtype=int)
     cols = np.flatnonzero(active.any(axis=0))
     if cols.size:
         at = cols if cols.size < Q.shape[1] else slice(None)
-        x[:, at], passes[at] = _settle(step, Q[:, at], x[:, at], active[:, at], psi, pen, cols)
+        x[:, at], passes[at] = _settle(step, Q[:, at], x[:, at], active[:, at],
+                                       _columns(Psi, at), pen, cols)
     if q.ndim == 1:
         return x[:, 0], int(passes[0])
     return x, passes
 
 
+def _columns(psi: np.ndarray, at) -> np.ndarray:
+    """The obstacle columns of the block columns ``at``: a shared (n, 1)
+    obstacle serves them all."""
+    return psi if psi.shape[1] == 1 else psi[:, at]
+
+
 def _settle(step: StepMatrix, q: np.ndarray, x_free: np.ndarray, sets: np.ndarray,
             psi: np.ndarray, pen: float, cols: np.ndarray):
     """The active-set passes of the columns q (n, m) whose unconstrained
-    solves x_free fall below psi on ``sets``: their iterates and pass counts.
-    ``cols`` numbers the columns in the caller's block, for errors."""
+    solves x_free fall below psi, (n, 1) shared or (n, m), on ``sets``:
+    their iterates and pass counts.  ``cols`` numbers the columns in the
+    caller's block, for errors.
+
+    Degenerate contact: where the state rests on a flat obstacle with no
+    forcing, the gap x - psi and the reaction B x - q of a node are both
+    zero in exact arithmetic, and rounding moves such nodes in and out of
+    the set: the plain rule frees a pinned node whose reaction rounds to
+    zero or below and pins it again when its gap rounds below zero, and the
+    sets wander until the n + 1 cap.  In exact arithmetic every iterate
+    from the first pass on is feasible and the sets only shrink (B is an
+    M-matrix), so a node that enters a projected column's set after the
+    first pass enters by rounding, and the column is degenerate.  From then
+    on its next set also holds every near node, whose gap is at most the
+    residual stop's bound and whose reaction is at least minus that bound
+    (a pinned node's gap and a free node's reaction are 0), and a set
+    returning after one other set no longer stops it.  Its set settles in a
+    pass or two and the residual stop decides; no node is left below psi.
+    A column into which no node enters takes exactly the plain rule's
+    passes."""
     n, m = q.shape
     x = np.empty_like(x_free)
     passes = np.zeros(m, dtype=int)
     open_ = np.arange(m)  # positions still open, among the m columns
     prev = np.zeros_like(sets)  # each column's set a pass back; x_free is the empty set's
+    cycled = np.zeros(m, dtype=bool)  # degenerate columns: a node entered their set
+    q_scale = 1.0 + np.abs(q).max(axis=0)
     for count in range(1, n + 2):
         groups: dict[bytes, list[int]] = {}
         for j in range(open_.size):
@@ -181,20 +218,25 @@ def _settle(step: StepMatrix, q: np.ndarray, x_free: np.ndarray, sets: np.ndarra
         for key, members in groups.items():
             if sets[:, members[0]].any():
                 at = members if len(members) < open_.size else slice(None)
-                x_pass[:, at] = _solve_group(step, q[:, at], psi, sets[:, members[0]], key, pen)
+                x_pass[:, at] = _solve_group(step, q[:, at], _columns(psi, at),
+                                             sets[:, members[0]], key, pen)
         Bx = step.B @ x_pass
         if pen == math.inf:
             reaction = np.where(sets, Bx - q, 0.0)
         else:
-            reaction = pen * np.maximum(psi[:, None] - x_pass, 0.0)
-        new = (x_pass < psi[:, None]) | (reaction > 0.0)
-        repeated = (new == sets).all(axis=0) | (new == prev).all(axis=0)
+            reaction = pen * np.maximum(psi - x_pass, 0.0)
+        new = (x_pass < psi) | (reaction > 0.0)
+        bound = None
+        if pen == math.inf:
+            cycled |= (new & ~sets).any(axis=0)
+            if cycled.any():
+                bound = _bound(step, q_scale, x_pass, sets, pen)
+                new |= cycled & (x_pass - psi <= bound) & (reaction >= -bound)
+        repeated = (new == sets).all(axis=0) | ((new == prev).all(axis=0) & ~cycled)
         if repeated.any():
             residual = np.abs(Bx - reaction - q).max(axis=0)
-            scale = (1.0 + np.abs(q).max(axis=0)) + step.norm * np.abs(x_pass).max(axis=0)
-            if pen != math.inf:
-                scale += pen * np.where(sets, np.abs(x_pass), 0.0).max(axis=0)
-            bound = _TOL * scale
+            if bound is None:
+                bound = _bound(step, q_scale, x_pass, sets, pen)
             failed = repeated & (residual > bound)
             if failed.any():
                 j = int(np.argmax(failed))
@@ -207,31 +249,43 @@ def _settle(step: StepMatrix, q: np.ndarray, x_free: np.ndarray, sets: np.ndarra
                 return x, passes
             keep = ~repeated
             open_, new, q, x_free = open_[keep], new[:, keep], q[:, keep], x_free[:, keep]
-            sets = sets[:, keep]
+            sets, cycled, q_scale = sets[:, keep], cycled[keep], q_scale[keep]
+            psi = _columns(psi, keep)
         prev, sets = sets, new
     raise SolverError(f"active-set obstacle step did not settle in {n + 1} passes",
                       column=int(cols[open_[0]]))
 
 
+def _bound(step: StepMatrix, q_scale: np.ndarray, x: np.ndarray, sets: np.ndarray,
+           pen: float) -> np.ndarray:
+    """The residual stop of each column: _TOL times ``q_scale`` (1 + |q|_inf)
+    plus |B|_inf |x|_inf, plus pen |x_active|_inf for a penalized pass."""
+    scale = q_scale + step.norm * np.abs(x).max(axis=0)
+    if pen != math.inf:
+        scale += pen * np.where(sets, np.abs(x), 0.0).max(axis=0)
+    return _TOL * scale
+
+
 def _solve_group(step: StepMatrix, q: np.ndarray, psi: np.ndarray, active: np.ndarray,
                  key: bytes, pen: float) -> np.ndarray:
     """The iterate of one pass for the columns q (n, m) that share the
-    nonempty set ``active`` (``key`` is its ``tobytes()``): one solve with
-    m right-hand sides against the set's factor."""
+    nonempty set ``active`` (``key`` is its ``tobytes()``) and have the
+    obstacles psi, (n, 1) shared or (n, m): one solve with m right-hand
+    sides against the set's factor."""
     if pen == math.inf:
         free = ~active
-        pinned = np.where(active, psi, 0.0)
+        pinned = np.where(active[:, None], psi, 0.0)
         x = np.empty_like(q)
-        x[:] = pinned[:, None]
+        x[:] = pinned
         if free.any():
             # B x over all columns adds only +-0.0 terms from the free
             # ones to row sums that start at +0.0, so it equals the sum
             # over the active columns bit for bit
-            rhs = q[free] - (step.B @ pinned)[free][:, None]
+            rhs = q[free] - (step.B @ pinned)[free]
             x[free] = step.factor(active, key, pen).solve(rhs)
         return x
     d = np.where(active, pen, 0.0)
-    return step.factor(active, key, pen).solve(q + (d * psi)[:, None])
+    return step.factor(active, key, pen).solve(q + d[:, None] * psi)
 
 
 def _norm_inf(B: sp.csr_matrix) -> float:

@@ -31,8 +31,10 @@ are the coefficient maps, and runs the hypotheses gate.
 ``solve_dominators`` is the one entry point to the dominating linear SPDE
 (the bound S' on the obstacle), whose sources are the dominator's sampled
 paths, ungated and unconstrained; one path is a list of one noise.  A
-single solve, ``solve_mode``, is a batch of one.
-Either way each path's numbers are those of marching it alone, bit for bit.
+single solve, ``solve_mode``, is a batch of one.  ``_join`` stacks two
+prepared batches on one step matrix, each half with its own start state,
+obstacle and sources, so that a comparison marches both problems at once.
+In every case each path's numbers are those of marching it alone, bit for bit.
 
 Measure weights are densities per unit space-time volume: total mass is
 sum(weights) * cell_measure * dt.  The weight at step k binds to the frame
@@ -258,7 +260,8 @@ class BatchResult:
 
 def _scheme(mode: str, penalty_n: int, dt: float) -> tuple[Callable, dict]:
     """The per-step ``advance(ws, rhs, psi)`` of the scheme named by
-    ``mode`` and the diagnostics it adds.  ``rhs`` is an (n, S) block;
+    ``mode`` and the diagnostics it adds.  ``rhs`` is an (n, S) block and
+    ``psi`` the interior obstacle at t_{k+1}, (n,) shared or (n, S);
     ``advance`` returns the interior states at t_{k+1} (n, S), the measure
     densities of step k (n, S) and the active-set passes (S,).
 
@@ -282,7 +285,8 @@ def _scheme(mode: str, penalty_n: int, dt: float) -> tuple[Callable, dict]:
 
         def advance(ws, rhs, psi):
             u_next, passes = psor(ws, rhs, psi, pen)
-            return u_next, float(penalty_n) * np.maximum(psi[:, None] - u_next, 0.0), passes
+            below = np.maximum(psi.reshape(psi.shape[0], -1) - u_next, 0.0)
+            return u_next, float(penalty_n) * below, passes
 
         return advance, {"penalty_level": int(penalty_n)}
     if mode == "unconstrained":
@@ -297,15 +301,19 @@ def _scheme(mode: str, penalty_n: int, dt: float) -> tuple[Callable, dict]:
 @dataclass(frozen=True, eq=False)
 class Batch:
     """One problem and S noise paths that passed every refusal a solve makes
-    before it marches: the start state (n_nodes,), the scheme's ``advance``
-    and ``sources(k, u)``, the explicit f, g and h at the stacked states
-    u (S, n_nodes) of step k, each None when absent.  Made by
-    ``prepare_batch`` or ``_dominator_batch``, marched by ``solve_batch``."""
+    before it marches: the start state, (n_nodes,) shared or (S, n_nodes);
+    ``sources(k, u)``, the explicit f, g and h at the stacked states
+    u (S, n_nodes) of step k, each None when absent; ``obstacle(k)``, the
+    interior obstacle at t_{k+1}, (n_interior,) shared or (n_interior, S);
+    and the scheme's ``advance``.  Made by ``prepare_batch`` or
+    ``_dominator_batch``, which give the shared start and obstacle, or by
+    ``_join``; marched by ``solve_batch``."""
 
     data: ProblemData
     noises: tuple
     start: np.ndarray
     sources: Callable
+    obstacle: Callable
     advance: Callable
     diagnostics: dict
 
@@ -316,6 +324,12 @@ class Batch:
         penalty level below 1); the hypotheses gate does not run again."""
         advance, extra = _scheme(mode, penalty_n, self.data.dt)
         return replace(self, advance=advance, diagnostics=extra)
+
+
+def _shared_obstacle(data: ProblemData) -> Callable:
+    """``obstacle(k)`` of a batch whose paths share the problem's obstacle."""
+    grid = data.op.grid
+    return lambda k: grid.restrict(data.obstacle.frames[k + 1])
 
 
 def _require_fit(data: ProblemData, noises: Sequence[NoisePath]) -> None:
@@ -346,7 +360,8 @@ def prepare_batch(data: ProblemData, noises: Sequence[NoisePath], mode: str = "p
         return data.coeffs.evaluate(float(data.times[k]), x_int, grid.restrict(u),
                                     node_gradient(grid, u)[:, grid.interior])
 
-    return Batch(data, tuple(noises), data.xi.values, sources, advance, extra)
+    return Batch(data, tuple(noises), data.xi.values, sources, _shared_obstacle(data),
+                 advance, extra)
 
 
 def _dominator_batch(data: ProblemData, noises: Sequence[NoisePath]) -> Batch:
@@ -367,7 +382,52 @@ def _dominator_batch(data: ProblemData, noises: Sequence[NoisePath]) -> Batch:
                 dom.g[k][grid.interior] if dom.g is not None else None,
                 np.broadcast_to(dom.h[k][grid.interior], stacked) if dom.h is not None else None)
 
-    return Batch(data, tuple(noises), dom.initial.values, sources, advance, extra)
+    return Batch(data, tuple(noises), dom.initial.values, sources, _shared_obstacle(data),
+                 advance, extra)
+
+
+def _join(batch1: Batch, batch2: Batch) -> Batch:
+    """Two batches made by ``prepare_batch`` with one scheme on one list of
+    noise paths, as one batch of 2S paths: columns 0 ... S - 1 are
+    ``batch1``'s paths and S ... 2S - 1 ``batch2``'s.  Each half keeps its
+    own start state, obstacle and sources, evaluated on its own states;
+    both halves march with ``batch1``'s scheme and step matrix, so the two
+    problems must assemble bit-identical step matrices: the same grid,
+    stiffness and time step.  Each half's numbers are then, bit for bit,
+    those of marching its batch alone, while the halves share the step's
+    factorization and the obstacle step's pass factors.  A start or an
+    obstacle that the halves share bit for bit stays one row."""
+    data1, data2 = batch1.data, batch2.data
+    K1, K2 = data1.op.stiffness, data2.op.stiffness
+    if not (same_grid(data1.op.grid, data2.op.grid) and data1.dt == data2.dt
+            and _same_matrix(K1, K2)):
+        raise ConfigurationError("joined problems need one grid, stiffness and time step")
+    S = len(batch1.noises)
+    n_nodes = data1.op.grid.n_nodes
+
+    def stacked(a, b, shape):
+        if np.array_equal(a, b):
+            return a
+        return np.concatenate([np.broadcast_to(a, shape), np.broadcast_to(b, shape)])
+
+    def sources(k, u):
+        return tuple(np.concatenate(pair) for pair in
+                     zip(batch1.sources(k, u[:S]), batch2.sources(k, u[S:])))
+
+    def obstacle(k):
+        psi1, psi2 = batch1.obstacle(k), batch2.obstacle(k)
+        return stacked(psi1.T, psi2.T, (S, psi1.shape[0])).T
+
+    start = stacked(batch1.start, batch2.start, (S, n_nodes))
+    return Batch(data1, batch1.noises + batch2.noises, start, sources, obstacle,
+                 batch1.advance, batch1.diagnostics)
+
+
+def _same_matrix(A: sp.csr_matrix, B: sp.csr_matrix) -> bool:
+    """Whether two CSR matrices store the same entries in the same places,
+    bit for bit."""
+    return (A.shape == B.shape and np.array_equal(A.indptr, B.indptr)
+            and np.array_equal(A.indices, B.indices) and A.data.tobytes() == B.data.tobytes())
 
 
 def solve_batch(batch: Batch) -> BatchResult:
@@ -376,8 +436,11 @@ def solve_batch(batch: Batch) -> BatchResult:
 
     The states of the S paths are stacked: the batch's sources run once per
     step on all of them, and the scheme's ``advance`` receives the
-    right-hand sides as one (n, S) block.  Each path's numbers are, bit for
-    bit, those of marching it alone.  A failed step names its seed.
+    right-hand sides as one (n, S) block, with the batch's obstacle at
+    t_{k+1}, shared (n,) or one column per path (n, S); every path starts
+    from the batch's start state, shared or its own row.  Each path's
+    numbers are, bit for bit, those of marching it alone.  A failed step
+    names its seed.
     """
     data, noises = batch.data, batch.noises
     grid = data.op.grid
@@ -392,9 +455,8 @@ def solve_batch(batch: Batch) -> BatchResult:
     for k in range(data.steps):
         u = frames[:, k]
         rhs = _source_rhs(grid, dt, u, *batch.sources(k, u), inc[:, :, k])
-        psi = grid.restrict(data.obstacle.frames[k + 1])
         try:
-            u_next, w_k, passes = batch.advance(ws, rhs.T, psi)
+            u_next, w_k, passes = batch.advance(ws, rhs.T, batch.obstacle(k))
         except SolverError as exc:
             seed = noises[exc.column].seed
             raise SolverError(f"step {k} failed for seed {seed}: {exc}",

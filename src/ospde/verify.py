@@ -51,7 +51,8 @@ import numpy as np
 from .errors import AssumptionError, ConfigurationError
 from .grid import node_gradient, same_grid
 from .norms import FieldPath, data_ingredients, gradient_norm_22, mixed_norm
-from .solver import ProblemData, SolveResult, prepare_batch, skorokhod_defect, solve_batch
+from .solver import (ProblemData, SolveResult, _join, _same_matrix, prepare_batch,
+                     skorokhod_defect, solve_batch)
 from .stochastics import NoisePath, coarsen, sample_noise
 
 __all__ = [
@@ -329,15 +330,15 @@ class ComparisonReport:
 
 def _static_ordering(data1: ProblemData, data2: ProblemData) -> None:
     """Preconditions that need no solve: ordered initial data and obstacles,
-    one operator."""
+    one operator (one grid and, bit for bit, one assembled stiffness)."""
     tol = 1e-10
     if np.any(data1.xi.values > data2.xi.values + tol):
         raise AssumptionError("comparison precondition violated: initial conditions "
                               "are not ordered")
     if np.any(data1.obstacle.frames > data2.obstacle.frames + tol):
         raise AssumptionError("comparison precondition violated: obstacles are not ordered")
-    if not same_grid(data1.op.grid, data2.op.grid) or not np.allclose(
-            data1.op.a, data2.op.a, rtol=0, atol=1e-12):
+    if not same_grid(data1.op.grid, data2.op.grid) or not _same_matrix(
+            data1.op.stiffness, data2.op.stiffness):
         raise AssumptionError("comparison precondition violated: operators differ")
 
 
@@ -365,25 +366,27 @@ def comparison_experiment(data1: ProblemData, data2: ProblemData,
     nodewise gap u2 - u1 over all samples, steps and interior nodes.
 
     ``mode`` and ``penalty_n`` select the scheme as in ``solve_mode``.  The
-    noise of every seed is drawn first.  Preconditions are probed before
-    the solves they would waste: ordered initial data and obstacles, one
-    operator and both problems' assumption gates before any solve; drift
-    ordering and identical flux and noise coefficients along the first
-    seed's trajectory of problem 1 before problem 2 is solved.  A violation
-    refuses the experiment.  Each problem marches all seeds as one batch
-    (``solve_batch``); every seed's gap is bit for bit that of solving it
-    alone.
+    noise of every seed is drawn first.  Ordered initial data and
+    obstacles, one operator and both problems' assumption gates are probed
+    before any solve.  Both problems then march all seeds as one batch of
+    2S paths (``solver._join``): they share the step's factorization and
+    the obstacle step's pass factors, and a path of one problem whose
+    active set equals a path's of the other shares its solve.  Drift
+    ordering and identical flux and noise coefficients are probed along
+    the first seed's trajectory of problem 1 after the march and before
+    any gap is reported.  A violation refuses the experiment.  Every
+    seed's gap is bit for bit that of solving it alone.
     """
     noises = [sample_noise(data1.noise.J, data1.noise.dt, data1.noise.steps, int(seed))
               for seed in seeds]
     _static_ordering(data1, data2)
     batch1, batch2 = (prepare_batch(d, noises, mode, penalty_n) for d in (data1, data2))
-    frames1 = solve_batch(batch1).frames  # only the frames: weights would add to the peak
-    _trajectory_ordering(data1, data2, frames1[0])
-    frames2 = solve_batch(batch2).frames
+    frames = solve_batch(_join(batch1, batch2)).frames
+    S = len(noises)
+    _trajectory_ordering(data1, data2, frames[0])
     interior = data1.op.grid.interior
     gaps = [float((u2[:, interior] - u1[:, interior]).min())
-            for u1, u2 in zip(frames1, frames2)]
+            for u1, u2 in zip(frames[:S], frames[S:])]
     return ComparisonReport(min_gap=min(gaps), per_sample=gaps,
                             seeds=[int(s) for s in seeds])
 

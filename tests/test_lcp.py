@@ -47,7 +47,13 @@ def reference_psor(B, lu, q, psi, pen):
     passes when a repeated set misses the residual stop.  The stop is the
     documented one: _TOL times 1 + |q| + |B| |x|, plus pen |x| over the
     active set for a penalized pass.  A set that returns after one other set
-    (x_free is the empty set's iterate) counts as a repeat."""
+    (x_free is the empty set's iterate) counts as a repeat.  On degenerate
+    contact the projected rule is the documented one: once a node enters
+    the set after the first pass, every next set also holds every node
+    whose gap is at most the stop and whose reaction is at least minus the
+    stop, and a set returning after one other set no longer counts.  One
+    column with its own obstacle is all a column of a block is, so the
+    reference takes one."""
     n = q.size
     x_free = lu.solve(q)
     active = x_free < psi
@@ -55,6 +61,7 @@ def reference_psor(B, lu, q, psi, pen):
         return x_free, 0
     scale = 1.0 + float(np.abs(q).max())
     prev = np.zeros(n, dtype=bool)
+    cycled = False
     for passes in range(1, n + 2):
         if not active.any():
             x, reaction = x_free, np.zeros(n)
@@ -74,7 +81,11 @@ def reference_psor(B, lu, q, psi, pen):
         stop = scale + lcp._norm_inf(B) * np.abs(x).max()
         if pen != math.inf:
             stop += pen * np.abs(x[active]).max(initial=0.0)
-        if ((np.array_equal(new, active) or np.array_equal(new, prev))
+        else:
+            cycled = cycled or bool((new & ~active).any())
+            if cycled:
+                new |= (x - psi <= lcp._TOL * stop) & (reaction >= -lcp._TOL * stop)
+        if ((np.array_equal(new, active) or (np.array_equal(new, prev) and not cycled))
                 and np.abs(B @ x - reaction - q).max() <= lcp._TOL * stop):
             return x, passes
         prev, active = active, new
@@ -236,6 +247,82 @@ def test_failing_column_is_named(monkeypatch, pen):
     with pytest.raises(SolverError, match="above the stop") as info:
         psor(step, np.column_stack([feasible, feasible, q]), psi, pen)
     assert info.value.column == 2
+
+
+@st.composite
+def step_block_obstacles(draw):
+    """A step problem with a block of right-hand sides, each column with
+    its own obstacle: a fresh pair, a repeated right-hand side with a fresh
+    or a shifted obstacle, a fresh right-hand side with a repeated obstacle,
+    or a repeated pair, in a drawn order."""
+    B, lu, q, psi, pen = draw(step_problem())
+    n = q.size
+    values = st.floats(-5.0, 5.0, allow_nan=False)
+    psi_values = st.one_of(values, st.sampled_from([0.0, -0.0]))
+
+    def fresh(elements):
+        return np.array(draw(st.lists(elements, min_size=n, max_size=n)))
+
+    qs, psis = [q], [psi]
+    for kind in draw(st.lists(st.sampled_from(["fresh", "same_q", "shifted", "same_psi",
+                                               "same_both"]), min_size=1, max_size=6)):
+        i = draw(st.integers(0, len(qs) - 1))
+        qs.append(fresh(values) if kind in ("fresh", "same_psi") else qs[i])
+        if kind in ("fresh", "same_q"):
+            psis.append(fresh(psi_values))
+        elif kind == "shifted":
+            psis.append(psis[i] + draw(st.floats(-1.0, 1.0)))
+        else:
+            psis.append(psis[i])
+    order = draw(st.permutations(range(len(qs))))
+    return (B, lu, np.column_stack([qs[i] for i in order]),
+            np.column_stack([psis[i] for i in order]), pen)
+
+
+@given(step_block_obstacles())
+@settings(max_examples=150, deadline=None)
+def test_block_with_own_obstacles_solves_each_column_as_alone(problem):
+    B, lu, Q, Psi, pen = problem
+    x, passes = psor(StepMatrix(B, lu), Q, Psi, pen)
+    assert x.shape == Q.shape and passes.shape == (Q.shape[1],)
+    for s in range(Q.shape[1]):
+        x_s, passes_s = psor(StepMatrix(B, lu), Q[:, s], Psi[:, s], pen)
+        assert x[:, s].tobytes() == x_s.tobytes()
+        assert passes[s] == passes_s
+    # equal obstacle columns give the bits of one shared obstacle
+    S = Q.shape[1]
+    x_tiled, passes_tiled = psor(StepMatrix(B, lu), Q, Psi[:, [0] * S], pen)
+    x_shared, passes_shared = psor(StepMatrix(B, lu), Q, Psi[:, 0], pen)
+    assert x_tiled.tobytes() == x_shared.tobytes()
+    assert np.array_equal(passes_tiled, passes_shared)
+
+
+@st.composite
+def degenerate_step(draw):
+    """A state resting on a flat obstacle with no forcing, on a 1D or 2D
+    grid: the interior counts, the coefficient, the time step and the
+    level, which the right-hand side and the obstacle both take."""
+    if draw(st.booleans()):
+        counts = (draw(st.integers(3, 80)),)
+    else:
+        counts = (draw(st.integers(3, 24)), draw(st.integers(3, 24)))
+    return counts, draw(st.floats(0.25, 4.0)), draw(st.floats(1e-4, 1.0)), draw(
+        st.floats(-5.0, 5.0, allow_nan=False))
+
+
+@given(degenerate_step())
+@example(((24, 24), 1.0, 0.5 / 32, 0.2))  # cycled until 530 passes under the plain rule
+@settings(max_examples=100, deadline=None)
+def test_degenerate_contact_settles(problem):
+    counts, a, dt, level = problem
+    grid = (build_grid(1, (0.0, 1.0), counts[0]) if len(counts) == 1
+            else build_grid(2, [(0.0, 1.0), (0.0, 1.0)], counts))
+    op = assemble_operator(grid, a, lam=a, Lam=a)
+    B = (sp.identity(grid.n_interior, format="csr") + dt * op.stiffness).tocsr()
+    psi = np.full(grid.n_interior, level)
+    x, passes = psor(StepMatrix(B, spla.splu(B.tocsc())), psi.copy(), psi)
+    assert np.all(x >= psi)
+    assert passes <= 4
 
 
 @st.composite

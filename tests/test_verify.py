@@ -3,12 +3,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import (count_calls, mean_terminals, mix_coeffs, mixed_problem, signed_problem,
-                      standard_problem, state_free_coeffs, unconstrained_problem)
+from conftest import (count_calls, count_lcp_factorizations, mean_terminals, mix_coeffs,
+                      mixed_problem, signed_problem, standard_problem, state_free_coeffs,
+                      unconstrained_problem)
 
 import ospde.solver
 from ospde.errors import AssumptionError, ConfigurationError
-from ospde.grid import Field, build_grid
+from ospde.grid import Field, assemble_operator, build_grid
 from ospde.norms import FieldPath
 from ospde.solver import (OBSTACLE_OFF, DominatorData, prepare_batch, solve_batch,
                           solve_dominators, solve_mode)
@@ -363,15 +364,37 @@ class TestComparison:
             comparison_experiment(d1, d2, seeds=range(3))
         assert calls == []
         comparison_experiment(d2, d1, seeds=[1])
-        assert len(calls) == 2 * d1.steps
+        assert len(calls) == d1.steps   # both problems march as one batch
 
     def test_drift_order_refused_before_second_problem(self, monkeypatch):
+        """The second problem marches jointly with the first; the drift
+        ordering along the first problem's trajectory is probed after that
+        one march and refuses before any gap is reported."""
         calls = count_calls(monkeypatch, ospde.solver, "psor")
         d1 = standard_problem(cells=16, steps=32, coeffs=mix_coeffs(2, f_shift=0.1))
         d2 = standard_problem(cells=16, steps=32)
         with pytest.raises(AssumptionError, match="drift ordering"):
             comparison_experiment(d1, d2, seeds=range(3))
-        assert len(calls) == d1.steps   # one batch: the first problem's
+        assert len(calls) == d1.steps   # one joint march
+
+    def test_operators_must_match_bit_for_bit(self):
+        d1 = standard_problem(cells=16, steps=32)
+        op = assemble_operator(d1.op.grid, 1.0 + 1e-13, 1.0, 1.0)
+        with pytest.raises(AssumptionError, match="operators differ"):
+            comparison_experiment(d1, replace(d1, op=op), seeds=[1])
+
+    @pytest.mark.parametrize("mode", ["projected", "penalized"])
+    def test_joint_march_shares_pass_factors(self, monkeypatch, mode):
+        d1, d2 = contact_pair()
+        seeds = [3, 1, 4]
+        calls = count_lcp_factorizations(monkeypatch)
+        comparison_experiment(d1, d2, seeds, mode=mode, penalty_n=100)
+        joint = len(calls)
+        calls.clear()
+        noises = [sample_noise(d1.noise.J, d1.noise.dt, d1.noise.steps, s) for s in seeds]
+        for data in (d1, d2):
+            solve_batch(prepare_batch(data, noises, mode, 100))
+        assert 0 < joint < len(calls)
 
     def test_no_seed_is_config_error(self):
         d1 = standard_problem(cells=16, steps=32)
