@@ -186,32 +186,24 @@ def cmd_compare(args, cfg: RunConfig, out: Path) -> int:
 def cmd_capacity(args, cfg: RunConfig, out: Path) -> int:
     out.mkdir(parents=True, exist_ok=True)
     block = cfg.block("capacity")
-    if "frame" not in block:
-        raise StageError("config-error", "capacity runs need capacity.frame")
+    for key in ("frame", "boxes"):
+        if key not in block:
+            raise StageError("config-error", f"capacity runs need capacity.{key}")
     grid = cfg.make_grid()
     op = cfg.make_operator(grid)
     times = cfg.make_times()
     frame = coerce(int, "capacity.frame", block["frame"])
+    listed = block["boxes"]
+    if not isinstance(listed, list) or not listed:
+        raise StageError("config-error", f"capacity.boxes = {listed!r} is not a non-empty list")
 
-    if "widths" in block:
-        widths = block["widths"]
-        if grid.dim != 1:
-            raise StageError("config-error", f"capacity.widths = {widths!r} is 1D only; "
-                                             f"give a {grid.dim}D box as capacity.interval")
-        center = coerce(float, "capacity.center", block.get("center", 0.5))
-        if not isinstance(widths, list) or not widths:
-            raise StageError("config-error",
-                             f"capacity.widths = {widths!r} is not a non-empty list")
-        widths = [coerce(float, f"capacity.widths[{i}]", w) for i, w in enumerate(widths)]
-        boxes = [np.array([[center - w / 2.0, center + w / 2.0]]) for w in widths]
-    else:
-        def box(value):  # per-axis (lo, hi) rows, (dim, 2)
-            iv = np.atleast_2d(np.asarray(value, dtype=float))
-            if iv.shape != (grid.dim, 2):
-                raise ValueError
-            return iv
+    def box(value):  # per-axis (lo, hi) rows, (dim, 2)
+        iv = np.atleast_2d(np.asarray(value, dtype=float))
+        if iv.shape != (grid.dim, 2):
+            raise ValueError
+        return iv
 
-        boxes = [coerce(box, "capacity.interval", block.get("interval", [0.25, 0.75]))]
+    boxes = [coerce(box, f"capacity.boxes[{i}]", value) for i, value in enumerate(listed)]
     bounds = (["lo", "hi"] if grid.dim == 1 else
               [f"{end}_{axis}" for axis in "xy"[:grid.dim] for end in ("lo", "hi")])
     rows = []
@@ -271,6 +263,10 @@ def cmd_verify(args, cfg: RunConfig, out: Path) -> int:
                          f"no stored artifacts at {art}: {exc}")
     except ConfigurationError as exc:
         raise StageError("artifact-mismatch", str(exc))
+    if (meta["steps"], meta["dt"]) != (cfg.steps, cfg.dt):
+        raise StageError("artifact-mismatch",
+                         f"artifacts hold {meta['steps']} steps of dt = {meta['dt']!r}, the "
+                         f"config {cfg.steps} steps of dt = {cfg.dt!r}; refusing to verify")
     data = cfg.build_problem(int(meta["seed"]), grid=grid)
     result = SolveResult(u=u, measure=measure, diagnostics={})
 

@@ -22,12 +22,11 @@ same options as ``spsolve(A, b)``, so a kept factor gives the same bits as
 solving afresh.
 
 A batch of S solves marching together hands ``psor`` an (n, S) block of
-right-hand sides, with one obstacle (n,) for every column or one per column
-(n, S), as when two problems march as one batch.  Each pass groups the
-unsettled columns by their active set; a group shares one factor and one
-solve with a multi-column right-hand side, which SuperLU treats column by
-column, while each column keeps its own pinned values and reactions, so
-every column comes out bit for bit as it would alone.
+right-hand sides and one obstacle column per right-hand side (n, S).  Each
+pass groups the unsettled columns by their active set; a group shares one
+factor and one solve with a multi-column right-hand side, which SuperLU
+treats column by column, while each column keeps its own pinned values and
+reactions, so every column comes out bit for bit as it would alone.
 
 On degenerate contact, where a node's gap and reaction are both zero in
 exact arithmetic, rounding can make the plain active-set rule cycle.  A
@@ -134,10 +133,10 @@ def psor(step: StepMatrix, q: np.ndarray, psi: np.ndarray, pen: float = math.inf
 
     Despite its name this is the active-set method, not projected SOR; the
     name is kept because callers resolve the kernel as ``ospde.solver.psor``,
-    the benchmark's per-layer tracer among them.  ``q`` is one right-hand
-    side (n,) or a block of columns (n, S); ``psi`` is one obstacle (n,)
-    that every column shares, or, for a block, one obstacle per column
-    (n, S).  Each column is solved exactly as it would be alone with its own
+    the benchmark's per-layer tracer among them.  ``q`` is a block of
+    right-hand sides (n, S) and ``psi`` its obstacle columns (n, S); one
+    right-hand side (n,) or one obstacle (n,) is broadcast to the block at
+    entry.  Each column is solved exactly as it would be alone with its own
     obstacle.  ``step.lu`` prefactors B; its solve x_free is a column's
     answer when feasible (0 passes), else the column's active set starts
     where x_free < psi.  A pass pins the active nodes at psi and solves the
@@ -158,9 +157,10 @@ def psor(step: StepMatrix, q: np.ndarray, psi: np.ndarray, pen: float = math.inf
     repeated set whose residual exceeds the stop, or after n + 1 passes.
     """
     q = np.asarray(q, dtype=float)
-    psi = np.asarray(psi, dtype=float)
     Q = q.reshape(q.shape[0], -1)
-    Psi = psi.reshape(psi.shape[0], -1)  # (n, 1) shared, or (n, S)
+    Psi = np.asarray(psi, dtype=float)
+    if Psi.shape != Q.shape:
+        Psi = np.broadcast_to(Psi.reshape(Q.shape[0], -1), Q.shape)
     x = step.lu.solve(Q)
     active = x < Psi
     passes = np.zeros(Q.shape[1], dtype=int)
@@ -168,22 +168,16 @@ def psor(step: StepMatrix, q: np.ndarray, psi: np.ndarray, pen: float = math.inf
     if cols.size:
         at = cols if cols.size < Q.shape[1] else slice(None)
         x[:, at], passes[at] = _settle(step, Q[:, at], x[:, at], active[:, at],
-                                       _columns(Psi, at), pen, cols)
+                                       Psi[:, at], pen, cols)
     if q.ndim == 1:
         return x[:, 0], int(passes[0])
     return x, passes
 
 
-def _columns(psi: np.ndarray, at) -> np.ndarray:
-    """The obstacle columns of the block columns ``at``: a shared (n, 1)
-    obstacle serves them all."""
-    return psi if psi.shape[1] == 1 else psi[:, at]
-
-
 def _settle(step: StepMatrix, q: np.ndarray, x_free: np.ndarray, sets: np.ndarray,
             psi: np.ndarray, pen: float, cols: np.ndarray):
     """The active-set passes of the columns q (n, m) whose unconstrained
-    solves x_free fall below psi, (n, 1) shared or (n, m), on ``sets``:
+    solves x_free fall below their obstacles psi (n, m) on ``sets``:
     their iterates and pass counts.  ``cols`` numbers the columns in the
     caller's block, for errors.
 
@@ -214,12 +208,31 @@ def _settle(step: StepMatrix, q: np.ndarray, x_free: np.ndarray, sets: np.ndarra
         groups: dict[bytes, list[int]] = {}
         for j in range(open_.size):
             groups.setdefault(sets[:, j].tobytes(), []).append(j)
-        x_pass = x_free.copy()  # a column whose set is empty takes x_free again
+        # Each column's right-hand side for its set: q + pen * D_set psi, or
+        # for a projected pass q - B (psi on the set, 0 elsewhere), where B
+        # adds only +-0.0 terms from the free nodes to row sums that start
+        # at +0.0, so it equals the sum over the pinned nodes bit for bit.
+        # A column whose set is empty takes x_free again; a projected
+        # column keeps psi on its set.
+        if pen == math.inf:
+            rhs = q - step.B @ np.where(sets, psi, 0.0)
+            x_pass = np.where(sets, psi, x_free)
+        else:
+            rhs = q + np.where(sets, pen, 0.0) * psi
+            x_pass = x_free.copy()
         for key, members in groups.items():
-            if sets[:, members[0]].any():
-                at = members if len(members) < open_.size else slice(None)
-                x_pass[:, at] = _solve_group(step, q[:, at], _columns(psi, at),
-                                             sets[:, members[0]], key, pen)
+            active = sets[:, members[0]]
+            if not active.any() or (pen == math.inf and active.all()):
+                continue
+            # the columns of one set share its factor and one solve
+            at = members if len(members) < open_.size else slice(None)
+            lu = step.factor(active, key, pen)
+            if pen == math.inf:
+                x_set = x_pass[:, at]
+                x_set[~active] = lu.solve(rhs[:, at][~active])
+                x_pass[:, at] = x_set
+            else:
+                x_pass[:, at] = lu.solve(rhs[:, at])
         Bx = step.B @ x_pass
         if pen == math.inf:
             reaction = np.where(sets, Bx - q, 0.0)
@@ -249,8 +262,7 @@ def _settle(step: StepMatrix, q: np.ndarray, x_free: np.ndarray, sets: np.ndarra
                 return x, passes
             keep = ~repeated
             open_, new, q, x_free = open_[keep], new[:, keep], q[:, keep], x_free[:, keep]
-            sets, cycled, q_scale = sets[:, keep], cycled[keep], q_scale[keep]
-            psi = _columns(psi, keep)
+            sets, cycled, q_scale, psi = sets[:, keep], cycled[keep], q_scale[keep], psi[:, keep]
         prev, sets = sets, new
     raise SolverError(f"active-set obstacle step did not settle in {n + 1} passes",
                       column=int(cols[open_[0]]))
@@ -264,28 +276,6 @@ def _bound(step: StepMatrix, q_scale: np.ndarray, x: np.ndarray, sets: np.ndarra
     if pen != math.inf:
         scale += pen * np.where(sets, np.abs(x), 0.0).max(axis=0)
     return _TOL * scale
-
-
-def _solve_group(step: StepMatrix, q: np.ndarray, psi: np.ndarray, active: np.ndarray,
-                 key: bytes, pen: float) -> np.ndarray:
-    """The iterate of one pass for the columns q (n, m) that share the
-    nonempty set ``active`` (``key`` is its ``tobytes()``) and have the
-    obstacles psi, (n, 1) shared or (n, m): one solve with m right-hand
-    sides against the set's factor."""
-    if pen == math.inf:
-        free = ~active
-        pinned = np.where(active[:, None], psi, 0.0)
-        x = np.empty_like(q)
-        x[:] = pinned
-        if free.any():
-            # B x over all columns adds only +-0.0 terms from the free
-            # ones to row sums that start at +0.0, so it equals the sum
-            # over the active columns bit for bit
-            rhs = q[free] - (step.B @ pinned)[free]
-            x[free] = step.factor(active, key, pen).solve(rhs)
-        return x
-    d = np.where(active, pen, 0.0)
-    return step.factor(active, key, pen).solve(q + d[:, None] * psi)
 
 
 def _norm_inf(B: sp.csr_matrix) -> float:

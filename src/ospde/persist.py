@@ -7,15 +7,16 @@ for bit.  Every file embeds the config hash -- JSON files as a field, CSV
 files as a leading ``# config_hash=...`` line -- and loading against a
 mismatched hash is refused.
 
-Every CSV table is a header plus rows: the hash line ends in LF, the header
-and data rows in CRLF, which is what ``csv.writer`` emits.  ``write_rows``
-writes a small table from a ``%``-format row declared once.  The two frame
-tables, u.csv and measure.csv, go through ``_write_frames``: each node's
-``node,x[,y],`` prefix is formatted once per table, and each frame becomes
-one ``%`` call on a template of the frame's rows.  Every field goes
-through the same ``%`` spec, from the same Python value, as in a write of
-one ``%d,%.12g,%d,...,%.17g`` row at a time, so the bytes are identical to
-that write's (``tests/test_persist.py`` keeps it as the reference).
+Every CSV table is the hash line, a header and rows: the hash line ends
+in LF, the header and data rows in CRLF, which is what ``csv.writer``
+emits.  ``write_rows`` writes a small table from a ``%``-format row
+declared once.  The two frame tables, u.csv and measure.csv, go through
+``_write_frames``: each node's ``node,x[,y],`` prefix is formatted once
+per table, and each frame becomes one ``%`` call on a template of the
+frame's rows.  Every field goes through the same ``%`` spec, from the same
+Python value, as in a write of one ``%d,%.12g,%d,...,%.17g`` row at a
+time, so the bytes are identical to that write's (``tests/test_persist.py``
+keeps it as the reference).
 
 u.csv columns: step, time, node, x[, y], value -- one row per node per
 frame.  measure.csv columns: step, time, node, weight -- weights are
@@ -28,10 +29,11 @@ above.
 
 ``load_run`` refuses (``ConfigurationError``) a ``metadata.json`` that is
 not a JSON object with an integer ``steps`` >= 1, a positive ``dt`` and an
-integer ``seed``, and a table whose hash line, header or numbers do not
-parse, or that does not hold each (step, node) exactly once.  It parses a
-table in blocks of rows and scatters each block into place, so a load never
-holds the whole table as numbers.
+integer ``seed``, a table whose first line is not a hash line or names
+another hash, and a table whose header or numbers do not parse, or that
+does not hold each (step, node) exactly once.  It parses a table in blocks
+of rows and scatters each block into place, so a load never holds the
+whole table as numbers.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ from .solver import DiscreteMeasure, SolveResult
 __all__ = ["save_run", "load_run", "write_rows"]
 
 _MEASURE_HEADER = ("step", "time", "node", "weight")
+_HASH_LINE = "# config_hash="
 
 
 def _u_header(dim: int) -> tuple[str, ...]:
@@ -59,16 +62,15 @@ def _u_header(dim: int) -> tuple[str, ...]:
     return ("step", "time", "node", *"xy"[:dim], "value")
 
 
-def _open_table(path, header, config_hash: str | None):
+def _open_table(path, header, config_hash: str):
     """Open ``path`` for writing and write the hash line and the header."""
     fh = open(path, "w", newline="", encoding="utf-8")
-    if config_hash is not None:
-        fh.write(f"# config_hash={config_hash}\n")
+    fh.write(f"{_HASH_LINE}{config_hash}\n")
     fh.write(",".join(header) + "\r\n")
     return fh
 
 
-def write_rows(path, header, fmt: str, rows, config_hash: str | None = None) -> None:
+def write_rows(path, header, fmt: str, rows, config_hash: str) -> None:
     """Write a CSV table: the hash line, the header, then ``fmt % row`` per row."""
     line = fmt + "\r\n"
     with _open_table(path, header, config_hash) as fh:
@@ -143,11 +145,11 @@ def _read_table(path, header, expected_hash: str | None = None):
     name = Path(path).name
     with open(path, encoding="utf-8") as fh:
         line = fh.readline()
-        if line.startswith("#"):
-            if expected_hash is not None and f"config_hash={expected_hash}" not in line:
-                raise ConfigurationError(
-                    f"{name} embeds a different config hash; refusing to load")
-            line = fh.readline()
+        if not line.startswith(_HASH_LINE):
+            raise ConfigurationError(f"{name} has no config hash line; refusing to load")
+        if expected_hash is not None and line.rstrip("\r\n") != _HASH_LINE + expected_hash:
+            raise ConfigurationError(f"{name} embeds a different config hash; refusing to load")
+        line = fh.readline()
         if line.rstrip("\r\n") != ",".join(header):
             raise ConfigurationError(f"{name} header {line.rstrip()!r} is not "
                                      f"{','.join(header)!r}; refusing to load")

@@ -31,10 +31,11 @@ are the coefficient maps, and runs the hypotheses gate.
 ``solve_dominators`` is the one entry point to the dominating linear SPDE
 (the bound S' on the obstacle), whose sources are the dominator's sampled
 paths, ungated and unconstrained; one path is a list of one noise.  A
-single solve, ``solve_mode``, is a batch of one.  ``_join`` stacks two
-prepared batches on one step matrix, each half with its own start state,
-obstacle and sources, so that a comparison marches both problems at once.
-In every case each path's numbers are those of marching it alone, bit for bit.
+single solve, ``solve_mode``, is a batch of one.  Every path of a batch
+carries its own start state, obstacle column and sources, so ``_join`` can
+stack two prepared batches on one step matrix and a comparison marches both
+problems at once.  In every case each path's numbers are those of marching
+it alone, bit for bit.
 
 Measure weights are densities per unit space-time volume: total mass is
 sum(weights) * cell_measure * dt.  The weight at step k binds to the frame
@@ -261,8 +262,8 @@ class BatchResult:
 def _scheme(mode: str, penalty_n: int, dt: float) -> tuple[Callable, dict]:
     """The per-step ``advance(ws, rhs, psi)`` of the scheme named by
     ``mode`` and the diagnostics it adds.  ``rhs`` is an (n, S) block and
-    ``psi`` the interior obstacle at t_{k+1}, (n,) shared or (n, S);
-    ``advance`` returns the interior states at t_{k+1} (n, S), the measure
+    ``psi`` its interior obstacle columns at t_{k+1} (n, S); ``advance``
+    returns the interior states at t_{k+1} (n, S), the measure
     densities of step k (n, S) and the active-set passes (S,).
 
     A penalized step's density is n * (u_{k+1} - S_{k+1})^-, exactly the
@@ -285,7 +286,7 @@ def _scheme(mode: str, penalty_n: int, dt: float) -> tuple[Callable, dict]:
 
         def advance(ws, rhs, psi):
             u_next, passes = psor(ws, rhs, psi, pen)
-            below = np.maximum(psi.reshape(psi.shape[0], -1) - u_next, 0.0)
+            below = np.maximum(psi - u_next, 0.0)
             return u_next, float(penalty_n) * below, passes
 
         return advance, {"penalty_level": int(penalty_n)}
@@ -301,13 +302,15 @@ def _scheme(mode: str, penalty_n: int, dt: float) -> tuple[Callable, dict]:
 @dataclass(frozen=True, eq=False)
 class Batch:
     """One problem and S noise paths that passed every refusal a solve makes
-    before it marches: the start state, (n_nodes,) shared or (S, n_nodes);
+    before it marches: each path's start state, ``start`` (S, n_nodes);
     ``sources(k, u)``, the explicit f, g and h at the stacked states
-    u (S, n_nodes) of step k, each None when absent; ``obstacle(k)``, the
-    interior obstacle at t_{k+1}, (n_interior,) shared or (n_interior, S);
-    and the scheme's ``advance``.  Made by ``prepare_batch`` or
-    ``_dominator_batch``, which give the shared start and obstacle, or by
-    ``_join``; marched by ``solve_batch``."""
+    u (S, n_nodes) of step k, each (S, ...) or None when absent;
+    ``obstacle(k)``, each path's interior obstacle at t_{k+1}
+    (n_interior, S); and the scheme's ``advance``.  Made by
+    ``prepare_batch`` or ``_dominator_batch``, which repeat the problem's
+    start, obstacle and (for the dominator) sources on every path as
+    read-only broadcast views, not copies, or by ``_join``; marched by
+    ``solve_batch``."""
 
     data: ProblemData
     noises: tuple
@@ -326,10 +329,15 @@ class Batch:
         return replace(self, advance=advance, diagnostics=extra)
 
 
-def _shared_obstacle(data: ProblemData) -> Callable:
-    """``obstacle(k)`` of a batch whose paths share the problem's obstacle."""
+def _rows(value: np.ndarray, S: int) -> np.ndarray:
+    """``value`` repeated as S rows: a read-only view, not a copy."""
+    return np.broadcast_to(value, (S,) + value.shape)
+
+
+def _obstacle(data: ProblemData, S: int) -> Callable:
+    """``obstacle(k)`` of S paths on the problem's obstacle."""
     grid = data.op.grid
-    return lambda k: grid.restrict(data.obstacle.frames[k + 1])
+    return lambda k: _rows(grid.restrict(data.obstacle.frames[k + 1]), S).T
 
 
 def _require_fit(data: ProblemData, noises: Sequence[NoisePath]) -> None:
@@ -360,7 +368,8 @@ def prepare_batch(data: ProblemData, noises: Sequence[NoisePath], mode: str = "p
         return data.coeffs.evaluate(float(data.times[k]), x_int, grid.restrict(u),
                                     node_gradient(grid, u)[:, grid.interior])
 
-    return Batch(data, tuple(noises), data.xi.values, sources, _shared_obstacle(data),
+    S = len(noises)
+    return Batch(data, tuple(noises), _rows(data.xi.values, S), sources, _obstacle(data, S),
                  advance, extra)
 
 
@@ -374,51 +383,41 @@ def _dominator_batch(data: ProblemData, noises: Sequence[NoisePath]) -> Batch:
     _require_fit(data, noises)
     dom = data.dominator
     grid = data.op.grid
-    stacked = (len(noises), grid.n_interior, data.noise.J)
+    S = len(noises)
     advance, extra = _scheme("unconstrained", 0, data.dt)
 
     def sources(k, u):
-        return (grid.restrict(dom.f[k]) if dom.f is not None else None,
-                dom.g[k][grid.interior] if dom.g is not None else None,
-                np.broadcast_to(dom.h[k][grid.interior], stacked) if dom.h is not None else None)
+        return tuple(None if c is None else _rows(c[k][grid.interior], S)
+                     for c in (dom.f, dom.g, dom.h))
 
-    return Batch(data, tuple(noises), dom.initial.values, sources, _shared_obstacle(data),
+    return Batch(data, tuple(noises), _rows(dom.initial.values, S), sources, _obstacle(data, S),
                  advance, extra)
 
 
 def _join(batch1: Batch, batch2: Batch) -> Batch:
-    """Two batches made by ``prepare_batch`` with one scheme on one list of
-    noise paths, as one batch of 2S paths: columns 0 ... S - 1 are
-    ``batch1``'s paths and S ... 2S - 1 ``batch2``'s.  Each half keeps its
-    own start state, obstacle and sources, evaluated on its own states;
-    both halves march with ``batch1``'s scheme and step matrix, so the two
-    problems must assemble bit-identical step matrices: the same grid,
-    stiffness and time step.  Each half's numbers are then, bit for bit,
-    those of marching its batch alone, while the halves share the step's
-    factorization and the obstacle step's pass factors.  A start or an
-    obstacle that the halves share bit for bit stays one row."""
+    """Two batches made by ``prepare_batch``, as one batch: its first S
+    paths are ``batch1``'s S paths and the rest ``batch2``'s.  Each half
+    keeps its own start states, obstacle columns and sources, evaluated on
+    its own states; both halves march with ``batch1``'s scheme and step
+    matrix, so the two problems must assemble bit-identical step matrices:
+    the same grid, stiffness and time step.  Each half's numbers are then,
+    bit for bit, those of marching its batch alone, while the halves share
+    the step's factorization and the obstacle step's pass factors."""
     data1, data2 = batch1.data, batch2.data
     K1, K2 = data1.op.stiffness, data2.op.stiffness
     if not (same_grid(data1.op.grid, data2.op.grid) and data1.dt == data2.dt
             and _same_matrix(K1, K2)):
         raise ConfigurationError("joined problems need one grid, stiffness and time step")
     S = len(batch1.noises)
-    n_nodes = data1.op.grid.n_nodes
-
-    def stacked(a, b, shape):
-        if np.array_equal(a, b):
-            return a
-        return np.concatenate([np.broadcast_to(a, shape), np.broadcast_to(b, shape)])
 
     def sources(k, u):
         return tuple(np.concatenate(pair) for pair in
                      zip(batch1.sources(k, u[:S]), batch2.sources(k, u[S:])))
 
     def obstacle(k):
-        psi1, psi2 = batch1.obstacle(k), batch2.obstacle(k)
-        return stacked(psi1.T, psi2.T, (S, psi1.shape[0])).T
+        return np.concatenate([batch1.obstacle(k), batch2.obstacle(k)], axis=1)
 
-    start = stacked(batch1.start, batch2.start, (S, n_nodes))
+    start = np.concatenate([batch1.start, batch2.start])
     return Batch(data1, batch1.noises + batch2.noises, start, sources, obstacle,
                  batch1.advance, batch1.diagnostics)
 
@@ -436,11 +435,10 @@ def solve_batch(batch: Batch) -> BatchResult:
 
     The states of the S paths are stacked: the batch's sources run once per
     step on all of them, and the scheme's ``advance`` receives the
-    right-hand sides as one (n, S) block, with the batch's obstacle at
-    t_{k+1}, shared (n,) or one column per path (n, S); every path starts
-    from the batch's start state, shared or its own row.  Each path's
-    numbers are, bit for bit, those of marching it alone.  A failed step
-    names its seed.
+    right-hand sides as one (n, S) block with the paths' obstacle columns
+    at t_{k+1} (n, S); path s starts from row s of the batch's start.  Each
+    path's numbers are, bit for bit, those of marching it alone.  A failed
+    step names its seed.
     """
     data, noises = batch.data, batch.noises
     grid = data.op.grid

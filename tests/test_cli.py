@@ -394,7 +394,7 @@ class TestSubcommands:
 
     def test_capacity_table(self, tmp_path):
         text = (BASE.replace("solver.mode = projected", "")
-                + "capacity.frame = 16\ncapacity.interval = [0.25, 0.75]\n")
+                + "capacity.frame = 16\ncapacity.boxes = [[0.25, 0.75]]\n")
         cfg = write_cfg(tmp_path, text)
         out = tmp_path / "cap"
         assert main(["capacity", "--config", str(cfg), "--out", str(out)]) == 0
@@ -410,7 +410,7 @@ class TestSubcommands:
                    + "capacity.frame = 16\n")
 
     def test_capacity_table_2d(self, tmp_path):
-        text = self.CAPACITY_2D + "capacity.interval = [[0.25, 0.75], [0.25, 0.5]]\n"
+        text = self.CAPACITY_2D + "capacity.boxes = [[[0.25, 0.75], [0.25, 0.5]]]\n"
         cfg = write_cfg(tmp_path, text)
         out = tmp_path / "cap"
         assert main(["capacity", "--config", str(cfg), "--out", str(out)]) == 0
@@ -422,15 +422,30 @@ class TestSubcommands:
             [0.25, 0.75, 0.25, 0.5]
         assert float(rows[0]["capacity"]) > 0
 
+    def test_capacity_two_boxes_in_2d(self, tmp_path):
+        text = self.CAPACITY_2D + ("capacity.boxes = [[[0.25, 0.75], [0.25, 0.5]], "
+                                   "[[0.25, 0.75], [0.25, 0.75]]]\n")
+        cfg = write_cfg(tmp_path, text)
+        out = tmp_path / "cap"
+        assert main(["capacity", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = read_csv(out / "capacity.csv")
+        assert [[float(row[k]) for k in ("lo_x", "hi_x", "lo_y", "hi_y")] for row in rows] == \
+            [[0.25, 0.75, 0.25, 0.5], [0.25, 0.75, 0.25, 0.75]]
+        capacities = [float(row["capacity"]) for row in rows]
+        assert 0 < capacities[0] < capacities[1]
+
     @pytest.mark.parametrize("entry, key", [
-        ('capacity.center = "mid"\ncapacity.widths = [0.2]', "capacity.center"),
-        ('capacity.widths = [0.2, "wide"]', "capacity.widths[1]"),
-        ("capacity.widths = 0.2", "capacity.widths"),
-        ("capacity.widths = []", "capacity.widths"),
-        ('capacity.interval = ["a", 0.5]', "capacity.interval"),
-        ("capacity.interval = [[0.25, 0.75], [0.25, 0.75]]", "capacity.interval"),
-    ])
-    def test_capacity_bad_box_is_config_error(self, tmp_path, entry, key):
+        ("capacity.boxes = 0.2", "capacity.boxes"),
+        ("capacity.boxes = []", "capacity.boxes"),
+        ('capacity.boxes = [["a", 0.5]]', "capacity.boxes[0]"),
+        ('capacity.boxes = [[0.4, 0.6], "wide"]', "capacity.boxes[1]"),
+        ("capacity.boxes = [[0.4, 0.6], [[0.25, 0.75], [0.25, 0.75]]]", "capacity.boxes[1]"),
+    ], ids=["not-a-list", "empty", "not-a-number", "not-a-box", "2d-box-in-1d"])
+    def test_capacity_bad_box_is_config_error(self, tmp_path, monkeypatch, entry, key):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("capacity solved before the boxes were refused")
+
+        monkeypatch.setattr(cli, "compute_capacity", no_solve)
         text = BASE.replace("solver.mode = projected", "") + f"capacity.frame = 16\n{entry}\n"
         cfg = write_cfg(tmp_path, text)
         out = tmp_path / "cap"
@@ -440,18 +455,14 @@ class TestSubcommands:
         assert err["error"].startswith(f"{key} = ")
         assert not (out / "capacity.csv").exists()
 
-    def test_capacity_widths_in_2d_is_config_error(self, tmp_path, monkeypatch):
-        def no_solve(*args, **kwargs):
-            raise AssertionError("capacity solved before the widths were refused")
-
-        monkeypatch.setattr(cli, "compute_capacity", no_solve)
-        cfg = write_cfg(tmp_path, self.CAPACITY_2D + "capacity.widths = [0.2, 0.4]\n")
+    def test_capacity_without_boxes_is_config_error(self, tmp_path):
+        text = (BASE.replace("solver.mode = projected", "")
+                + "capacity.frame = 16\ncapacity.interval = [0.25, 0.75]\n")
         out = tmp_path / "cap"
-        assert main(["capacity", "--config", str(cfg), "--out", str(out)]) == 2
+        assert main(["capacity", "--config", str(write_cfg(tmp_path, text)),
+                     "--out", str(out)]) == 2
         err = json.loads((out / "error.json").read_text())
-        assert err["stage"] == "config-error"
-        assert err["error"].startswith("capacity.widths = [0.2, 0.4] is 1D only")
-        assert not (out / "capacity.csv").exists()
+        assert err == {"stage": "config-error", "error": "capacity runs need capacity.boxes"}
 
     # sha256 of two command tables: a 2-seed, 2-level sweep of BASE, and
     # the shipped capacity config
@@ -459,7 +470,7 @@ class TestSubcommands:
         "penalize-sweep": ("penalize_sweep.csv",
                            "54ff1a239964115bd40a5a538930b925688ebff40c94fc4dc5442faa09c15702"),
         "capacity": ("capacity.csv",
-                     "4842f8062119774ca075acffaa5d793e7ecbfe23b25c9428fb025722210ac081"),
+                     "006bce0e7063044fa416b9ebf3696216b4e47f026d4584be54907414cd7042d0"),
     }
 
     @pytest.mark.parametrize("command", sorted(PINNED_TABLES))
@@ -494,6 +505,38 @@ class TestSubcommands:
         _, out, sample = simulated(tmp_path)
         other = write_cfg(tmp_path, BASE.replace("0.2", "0.25"), "other.cfg")
         assert verify(other, out, sample) == 6
+
+    @pytest.mark.parametrize("name", ["u.csv", "measure.csv"])
+    def test_verify_refuses_table_without_hash_line(self, tmp_path, name):
+        cfg, out, sample = simulated(tmp_path)
+        table = sample / name
+        table.write_bytes(table.read_bytes().split(b"\n", 1)[1])
+        assert verify(cfg, out, sample) == 6
+        err = json.loads((out / "error.json").read_text())
+        assert err == {"stage": "artifact-mismatch",
+                       "error": f"{name} has no config hash line; refusing to load"}
+
+    @pytest.mark.parametrize("edit", ["steps", "dt"])
+    def test_verify_refuses_steps_or_dt_of_another_run(self, tmp_path, edit):
+        """A sample whose metadata, with tables cut to match, holds 16 steps
+        (or another dt) under a 32-step config with its hash."""
+        cfg, out, sample = simulated(tmp_path)
+        meta = json.loads((sample / "metadata.json").read_text())
+        dt = meta["dt"]
+        if edit == "steps":
+            meta["steps"] = 16
+            for name, last in (("u.csv", 16), ("measure.csv", 15)):
+                lines = (sample / name).read_bytes().splitlines(keepends=True)
+                kept = [ln for ln in lines[2:] if int(ln.split(b",", 1)[0]) <= last]
+                (sample / name).write_bytes(b"".join(lines[:2] + kept))
+        else:
+            meta["dt"] = 2 * dt
+        (sample / "metadata.json").write_text(json.dumps(meta))
+        assert verify(cfg, out, sample) == 6
+        err = json.loads((out / "error.json").read_text())
+        assert err["stage"] == "artifact-mismatch"
+        assert err["error"] == (f"artifacts hold {meta['steps']} steps of dt = {meta['dt']!r}, "
+                                f"the config 32 steps of dt = {dt!r}; refusing to verify")
 
     def test_missing_artifacts_explicit_error(self, tmp_path):
         assert verify(write_cfg(tmp_path, BASE), tmp_path / "out", tmp_path / "nowhere") == 7

@@ -199,14 +199,18 @@ def test_malformed_table_refused(tmp_path, name, edit, match):
         load_run(tmp_path, grid, expected_hash="abc")
 
 
-def test_hash_line_mismatch_refused(tmp_path):
+@pytest.mark.parametrize("edit, match", [
+    (lambda ls: ["# config_hash=other"] + ls[1:], "different config hash"),
+    (lambda ls: ls[1:], "no config hash line"),
+], ids=["replaced", "removed"])
+def test_hash_line_mismatch_refused(tmp_path, edit, match):
     grid = build_grid(1, (0.0, 1.0), 8)
-    save_run(tmp_path, edge_result(grid), config_hash="abc", seed=3, grid=grid,
-             solver_mode="projected")
-    _edit_lines(tmp_path / "measure.csv",
-                lambda ls: ["# config_hash=other"] + ls[1:])
-    with pytest.raises(ConfigurationError, match="different config hash"):
-        load_run(tmp_path, grid, expected_hash="abc")
+    for name in ("u.csv", "measure.csv"):
+        save_run(tmp_path, edge_result(grid), config_hash="abc", seed=3, grid=grid,
+                 solver_mode="projected")
+        _edit_lines(tmp_path / name, edit)
+        with pytest.raises(ConfigurationError, match=f"{name} .*{match}"):
+            load_run(tmp_path, grid, expected_hash="abc")
 
 
 # A table is read in blocks of rows; these run the round trip and every

@@ -16,8 +16,8 @@ from ospde.errors import AssumptionError, ConfigurationError, SolverError
 from ospde.grid import Field, assemble_operator, build_grid, divergence
 from ospde.norms import FieldPath, mixed_norm
 from ospde.solver import (OBSTACLE_OFF, DiscreteMeasure, DominatorData, ProblemData,
-                          prepare_batch, skorokhod_defect, solve_batch, solve_dominators,
-                          solve_mode)
+                          _dominator_batch, _join, prepare_batch, skorokhod_defect,
+                          solve_batch, solve_dominators, solve_mode)
 from ospde.stochastics import CoefficientSet, NoisePath, sample_noise
 from ospde.verify import penalization_sweep, refinement_study
 
@@ -340,6 +340,37 @@ class TestBatch:
             assert path.measure.weights.tobytes() == alone.measure.weights.tobytes()
             assert path.diagnostics["iterations"] == alone.diagnostics["iterations"]
             assert path.diagnostics["feasible_steps"] == alone.diagnostics["feasible_steps"]
+
+    def test_every_path_has_its_own_row(self):
+        data = contact_problem()
+        grid = data.op.grid
+        noises = [sample_noise(2, data.dt, data.steps, s) for s in (5, 0, 2)]
+        u = np.stack([data.xi.values] * 3)
+        for batch, start in ((prepare_batch(data, noises), data.xi),
+                             (_dominator_batch(data, noises), data.dominator.initial)):
+            assert batch.start.shape == (3, grid.n_nodes)
+            assert np.shares_memory(batch.start, start.values)   # a view, not a copy
+            psi = batch.obstacle(4)
+            assert psi.shape == (grid.n_interior, 3) and not psi.flags.writeable
+            assert np.array_equal(psi, np.tile(grid.restrict(data.obstacle.frames[5])[:, None],
+                                               (1, 3)))
+            f, g, h = batch.sources(4, u)
+            assert (f.shape, g.shape, h.shape) == ((3, grid.n_interior), (3, grid.n_interior, 1),
+                                                   (3, grid.n_interior, 2))
+
+    @pytest.mark.parametrize("mode", ["projected", "penalized"])
+    def test_joined_halves_of_any_size_march_as_alone(self, mode):
+        d1 = contact_problem()
+        grid = d1.op.grid
+        d2 = replace(d1, xi=Field(grid, d1.xi.values + 0.05),
+                     obstacle=FieldPath(grid, d1.times, d1.obstacle.frames + 0.05))
+        noises = [sample_noise(2, d1.dt, d1.steps, s) for s in (5, 0, 2)]
+        halves = (prepare_batch(d1, noises[:1], mode, 100),
+                  prepare_batch(d2, noises[1:], mode, 100))
+        joint = solve_batch(_join(*halves))
+        alone = [solve_batch(half) for half in halves]
+        assert joint.frames.tobytes() == np.concatenate([r.frames for r in alone]).tobytes()
+        assert joint.weights.tobytes() == np.concatenate([r.weights for r in alone]).tobytes()
 
     @pytest.mark.parametrize("mode", ["projected", "penalized"])
     def test_counters(self, monkeypatch, mode):

@@ -377,6 +377,25 @@ class TestComparison:
             comparison_experiment(d1, d2, seeds=range(3))
         assert len(calls) == d1.steps   # one joint march
 
+    @pytest.mark.parametrize("drift_step, flux_step, message", [
+        (10, 5, "flux or noise coefficients differ at step 5"),
+        (5, 10, "drift ordering fails along the first trajectory at step 5"),
+        (7, 7, "drift ordering fails along the first trajectory at step 7"),
+    ])
+    def test_first_failing_step_is_reported(self, drift_step, flux_step, message):
+        d = standard_problem(cells=16, steps=32)
+        base, times = d.coeffs, d.times
+
+        def f(t, x, y, z):  # drift of problem 1 above problem 2's from drift_step on
+            return base.f(t, x, y, z) + 0.1 * (t >= times[drift_step])
+
+        def h(t, x, y, z):  # noise of problem 2 differs from flux_step on
+            return base.h(t, x, y, z) + 0.5 * (t >= times[flux_step])
+
+        d1, d2 = replace(d, coeffs=replace(base, f=f)), replace(d, coeffs=replace(base, h=h))
+        with pytest.raises(AssumptionError, match=f"violated: {message}$"):
+            comparison_experiment(d1, d2, seeds=[1])
+
     def test_operators_must_match_bit_for_bit(self):
         d1 = standard_problem(cells=16, steps=32)
         op = assemble_operator(d1.op.grid, 1.0 + 1e-13, 1.0, 1.0)
