@@ -438,9 +438,11 @@ class TestSubcommands:
         ("capacity.boxes = 0.2", "capacity.boxes"),
         ("capacity.boxes = []", "capacity.boxes"),
         ('capacity.boxes = [["a", 0.5]]', "capacity.boxes[0]"),
+        ('capacity.boxes = [[0.4, "mid"]]', "capacity.boxes[0]"),
         ('capacity.boxes = [[0.4, 0.6], "wide"]', "capacity.boxes[1]"),
         ("capacity.boxes = [[0.4, 0.6], [[0.25, 0.75], [0.25, 0.75]]]", "capacity.boxes[1]"),
-    ], ids=["not-a-list", "empty", "not-a-number", "not-a-box", "2d-box-in-1d"])
+    ], ids=["not-a-list", "empty", "not-a-number", "hi-not-a-number",
+           "not-a-box", "2d-box-in-1d"])
     def test_capacity_bad_box_is_config_error(self, tmp_path, monkeypatch, entry, key):
         def no_solve(*args, **kwargs):
             raise AssertionError("capacity solved before the boxes were refused")
