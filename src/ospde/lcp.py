@@ -10,23 +10,26 @@ SIAM J. Optim. 13, 2003), which ends in at most n + 1 passes.
 A solve marches many steps with one B, so ``StepMatrix`` builds B's CSC
 pattern once and every pass edits arrays of it instead of building scipy
 matrices: a penalized pass writes B_ii + d_i into the diagonal positions, a
-projected pass masks out the free block.  Either way the matrix handed to
-SuperLU is, bit for bit, the one ``B + diags(d)`` or ``B[free][:, free]``
-would give.  The active sets return across passes and steps, so
-``StepMatrix`` also keeps the SuperLU factor of each pass matrix it meets,
-keyed by penalty and active set.  The newest factor is always kept; older
-ones go, least recently used first, while the kept matrices hold more than
-``_KEPT_ENTRIES`` stored entries.  ``splu(A)``
-then ``.solve(b)`` runs the same SuperLU routines (dgstrf, dgstrs) with the
-same options as ``spsolve(A, b)``, so a kept factor gives the same bits as
-solving afresh.
+projected pass masks out the free block.  Either way the arrays handed to
+SuperLU are, bit for bit, those of ``B + diags(d)`` or ``B[free][:, free]``.
+``_factor`` hands them to SuperLU's dgstrf directly, with the options
+``splu`` passes, so no matrix is built and no check of ``splu``'s runs.
+The active sets return across passes and steps, so ``StepMatrix`` also
+keeps the SuperLU factor of each pass matrix it meets, keyed by penalty
+and active set.  The newest factor is always kept; older ones go, least
+recently used first, while the kept matrices hold more than
+``_KEPT_ENTRIES`` stored entries, enough for the factors a 1D step's
+passes use.  ``splu(A)`` then ``.solve(b)`` runs the same SuperLU routines
+(dgstrf, dgstrs) with the same options as ``spsolve(A, b)``, so a kept
+factor gives the same bits as solving afresh.
 
 A batch of S solves marching together hands ``psor`` an (n, S) block of
 right-hand sides and one obstacle column per right-hand side (n, S).  Each
-pass groups the unsettled columns by their active set; a group shares one
-factor and one solve with a multi-column right-hand side, which SuperLU
-treats column by column, while each column keeps its own pinned values and
-reactions, so every column comes out bit for bit as it would alone.
+pass groups the unsettled columns by their active set and gathers them
+once, group after group; a group shares one factor and one solve on its
+contiguous slice of columns, which SuperLU treats column by column, while
+each column keeps its own pinned values and reactions, so every column
+comes out bit for bit as it would alone.
 
 On degenerate contact, where a node's gap and reaction are both zero in
 exact arithmetic, rounding can make the plain active-set rule cycle.  A
@@ -46,6 +49,11 @@ import scipy.sparse.linalg as spla
 
 from .errors import SolverError
 
+try:
+    from scipy.sparse.linalg._dsolve._superlu import gstrf as _gstrf
+except ImportError:  # a scipy without the private entry: _factor goes through splu
+    _gstrf = None
+
 __all__ = ["StepMatrix", "psor"]
 
 # Stop when the set repeats and |B x - reaction - q|_inf is at most _TOL
@@ -55,52 +63,59 @@ _TOL = 1e-12
 # Stored entries (nnz) of the pass matrices whose factors one StepMatrix
 # keeps besides the newest.  SuperLU's factor takes about 20 times its
 # matrix's entries, and a 1D march's peak RSS rises by about 0.8 MB per 1024
-# kept entries.  A 1D step's pass matrices fit many times over, while a 2D
-# pass matrix on 48 x 48 cells (about 11 000 entries) is over the budget
-# alone, so a 2D march keeps its newest factor only: the set of a step's
-# last pass often starts the next step.
-_KEPT_ENTRIES = 3072
+# kept entries.  The budget holds the factors a 1D step's passes use: at
+# 3072 entries the benchmark's compare batch (24 cells, 96 paths) kept
+# about 45 of its 23-unknown factors, fewer than one step meets, and made
+# 919 of its 1184 factorizations again.  A 2D pass matrix on 48 x 48 cells
+# (about 11 000 entries) is over the budget alone, so a 2D march keeps its
+# newest factor only: the set of a step's last pass often starts the next
+# step.
+_KEPT_ENTRIES = 6144
+# The options ``spla.splu`` passes dgstrf when called with its defaults.
+_SPLU_OPTIONS = dict(DiagPivotThresh=None, ColPerm=None, PanelSize=None, Relax=None)
 
 
 class StepMatrix:
     """The step matrix B (sorted CSR), its factorization ``lu`` and what
-    every active-set pass reuses: a CSC copy of B whose pattern is that of
-    B + diags(d) for every d >= 0, B's entries in that order, the column of
-    each entry, the positions of the diagonal, |B|_inf, and the factors of
-    the pass matrices met so far (``kept``, least recently used first,
-    holding ``kept_entries`` stored entries: the newest factor's and at
-    most ``_KEPT_ENTRIES`` besides).
+    every active-set pass reuses: B in CSC arrays whose pattern is that of
+    B + diags(d) for every d >= 0 (``data``, and ``indices`` and ``indptr``
+    as SuperLU's intc), the column of each entry, the positions of the
+    diagonal, |B|_inf, and the factors of the pass matrices met so far
+    (``kept``, least recently used first, holding ``kept_entries`` stored
+    entries: the newest factor's and at most ``_KEPT_ENTRIES`` besides).
     ``factorizations`` counts the pass matrices factored."""
 
     def __init__(self, B: sp.csr_matrix, lu):
         n = B.shape[0]
         self.B = B
         self.lu = lu
-        self.csc = (B + sp.diags(np.zeros(n))).tocsc()
-        self.data = self.csc.data.copy()  # passes edit only csc.data
-        self.col = np.repeat(np.arange(n, dtype=self.csc.indices.dtype),
-                             np.diff(self.csc.indptr))
-        self.diag = np.flatnonzero(self.csc.indices == self.col)
+        csc = (B + sp.diags(np.zeros(n))).tocsc()
+        self.data = csc.data
+        self.indices = csc.indices.astype(np.intc, copy=False)
+        self.indptr = csc.indptr.astype(np.intc, copy=False)
+        self.shifted_data = self.data.copy()  # passes edit only its diagonal
+        self.col = np.repeat(np.arange(n, dtype=np.intc), np.diff(self.indptr))
+        self.diag = np.flatnonzero(self.indices == self.col)
         self.norm = _norm_inf(B)
         self.factorizations = 0
         self.kept: OrderedDict[tuple[float, bytes], tuple] = OrderedDict()  # (factor, entries)
         self.kept_entries = 0
 
-    def shifted(self, d: np.ndarray) -> sp.csc_matrix:
-        """B + diags(d): the cached CSC with B_ii + d_i written on its diagonal."""
-        self.csc.data[self.diag] = self.data[self.diag] + d
-        return self.csc
+    def shifted(self, d: np.ndarray) -> tuple:
+        """B + diags(d) as CSC arrays: B's pattern with B_ii + d_i written
+        on the diagonal of ``shifted_data``."""
+        self.shifted_data[self.diag] = self.data[self.diag] + d
+        return self.shifted_data, self.indices, self.indptr
 
-    def free_block(self, free: np.ndarray) -> sp.csc_matrix:
-        """B[free][:, free] as a new CSC, masked out of the cached pattern."""
-        idx = self.csc.indices
+    def free_block(self, free: np.ndarray) -> tuple:
+        """B[free][:, free] as new CSC arrays, masked out of B's pattern."""
+        idx = self.indices
         keep = free[idx] & free[self.col]
         counts = np.bincount(self.col[keep], minlength=free.size)[free]
-        indptr = np.zeros(counts.size + 1, dtype=idx.dtype)
+        indptr = np.zeros(counts.size + 1, dtype=np.intc)
         np.cumsum(counts, out=indptr[1:])
-        position = np.cumsum(free, dtype=idx.dtype) - 1  # of each node among the free ones
-        return sp.csc_matrix((self.data[keep], position[idx[keep]], indptr),
-                             shape=(counts.size, counts.size))
+        position = np.cumsum(free, dtype=np.intc) - 1  # of each node among the free ones
+        return self.data[keep], position[idx[keep]], indptr
 
     def factor(self, active: np.ndarray, key: bytes, pen: float):
         """The SuperLU factor of the pass matrix of the nonempty set
@@ -114,17 +129,30 @@ class StepMatrix:
             self.kept.move_to_end(index)
             return kept[0]
         if pen == math.inf:
-            A = self.free_block(~active)
+            data, indices, indptr = self.free_block(~active)
         else:
-            A = self.shifted(np.where(active, pen, 0.0))
-        lu = spla.splu(A)
+            data, indices, indptr = self.shifted(np.where(active, pen, 0.0))
+        lu = _factor(data, indices, indptr)
         self.factorizations += 1
-        self.kept[index] = (lu, A.nnz)
-        self.kept_entries += A.nnz
+        self.kept[index] = (lu, data.size)
+        self.kept_entries += data.size
         while self.kept_entries > _KEPT_ENTRIES and len(self.kept) > 1:
             _, (_, entries) = self.kept.popitem(last=False)
             self.kept_entries -= entries
         return lu
+
+
+def _factor(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray):
+    """The SuperLU factor of the square CSC matrix (data, indices, indptr),
+    with sorted intc indices and no duplicates: bit for bit, with the same
+    permutations, what ``spla.splu`` gives of it, from the same dgstrf call
+    with the same options but without a matrix built or checked.  Goes
+    through ``spla.splu`` when scipy has no ``gstrf``."""
+    n = indptr.size - 1
+    if _gstrf is None:
+        return spla.splu(sp.csc_matrix((data, indices, indptr), shape=(n, n)))
+    return _gstrf(n, data.size, data, indices, indptr, csc_construct_func=sp.csc_array,
+                  ilu=False, options=_SPLU_OPTIONS)
 
 
 def psor(step: StepMatrix, q: np.ndarray, psi: np.ndarray, pen: float = math.inf):
@@ -220,19 +248,23 @@ def _settle(step: StepMatrix, q: np.ndarray, x_free: np.ndarray, sets: np.ndarra
         else:
             rhs = q + np.where(sets, pen, 0.0) * psi
             x_pass = x_free.copy()
+        # the columns of one set share its factor and one solve on their
+        # slice of the columns gathered group after group
+        order, runs = [], []
         for key, members in groups.items():
             active = sets[:, members[0]]
-            if not active.any() or (pen == math.inf and active.all()):
-                continue
-            # the columns of one set share its factor and one solve
-            at = members if len(members) < open_.size else slice(None)
-            lu = step.factor(active, key, pen)
-            if pen == math.inf:
-                x_set = x_pass[:, at]
-                x_set[~active] = lu.solve(rhs[:, at][~active])
-                x_pass[:, at] = x_set
-            else:
-                x_pass[:, at] = lu.solve(rhs[:, at])
+            if active.any() and not (pen == math.inf and active.all()):
+                runs.append((key, active, slice(len(order), len(order) + len(members))))
+                order += members
+        if order:
+            R, X = rhs[:, order], x_pass[:, order]
+            for key, active, at in runs:
+                lu = step.factor(active, key, pen)
+                if pen == math.inf:
+                    X[~active, at] = lu.solve(R[~active, at])
+                else:
+                    X[:, at] = lu.solve(R[:, at])
+            x_pass[:, order] = X
         Bx = step.B @ x_pass
         if pen == math.inf:
             reaction = np.where(sets, Bx - q, 0.0)

@@ -201,8 +201,8 @@ def _source_rhs(grid, dt, u_full, f_int, g_int, h_int, dB):
         g_full[..., grid.interior, :] = g_int
         rhs += dt * grid.restrict(divergence(grid, g_full))
     if h_int is not None:
-        for r, h, b in zip(rhs, h_int, dB):  # per sample: sums independent of the batch
-            r += h @ b
+        # one matrix-vector product per sample: sums independent of the batch
+        rhs += np.matmul(h_int, dB[..., None])[..., 0]
     return rhs
 
 

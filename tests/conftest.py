@@ -107,23 +107,11 @@ def count_calls(monkeypatch, owner, name):
     return calls
 
 
-class _ModuleView:
-    """Stands in for a module attribute of one module, so that a test can
-    wrap a function for that module's calls alone."""
-
-    def __init__(self, module):
-        self._module = module
-
-    def __getattr__(self, name):
-        return getattr(self._module, name)
-
-
 def count_lcp_factorizations(monkeypatch):
-    """Count the ``splu`` calls made from ``ospde.lcp``: the obstacle step's
-    pass factorizations, not the step matrix's own in ``ospde.solver``."""
-    view = _ModuleView(lcp.spla)
-    monkeypatch.setattr(lcp, "spla", view)
-    return count_calls(monkeypatch, view, "splu")
+    """Count the calls of ``ospde.lcp._factor``, the one entry through which
+    the obstacle step factors its pass matrices (the step matrix's own
+    factorization in ``ospde.solver`` is not one of them)."""
+    return count_calls(monkeypatch, lcp, "_factor")
 
 
 @pytest.fixture(scope="session")

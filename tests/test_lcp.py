@@ -8,7 +8,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import count_lcp_factorizations
+from conftest import count_calls, count_lcp_factorizations
 
 import ospde.lcp as lcp
 from ospde.errors import SolverError
@@ -169,6 +169,57 @@ def test_failed_repeat_stops_at_once(monkeypatch, pen):
     assert len(calls) == needed
 
 
+@st.composite
+def pass_matrix(draw):
+    """A step matrix from ``step_problem``, an active set and right-hand
+    sides: the CSC arrays of a pass matrix, B + pen * D_active (penalized)
+    or the free block B[free][:, free] (projected), the same matrix built
+    by scipy, and a block of right-hand sides for it."""
+    B, lu, _, _, pen = draw(step_problem())
+    n = B.shape[0]
+    active = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    step = StepMatrix(B, lu)
+    if pen == math.inf:
+        free = ~active
+        free[draw(st.integers(0, n - 1))] = True
+        arrays = step.free_block(free)
+        A = B[free][:, free].tocsc()
+    else:
+        d = np.where(active, pen, 0.0)
+        arrays = step.shifted(d)
+        A = (B + sp.diags(d)).tocsc()
+    m = A.shape[0]
+    values = st.floats(-5.0, 5.0, allow_nan=False)
+    rhs = np.array(draw(st.lists(st.lists(values, min_size=m, max_size=m),
+                                 min_size=1, max_size=3))).T
+    return arrays, A, rhs
+
+
+@given(pass_matrix())
+@settings(max_examples=150, deadline=None)
+def test_direct_factor_matches_splu_bit_for_bit(problem):
+    (data, indices, indptr), A, rhs = problem
+    direct, scipy_lu = lcp._factor(data, indices, indptr), spla.splu(A)
+    assert np.array_equal(direct.perm_r, scipy_lu.perm_r)
+    assert np.array_equal(direct.perm_c, scipy_lu.perm_c)
+    assert direct.solve(rhs).tobytes() == scipy_lu.solve(rhs).tobytes()
+    assert direct.solve(rhs[:, 0]).tobytes() == scipy_lu.solve(rhs[:, 0]).tobytes()
+
+
+@pytest.mark.parametrize("pen", [math.inf, 10.0], ids=["projected", "penalized"])
+def test_factor_falls_back_to_splu(monkeypatch, pen):
+    step, q, psi, pen = _contact_step(pen)
+    Q = np.column_stack([q, step.B @ (np.maximum(psi, 0.0) + 1.0), 0.5 * q, q])
+    x, passes = psor(step, Q, psi, pen)
+    fallback = _contact_step(pen)[0]
+    monkeypatch.setattr(lcp, "_gstrf", None)
+    calls = count_calls(monkeypatch, lcp.spla, "splu")
+    x_fallback, passes_fallback = psor(fallback, Q, psi, pen)
+    assert x_fallback.tobytes() == x.tobytes()
+    assert np.array_equal(passes_fallback, passes)
+    assert len(calls) == fallback.factorizations == step.factorizations > 0
+
+
 @pytest.mark.parametrize("pen", [math.inf, 10.0], ids=["projected", "penalized"])
 def test_passes_build_no_matrix_from_another(monkeypatch, pen):
     step, q, psi, pen = _contact_step(pen)
@@ -180,8 +231,8 @@ def test_passes_build_no_matrix_from_another(monkeypatch, pen):
 
         monkeypatch.setattr(cls, "__init__", counting_init)
     x, passes = psor(step, q, psi, pen)
-    # projected: one CSC per pass, made from the masked arrays; penalized: none
-    assert built == ([("csc_matrix", "tuple")] * passes if pen == math.inf else [])
+    # both modes hand SuperLU arrays: the cached ones or the masked ones
+    assert passes > 0 and built == []
 
 
 @st.composite

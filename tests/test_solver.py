@@ -16,8 +16,8 @@ from ospde.errors import AssumptionError, ConfigurationError, SolverError
 from ospde.grid import Field, assemble_operator, build_grid, divergence
 from ospde.norms import FieldPath, mixed_norm
 from ospde.solver import (OBSTACLE_OFF, DiscreteMeasure, DominatorData, ProblemData,
-                          _dominator_batch, _join, prepare_batch, skorokhod_defect,
-                          solve_batch, solve_dominators, solve_mode)
+                          _dominator_batch, _join, _source_rhs, prepare_batch,
+                          skorokhod_defect, solve_batch, solve_dominators, solve_mode)
 from ospde.stochastics import CoefficientSet, NoisePath, sample_noise
 from ospde.verify import penalization_sweep, refinement_study
 
@@ -70,6 +70,24 @@ class TestUnconstrainedSources:
                                         f=lambda x: np.ones(x.shape[0])), "unconstrained")
         steady = spla.spsolve(op64.stiffness.tocsc(), np.ones(grid64.n_interior))
         assert np.abs(grid64.restrict(res.u.frames[-1]) - steady).max() < 1e-8
+
+    @pytest.mark.parametrize("modes", [1, 4])
+    @pytest.mark.parametrize("shared", [False, True], ids=["own", "broadcast"])
+    def test_noise_term_is_each_paths_own_product(self, grid64, modes, shared):
+        """The stacked noise product gives every path the bits of its own
+        h @ dB, as a loop over the paths does, also for h rows broadcast
+        from one map (the dominator's) and increments sliced out of the
+        paths' (S, J, K) stack."""
+        rng = np.random.default_rng(modes)
+        S, n = 5, grid64.n_interior
+        h = (np.broadcast_to(rng.standard_normal((n, modes)), (S, n, modes)) if shared
+             else rng.standard_normal((S, n, modes)))
+        dB = rng.standard_normal((S, modes, 8))[:, :, 3]
+        u = rng.standard_normal((S, grid64.n_nodes))
+        expected = grid64.restrict(u).copy()
+        for r, h_s, b in zip(expected, h, dB):
+            r += h_s @ b
+        assert _source_rhs(grid64, 0.01, u, None, None, h, dB).tobytes() == expected.tobytes()
 
 
 class TestAgainstAnalyticOracles:
@@ -413,8 +431,8 @@ class TestBatch:
 
 
 # A 2D march whose drift pushes the state onto the zero obstacle: on 32 x 32
-# cells a pass matrix holds about 4700 stored entries, over the obstacle
-# step's budget of kept entries.
+# cells a pass matrix holds about 4700 stored entries; the test sets the
+# obstacle step's budget of kept entries below that.
 MARCH_2D = """
 grid.dim = 2
 grid.extent = [[0.0, 1.0], [0.0, 1.0]]
@@ -450,8 +468,9 @@ MARCH_2D_DIGESTS = {
 
 
 @pytest.mark.parametrize("mode", sorted(MARCH_2D_DIGESTS))
-def test_2d_march_reuses_factors_over_the_budget(mode):
+def test_2d_march_reuses_factors_over_the_budget(monkeypatch, mode):
     data = RunConfig(raw=parse_config_text(MARCH_2D)).build_problem(1000)
+    monkeypatch.setattr(lcp, "_KEPT_ENTRIES", 3072)
     assert data.op.stiffness.nnz > lcp._KEPT_ENTRIES
     result = solve_mode(data, mode, 1000)
     iterations = result.diagnostics["iterations"]

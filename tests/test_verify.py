@@ -1,4 +1,6 @@
+import hashlib
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,10 +10,11 @@ from conftest import (count_calls, count_lcp_factorizations, mean_terminals, mix
                       unconstrained_problem)
 
 import ospde.solver
+from ospde.config import load_config
 from ospde.errors import AssumptionError, ConfigurationError
 from ospde.grid import Field, assemble_operator, build_grid
 from ospde.norms import FieldPath
-from ospde.solver import (OBSTACLE_OFF, DominatorData, prepare_batch, solve_batch,
+from ospde.solver import (OBSTACLE_OFF, DominatorData, _join, prepare_batch, solve_batch,
                           solve_dominators, solve_mode)
 from ospde.stochastics import CoefficientSet, NoisePath, sample_noise
 from ospde.verify import (apriori_check, comparison_experiment, ito_square_residual,
@@ -310,6 +313,19 @@ def contact_pair():
     return d1, d2
 
 
+PERF_CONFIGS = Path(__file__).resolve().parents[1] / "perfbench" / "configs"
+
+# sha256 of the frames, weights and per-step pass lists of the benchmark's
+# compare pair marched as one joint batch, both problems on every seed.  The
+# benchmark checks only the pair's gaps, which are all zero (the gap at
+# t = 0), so a column scattered to the wrong path would show only here.  On
+# these seeds many columns share an active set, and with it a solve.
+PINNED_JOINT_MARCHES = {
+    ("penalized", 48): "f5b35e0d65658dc7f0ba1786411d5474579b6d890479ed60b46d5c7d12e9b08a",
+    ("projected", 8): "53581529ddc87e8a8090af82b923474e9e3d24eb06f7614eb26eb8d8c02d8ff5",
+}
+
+
 class TestComparison:
     def test_identical_data_zero_gap(self):
         d1 = standard_problem(cells=16, steps=32)
@@ -414,6 +430,20 @@ class TestComparison:
         for data in (d1, d2):
             solve_batch(prepare_batch(data, noises, mode, 100))
         assert 0 < joint < len(calls)
+
+    @pytest.mark.parametrize("mode, samples", sorted(PINNED_JOINT_MARCHES))
+    def test_joint_march_is_pinned_bit_for_bit(self, mode, samples):
+        cfg1, cfg2 = (load_config(PERF_CONFIGS / name)
+                      for name in ("compare1d_base.cfg", "compare1d_shifted.cfg"))
+        seeds = cfg1.sample_seeds(None, samples)
+        d1, d2 = cfg1.build_problem(seeds[0]), cfg2.build_problem(seeds[0])
+        noises = [sample_noise(d1.noise.J, d1.noise.dt, d1.noise.steps, s) for s in seeds]
+        result = solve_batch(_join(*(prepare_batch(d, noises, mode, cfg1.penalty_n)
+                                     for d in (d1, d2))))
+        digest = hashlib.sha256()
+        for part in (result.frames, result.weights, np.array(result.diagnostics["iterations"])):
+            digest.update(part.tobytes())
+        assert digest.hexdigest() == PINNED_JOINT_MARCHES[mode, samples]
 
     def test_no_seed_is_config_error(self):
         d1 = standard_problem(cells=16, steps=32)
