@@ -34,8 +34,9 @@ comes out bit for bit as it would alone.
 On degenerate contact, where a node's gap and reaction are both zero in
 exact arithmetic, rounding can make the plain active-set rule cycle.  A
 projected column that shows it, by a node entering its set after the first
-pass, which exact arithmetic never does, pins such nodes instead
-(``_settle``).
+pass, which exact arithmetic never does, pins such nodes instead, and a
+projected column whose iterate already meets the LCP within the residual
+stop stops there (``_settle``).
 """
 
 from __future__ import annotations
@@ -223,8 +224,14 @@ def _settle(step: StepMatrix, q: np.ndarray, x_free: np.ndarray, sets: np.ndarra
     (a pinned node's gap and a free node's reaction are 0), and a set
     returning after one other set no longer stops it.  Its set settles in a
     pass or two and the residual stop decides; no node is left below psi.
-    A column into which no node enters takes exactly the plain rule's
-    passes."""
+    Rounding can also free one degenerate node a pass without any entering,
+    so the set crawls down to the n + 1 cap (a flat obstacle at 1e-12 on 47
+    cells took 12 passes).  So a projected column also stops, as at a
+    repeat, at a pass whose iterate meets the LCP within the stop: no node
+    below psi and no node freed whose reaction is below minus the bound.
+    A column into which no node enters and from which the rule frees only
+    nodes whose reaction is below minus the bound takes exactly the plain
+    rule's passes."""
     n, m = q.shape
     x = np.empty_like(x_free)
     passes = np.zeros(m, dtype=int)
@@ -271,13 +278,19 @@ def _settle(step: StepMatrix, q: np.ndarray, x_free: np.ndarray, sets: np.ndarra
         else:
             reaction = pen * np.maximum(psi - x_pass, 0.0)
         new = (x_pass < psi) | (reaction > 0.0)
-        bound = None
+        bound, settled = None, False
         if pen == math.inf:
-            cycled |= (new & ~sets).any(axis=0)
-            if cycled.any():
+            entered = (new & ~sets).any(axis=0)
+            freed = sets > new
+            cycled |= entered
+            if cycled.any() or freed.any():
                 bound = _bound(step, q_scale, x_pass, sets, pen)
+                # no node below psi and no reaction below minus the stop: the
+                # iterate meets the LCP within the stop
+                settled = ~(entered | (freed & (reaction < -bound)).any(axis=0))
                 new |= cycled & (x_pass - psi <= bound) & (reaction >= -bound)
-        repeated = (new == sets).all(axis=0) | ((new == prev).all(axis=0) & ~cycled)
+        repeated = ((new == sets).all(axis=0) | ((new == prev).all(axis=0) & ~cycled)
+                    | settled)
         if repeated.any():
             residual = np.abs(Bx - reaction - q).max(axis=0)
             if bound is None:

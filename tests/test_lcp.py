@@ -51,7 +51,9 @@ def reference_psor(B, lu, q, psi, pen):
     contact the projected rule is the documented one: once a node enters
     the set after the first pass, every next set also holds every node
     whose gap is at most the stop and whose reaction is at least minus the
-    stop, and a set returning after one other set no longer counts.  One
+    stop, and a set returning after one other set no longer counts.  A
+    projected pass with no node below psi and no node freed whose reaction
+    is below minus the stop counts as a repeat.  One
     column with its own obstacle is all a column of a block is, so the
     reference takes one."""
     n = q.size
@@ -79,13 +81,16 @@ def reference_psor(B, lu, q, psi, pen):
             reaction = pen * np.maximum(psi - x, 0.0)
         new = (x < psi) | (reaction > 0.0)
         stop = scale + lcp._norm_inf(B) * np.abs(x).max()
+        settled = False
         if pen != math.inf:
             stop += pen * np.abs(x[active]).max(initial=0.0)
         else:
-            cycled = cycled or bool((new & ~active).any())
+            entered = bool((new & ~active).any())
+            cycled = cycled or entered
+            settled = not entered and not (active & ~new & (reaction < -lcp._TOL * stop)).any()
             if cycled:
                 new |= (x - psi <= lcp._TOL * stop) & (reaction >= -lcp._TOL * stop)
-        if ((np.array_equal(new, active) or (np.array_equal(new, prev) and not cycled))
+        if ((np.array_equal(new, active) or (np.array_equal(new, prev) and not cycled) or settled)
                 and np.abs(B @ x - reaction - q).max() <= lcp._TOL * stop):
             return x, passes
         prev, active = active, new
@@ -363,6 +368,7 @@ def degenerate_step(draw):
 
 @given(degenerate_step())
 @example(((24, 24), 1.0, 0.5 / 32, 0.2))  # cycled until 530 passes under the plain rule
+@example(((47,), 0.25, 1e-4, 1e-12))  # freed one node a pass, 12 passes, with no node entering
 @settings(max_examples=100, deadline=None)
 def test_degenerate_contact_settles(problem):
     counts, a, dt, level = problem
