@@ -104,17 +104,8 @@ def _aggregate(rows: list[dict]) -> dict:
     return out
 
 
-# The CSV and JSON artifacts are always written; naming them is allowed and
-# changes nothing.
-_FORMATS = ("csv", "json")
-
-
 def cmd_simulate(args, cfg: RunConfig, out: Path) -> int:
     seeds = cfg.sample_seeds(args.seed, args.samples)
-    formats = cfg.block("output").get("formats", [])
-    if not isinstance(formats, list) or any(f not in _FORMATS for f in formats):
-        raise StageError("config-error", f"output.formats {formats!r} must be a list "
-                                         f"drawn from {list(_FORMATS)}")
     out.mkdir(parents=True, exist_ok=True)
 
     jobs = [(cfg.raw, seed, str(out / f"sample_{i:03d}_seed_{seed}"))

@@ -31,12 +31,13 @@ contiguous slice of columns, which SuperLU treats column by column, while
 each column keeps its own pinned values and reactions, so every column
 comes out bit for bit as it would alone.
 
-On degenerate contact, where a node's gap and reaction are both zero in
-exact arithmetic, rounding can make the plain active-set rule cycle.  A
-projected column that shows it, by a node entering its set after the first
-pass, which exact arithmetic never does, pins such nodes instead, and a
-projected column whose iterate already meets the LCP within the residual
-stop stops there (``_settle``).
+A column stops at the first pass whose iterate meets its own problem, the
+penalized equation or the LCP, within the residual stop (``_settle``).  On
+degenerate contact, where a node's gap and reaction are both zero in exact
+arithmetic, rounding can make the plain active-set rule cycle; the stop
+ends a penalized column there, and a projected column that shows it, by a
+node entering its set after the first pass, which exact arithmetic never
+does, pins such nodes instead.
 """
 
 from __future__ import annotations
@@ -57,9 +58,11 @@ except ImportError:  # a scipy without the private entry: _factor goes through s
 
 __all__ = ["StepMatrix", "psor"]
 
-# Stop when the set repeats and |B x - reaction - q|_inf is at most _TOL
-# times the size of the terms it rounds: 1 + |q|_inf + |B|_inf |x|_inf, plus
-# pen * |x_active|_inf for a penalized pass, whose matrix is B + pen * D.
+# A column stops at the first pass whose |B x - reaction - q|_inf is at most
+# _TOL times the size of the terms it rounds: 1 + |q|_inf + |B|_inf |x|_inf,
+# plus pen * |x_active|_inf for a penalized pass, whose matrix is B + pen * D.
+# A projected iterate must also leave no node below psi and no reaction
+# below minus that bound.
 _TOL = 1e-12
 # Stored entries (nnz) of the pass matrices whose factors one StepMatrix
 # keeps besides the newest.  SuperLU's factor takes about 20 times its
@@ -173,13 +176,12 @@ def psor(step: StepMatrix, q: np.ndarray, psi: np.ndarray, pen: float = math.inf
     the factor ``step`` keeps for that set or a new one made on the pattern
     it caches; the columns whose sets are equal share that factor and one
     solve, while their pinned values, right-hand sides and reactions stay
-    their own.  The next set is where x < psi or the reaction is positive,
-    except on degenerate contact (see ``_settle``).  A repeated set gives
-    the same iterate again, so a column's first repeat either meets the
-    residual stop or fails.  A set that returns after one other set
-    (counting x_free as the empty set's iterate) would alternate with it
-    forever; it stops the same way.  ``step.factorizations`` counts the
-    factorizations.
+    their own.  A column stops at the first pass whose iterate meets its
+    own problem within the residual stop (see ``_settle``); otherwise its
+    next set is where x < psi or the reaction is positive, except on
+    degenerate contact.  A repeated set gives the same iterate again, so a
+    column whose next set is its own and whose iterate misses the stop
+    fails at once.  ``step.factorizations`` counts the factorizations.
 
     Returns (x, passes) shaped like q: passes is an int, or an int array
     (S,) for a block.  Raises SolverError, with ``column`` set, at a
@@ -210,33 +212,32 @@ def _settle(step: StepMatrix, q: np.ndarray, x_free: np.ndarray, sets: np.ndarra
     their iterates and pass counts.  ``cols`` numbers the columns in the
     caller's block, for errors.
 
+    Every pass takes each open column's residual |B x - reaction - q|_inf
+    and its stop (``_bound``).  A column stops at the first pass whose
+    iterate meets its own problem within that stop: a penalized iterate
+    when its residual is within it, a projected one when, besides, no node
+    is below psi and no reaction is below minus the stop.  A column whose
+    next set is its own would only repeat its iterate, so it fails at once.
+
     Degenerate contact: where the state rests on a flat obstacle with no
-    forcing, the gap x - psi and the reaction B x - q of a node are both
-    zero in exact arithmetic, and rounding moves such nodes in and out of
-    the set: the plain rule frees a pinned node whose reaction rounds to
-    zero or below and pins it again when its gap rounds below zero, and the
-    sets wander until the n + 1 cap.  In exact arithmetic every iterate
-    from the first pass on is feasible and the sets only shrink (B is an
+    forcing, the gap x - psi and the reaction of a node are both zero in
+    exact arithmetic, and rounding moves such nodes in and out of the set:
+    the plain rule frees a node whose reaction rounds to zero or below and
+    pins it again when its gap rounds below zero, and the sets can wander
+    until the n + 1 cap.  The stop ends a column as soon as an iterate
+    meets its problem; a penalized state resting on psi (q = B psi) meets
+    it at the first pass.  In exact arithmetic every projected iterate from
+    the first pass on is feasible and the sets only shrink (B is an
     M-matrix), so a node that enters a projected column's set after the
     first pass enters by rounding, and the column is degenerate.  From then
     on its next set also holds every near node, whose gap is at most the
-    residual stop's bound and whose reaction is at least minus that bound
-    (a pinned node's gap and a free node's reaction are 0), and a set
-    returning after one other set no longer stops it.  Its set settles in a
-    pass or two and the residual stop decides; no node is left below psi.
-    Rounding can also free one degenerate node a pass without any entering,
-    so the set crawls down to the n + 1 cap (a flat obstacle at 1e-12 on 47
-    cells took 12 passes).  So a projected column also stops, as at a
-    repeat, at a pass whose iterate meets the LCP within the stop: no node
-    below psi and no node freed whose reaction is below minus the bound.
-    A column into which no node enters and from which the rule frees only
-    nodes whose reaction is below minus the bound takes exactly the plain
-    rule's passes."""
+    stop and whose reaction is at least minus it (a pinned node's gap and a
+    free node's reaction are 0), so its set settles in a pass or two with
+    no node left below psi."""
     n, m = q.shape
     x = np.empty_like(x_free)
     passes = np.zeros(m, dtype=int)
     open_ = np.arange(m)  # positions still open, among the m columns
-    prev = np.zeros_like(sets)  # each column's set a pass back; x_free is the empty set's
     cycled = np.zeros(m, dtype=bool)  # degenerate columns: a node entered their set
     q_scale = 1.0 + np.abs(q).max(axis=0)
     for count in range(1, n + 2):
@@ -278,37 +279,28 @@ def _settle(step: StepMatrix, q: np.ndarray, x_free: np.ndarray, sets: np.ndarra
         else:
             reaction = pen * np.maximum(psi - x_pass, 0.0)
         new = (x_pass < psi) | (reaction > 0.0)
-        bound, settled = None, False
+        residual = np.abs(Bx - reaction - q).max(axis=0)
+        bound = _bound(step, q_scale, x_pass, sets, pen)
+        done = residual <= bound
         if pen == math.inf:
-            entered = (new & ~sets).any(axis=0)
-            freed = sets > new
+            entered = (new & ~sets).any(axis=0)  # a node below psi: pinned ones sit on it
+            done &= ~entered & ~(reaction < -bound).any(axis=0)
             cycled |= entered
-            if cycled.any() or freed.any():
-                bound = _bound(step, q_scale, x_pass, sets, pen)
-                # no node below psi and no reaction below minus the stop: the
-                # iterate meets the LCP within the stop
-                settled = ~(entered | (freed & (reaction < -bound)).any(axis=0))
-                new |= cycled & (x_pass - psi <= bound) & (reaction >= -bound)
-        repeated = ((new == sets).all(axis=0) | ((new == prev).all(axis=0) & ~cycled)
-                    | settled)
-        if repeated.any():
-            residual = np.abs(Bx - reaction - q).max(axis=0)
-            if bound is None:
-                bound = _bound(step, q_scale, x_pass, sets, pen)
-            failed = repeated & (residual > bound)
-            if failed.any():
-                j = int(np.argmax(failed))
-                raise SolverError(f"active set repeated with residual {residual[j]:.3e} "
-                                  f"above the stop {bound[j]:.3e}", column=int(cols[open_[j]]))
-            done = open_[repeated]
-            x[:, done] = x_pass[:, repeated]
-            passes[done] = count
-            if done.size == open_.size:
+            new |= cycled & (x_pass - psi <= bound) & (reaction >= -bound)
+        failed = ~done & (new == sets).all(axis=0)
+        if failed.any():
+            j = int(np.argmax(failed))
+            raise SolverError(f"active set repeated with residual {residual[j]:.3e} "
+                              f"above the stop {bound[j]:.3e}", column=int(cols[open_[j]]))
+        if done.any():
+            x[:, open_[done]] = x_pass[:, done]
+            passes[open_[done]] = count
+            if done.all():
                 return x, passes
-            keep = ~repeated
+            keep = ~done
             open_, new, q, x_free = open_[keep], new[:, keep], q[:, keep], x_free[:, keep]
-            sets, cycled, q_scale, psi = sets[:, keep], cycled[keep], q_scale[keep], psi[:, keep]
-        prev, sets = sets, new
+            cycled, q_scale, psi = cycled[keep], q_scale[keep], psi[:, keep]
+        sets = new
     raise SolverError(f"active-set obstacle step did not settle in {n + 1} passes",
                       column=int(cols[open_[0]]))
 

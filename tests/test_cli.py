@@ -578,22 +578,6 @@ class TestSubcommands:
         err = json.loads((out / "error.json").read_text())
         assert err["stage"] == "artifact-mismatch" and "metadata.json" in err["error"]
 
-    def test_unknown_output_format_is_config_error(self, tmp_path):
-        # "noise" is refused too: the noise is never stored, its seed rebuilds it
-        for name in ("nosie", "noise"):
-            cfg = write_cfg(tmp_path, BASE + f'output.formats = ["csv", "{name}"]\n')
-            out = tmp_path / name
-            assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
-            err = json.loads((out / "error.json").read_text())
-            assert err["stage"] == "config-error" and f"'{name}'" in err["error"]
-            assert not list(out.glob("sample_*"))
-
-    def test_csv_written_whatever_the_formats(self, tmp_path):
-        cfg, out, sample = simulated(tmp_path, BASE + 'output.formats = ["json"]\n')
-        assert {p.name for p in sample.iterdir()} == {
-            "metadata.json", "u.csv", "measure.csv", "norms.csv"}
-        assert verify(cfg, out, sample) == 0
-
     def test_unknown_check_rejected(self, tmp_path):
         text = BASE.replace('verify.checks = ["ito_square", "skorokhod"]',
                             'verify.checks = ["nonsense"]')

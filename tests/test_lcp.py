@@ -41,32 +41,44 @@ def step_problem(draw):
     return B, spla.splu(B.tocsc()), q, psi, pen
 
 
+def _given_step(B, q, psi, pen):
+    """A ``step_problem`` draw made by hand."""
+    B = sp.csr_matrix(np.array(B))
+    return B, spla.splu(B.tocsc()), np.array(q, dtype=float), np.array(psi, dtype=float), pen
+
+
+def documented_stop(B, q, x, psi, pen):
+    """The kernel's residual stop for an iterate x: _TOL times
+    1 + |q| + |B| |x|, plus pen |x| over the active set for a penalized
+    pass, whose set at the stop is where x < psi."""
+    scale = 1.0 + np.abs(q).max() + lcp._norm_inf(B) * np.abs(x).max()
+    if pen != math.inf:
+        scale += pen * np.abs(x[x < psi]).max(initial=0.0)
+    return lcp._TOL * scale
+
+
 def reference_psor(B, lu, q, psi, pen):
     """The kernel as it was before the cached pattern: each pass builds its
-    matrix with ``B + sp.diags(d)`` or ``B[free]`` slicing, and runs to n + 1
-    passes when a repeated set misses the residual stop.  The stop is the
-    documented one: _TOL times 1 + |q| + |B| |x|, plus pen |x| over the
-    active set for a penalized pass.  A set that returns after one other set
-    (x_free is the empty set's iterate) counts as a repeat.  On degenerate
-    contact the projected rule is the documented one: once a node enters
-    the set after the first pass, every next set also holds every node
-    whose gap is at most the stop and whose reaction is at least minus the
-    stop, and a set returning after one other set no longer counts.  A
-    projected pass with no node below psi and no node freed whose reaction
-    is below minus the stop counts as a repeat.  One
-    column with its own obstacle is all a column of a block is, so the
-    reference takes one."""
+    matrix with ``B + sp.diags(d)`` or ``B[free]`` slicing.  It stops at the
+    first pass whose iterate meets its problem within the documented stop
+    (_TOL times 1 + |q| + |B| |x|, plus pen |x| over the pass's active set
+    for a penalized pass): the residual is within the stop and, when
+    projected, no node is below psi and no reaction is below minus the
+    stop.  On degenerate contact the projected rule is the documented one:
+    once a node enters the set after the first pass, every next set also
+    holds every node whose gap is at most the stop and whose reaction is at
+    least minus the stop.  One column with its own obstacle is all a column
+    of a block is, so the reference takes one."""
     n = q.size
     x_free = lu.solve(q)
     active = x_free < psi
     if not active.any():
         return x_free, 0
     scale = 1.0 + float(np.abs(q).max())
-    prev = np.zeros(n, dtype=bool)
     cycled = False
     for passes in range(1, n + 2):
         if not active.any():
-            x, reaction = x_free, np.zeros(n)
+            x = x_free
         elif pen == math.inf:
             free = ~active
             x = psi.copy()
@@ -74,52 +86,50 @@ def reference_psor(B, lu, q, psi, pen):
                 Bf = B[free]
                 rhs = q[free] - Bf[:, active] @ psi[active]
                 x[free] = spla.spsolve(Bf[:, free].tocsc(), rhs)
-            reaction = np.where(active, B @ x - q, 0.0)
         else:
             d = np.where(active, pen, 0.0)
             x = spla.spsolve((B + sp.diags(d)).tocsc(), q + d * psi)
+        if pen == math.inf:
+            reaction = np.where(active, B @ x - q, 0.0)
+        else:
             reaction = pen * np.maximum(psi - x, 0.0)
         new = (x < psi) | (reaction > 0.0)
         stop = scale + lcp._norm_inf(B) * np.abs(x).max()
-        settled = False
         if pen != math.inf:
             stop += pen * np.abs(x[active]).max(initial=0.0)
-        else:
-            entered = bool((new & ~active).any())
-            cycled = cycled or entered
-            settled = not entered and not (active & ~new & (reaction < -lcp._TOL * stop)).any()
+        stop *= lcp._TOL
+        done = np.abs(B @ x - reaction - q).max() <= stop
+        if pen == math.inf:
+            done = done and not ((x < psi) | (reaction < -stop)).any()
+            cycled = cycled or bool((new & ~active).any())
             if cycled:
-                new |= (x - psi <= lcp._TOL * stop) & (reaction >= -lcp._TOL * stop)
-        if ((np.array_equal(new, active) or (np.array_equal(new, prev) and not cycled) or settled)
-                and np.abs(B @ x - reaction - q).max() <= lcp._TOL * stop):
+                new |= (x - psi <= stop) & (reaction >= -stop)
+        if done:
             return x, passes
-        prev, active = active, new
+        active = new
     raise SolverError("did not settle")
 
 
 @given(step_problem())
+@example(_given_step([[5.079490044390711, -2.0397450221953557],
+                      [-2.0397450221953557, 5.079490044390711]], [0.0, 0.0], [1.0, 1.0],
+                     49009.6335632952))  # within the stop only by its pen |x_active| term
 @settings(max_examples=200, deadline=None)
 def test_active_set_solves_the_lcp_exactly(problem):
     B, lu, q, psi, pen = problem
     n = q.size
     x, passes = psor(StepMatrix(B, lu), q, psi, pen)
     r = B @ x - q
-    scale = 1.0 + np.abs(q).max() + abs(B).sum(axis=1).max() * np.abs(psi).max()
+    stop = documented_stop(B, q, x, psi, pen)
     if pen == math.inf:
         assert np.all(x >= psi)
-        assert r.min() >= -1e-12 * scale
+        assert r.min() >= -stop
         free = x > psi
-        assert np.abs(r[free]).max(initial=0.0) <= 1e-12 * scale
+        assert np.abs(r[free]).max(initial=0.0) <= stop
     else:
-        assert np.abs(r - pen * np.maximum(psi - x, 0.0)).max() <= 1e-12 * scale
+        assert np.abs(r - pen * np.maximum(psi - x, 0.0)).max() <= stop
     assert 0 <= passes <= n + 1
     assert (passes == 0) == bool(np.all(lu.solve(q) >= psi))
-
-
-def _given_step(B, q, psi, pen):
-    """A ``step_problem`` draw made by hand."""
-    B = sp.csr_matrix(np.array(B))
-    return B, spla.splu(B.tocsc()), np.array(q, dtype=float), np.array(psi, dtype=float), pen
 
 
 @given(step_problem())
@@ -145,10 +155,11 @@ def _contact_step(pen):
     return StepMatrix(B, spla.splu(B.tocsc())), q, psi, pen
 
 
-def test_set_returning_after_one_other_stops():
+def test_pass_within_the_stop_ends_the_step():
     # With a subnormal obstacle the penalized pass on {1} rounds x_1 up to
-    # psi_1, which empties the set, and the empty set's iterate x_free = 0
-    # brings {1} back: the sets would alternate until n + 1 passes.
+    # psi_1, so the next set would be empty, and the empty set's iterate
+    # x_free = 0 would bring {1} back.  The first pass's iterate already
+    # meets the problem within the residual stop, so the step ends there.
     B = sp.csr_matrix(np.array([[19.0, -9.0], [-9.0, 19.0]]))
     psi = np.array([0.0, 5e-324])
     x, passes = psor(StepMatrix(B, spla.splu(B.tocsc())), np.zeros(2), psi, 15.0)
@@ -356,29 +367,40 @@ def test_block_with_own_obstacles_solves_each_column_as_alone(problem):
 @st.composite
 def degenerate_step(draw):
     """A state resting on a flat obstacle with no forcing, on a 1D or 2D
-    grid: the interior counts, the coefficient, the time step and the
-    level, which the right-hand side and the obstacle both take."""
+    grid: the interior counts, the coefficient, the time step, the level
+    the obstacle takes, the penalty level (infinite for a projected step, a
+    penalized step's pen is dt times it) and how the state rests: the
+    right-hand side is the level (q = psi) or B times it (q = B psi)."""
     if draw(st.booleans()):
         counts = (draw(st.integers(3, 80)),)
     else:
         counts = (draw(st.integers(3, 24)), draw(st.integers(3, 24)))
-    return counts, draw(st.floats(0.25, 4.0)), draw(st.floats(1e-4, 1.0)), draw(
-        st.floats(-5.0, 5.0, allow_nan=False))
+    return (counts, draw(st.floats(0.25, 4.0)), draw(st.floats(1e-4, 1.0)),
+            draw(st.floats(-5.0, 5.0, allow_nan=False)),
+            draw(st.one_of(st.just(math.inf), st.floats(1.0, 1e5))),
+            draw(st.sampled_from(["psi", "B psi"])))
 
 
 @given(degenerate_step())
-@example(((24, 24), 1.0, 0.5 / 32, 0.2))  # cycled until 530 passes under the plain rule
-@example(((47,), 0.25, 1e-4, 1e-12))  # freed one node a pass, 12 passes, with no node entering
+@example(((24, 24), 1.0, 0.5 / 32, 0.2, math.inf, "psi"))  # cycled to 530 passes, plain rule
+@example(((47,), 0.25, 1e-4, 1e-12, math.inf, "psi"))  # freed a node a pass, none entering
+@example(((24, 24), 1.0, 0.5 / 32, 0.2, 1e3, "B psi"))  # cycled to 530 passes, penalized
 @settings(max_examples=100, deadline=None)
 def test_degenerate_contact_settles(problem):
-    counts, a, dt, level = problem
+    counts, a, dt, level, penalty, rest = problem
     grid = (build_grid(1, (0.0, 1.0), counts[0]) if len(counts) == 1
             else build_grid(2, [(0.0, 1.0), (0.0, 1.0)], counts))
     op = assemble_operator(grid, a, lam=a, Lam=a)
     B = (sp.identity(grid.n_interior, format="csr") + dt * op.stiffness).tocsr()
     psi = np.full(grid.n_interior, level)
-    x, passes = psor(StepMatrix(B, spla.splu(B.tocsc())), psi.copy(), psi)
-    assert np.all(x >= psi)
+    q = psi.copy() if rest == "psi" else B @ psi
+    pen = dt * penalty
+    x, passes = psor(StepMatrix(B, spla.splu(B.tocsc())), q, psi, pen)
+    if pen == math.inf:
+        assert np.all(x >= psi)
+    else:
+        residual = B @ x - pen * np.maximum(psi - x, 0.0) - q
+        assert np.abs(residual).max() <= documented_stop(B, q, x, psi, pen)
     assert passes <= 4
 
 

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 from dataclasses import replace
 from pathlib import Path
@@ -315,14 +316,20 @@ def contact_pair():
 
 PERF_CONFIGS = Path(__file__).resolve().parents[1] / "perfbench" / "configs"
 
-# sha256 of the frames, weights and per-step pass lists of the benchmark's
-# compare pair marched as one joint batch, both problems on every seed.  The
+# sha256 of the frames, weights and per-step pass lists of benchmark
+# marches, each marched as one batch: the compare pair joined, both
+# problems on every seed, and the four seeds of the sim1d run.  The
 # benchmark checks only the pair's gaps, which are all zero (the gap at
 # t = 0), so a column scattered to the wrong path would show only here.  On
 # these seeds many columns share an active set, and with it a solve.
+COMPARE_PAIR = ("compare1d_base.cfg", "compare1d_shifted.cfg")
 PINNED_JOINT_MARCHES = {
-    ("penalized", 48): "f5b35e0d65658dc7f0ba1786411d5474579b6d890479ed60b46d5c7d12e9b08a",
-    ("projected", 8): "53581529ddc87e8a8090af82b923474e9e3d24eb06f7614eb26eb8d8c02d8ff5",
+    "penalized-48": (COMPARE_PAIR, "penalized", 48,
+                     "f5b35e0d65658dc7f0ba1786411d5474579b6d890479ed60b46d5c7d12e9b08a"),
+    "projected-8": (COMPARE_PAIR, "projected", 8,
+                    "53581529ddc87e8a8090af82b923474e9e3d24eb06f7614eb26eb8d8c02d8ff5"),
+    "sim1d-projected-4": (("sim1d_projected.cfg",), "projected", 4,
+                          "d97d1b7c3849fef03343383caa9e2fb53dbd8fe2e467a1a67984226a7ba84843"),
 }
 
 
@@ -431,19 +438,20 @@ class TestComparison:
             solve_batch(prepare_batch(data, noises, mode, 100))
         assert 0 < joint < len(calls)
 
-    @pytest.mark.parametrize("mode, samples", sorted(PINNED_JOINT_MARCHES))
-    def test_joint_march_is_pinned_bit_for_bit(self, mode, samples):
-        cfg1, cfg2 = (load_config(PERF_CONFIGS / name)
-                      for name in ("compare1d_base.cfg", "compare1d_shifted.cfg"))
-        seeds = cfg1.sample_seeds(None, samples)
-        d1, d2 = cfg1.build_problem(seeds[0]), cfg2.build_problem(seeds[0])
+    @pytest.mark.parametrize("case", sorted(PINNED_JOINT_MARCHES))
+    def test_joint_march_is_pinned_bit_for_bit(self, case):
+        names, mode, samples, expected = PINNED_JOINT_MARCHES[case]
+        cfgs = [load_config(PERF_CONFIGS / name) for name in names]
+        seeds = cfgs[0].sample_seeds(None, samples)
+        problems = [cfg.build_problem(seeds[0]) for cfg in cfgs]
+        d1 = problems[0]
         noises = [sample_noise(d1.noise.J, d1.noise.dt, d1.noise.steps, s) for s in seeds]
-        result = solve_batch(_join(*(prepare_batch(d, noises, mode, cfg1.penalty_n)
-                                     for d in (d1, d2))))
+        batches = [prepare_batch(d, noises, mode, cfgs[0].penalty_n) for d in problems]
+        result = solve_batch(functools.reduce(_join, batches))
         digest = hashlib.sha256()
         for part in (result.frames, result.weights, np.array(result.diagnostics["iterations"])):
             digest.update(part.tobytes())
-        assert digest.hexdigest() == PINNED_JOINT_MARCHES[mode, samples]
+        assert digest.hexdigest() == expected
 
     def test_no_seed_is_config_error(self):
         d1 = standard_problem(cells=16, steps=32)
