@@ -100,7 +100,8 @@ def _aggregate(rows: list[dict]) -> dict:
     for key in keys:
         vals = np.array([r[key] for r in rows], dtype=float)
         out[f"mean_{key}"] = float(vals.mean())
-        out[f"stderr_{key}"] = float(vals.std() / np.sqrt(len(vals))) if len(vals) > 1 else 0.0
+        S = len(vals)
+        out[f"stderr_{key}"] = float(vals.std(ddof=1) / np.sqrt(S)) if S > 1 else 0.0
     return out
 
 

@@ -113,7 +113,7 @@ class RunConfig:
         profile = op.get("profile", "constant")
         a = operator_profile(profile, grid, _params(op, "profile", "lambda", "Lambda"))
         lam = coerce(float, "operator.lambda", op.get("lambda", 1.0))
-        Lam = coerce(float, "operator.Lambda", op.get("Lambda", lam if np.ndim(a) == 0 else 1.0))
+        Lam = coerce(float, "operator.Lambda", op.get("Lambda", lam))
         return assemble_operator(grid, a, lam, Lam)
 
     def make_times(self) -> np.ndarray:

@@ -27,7 +27,8 @@ Two discrete gradients coexist on purpose:
 * the centered nodal gradient (``node_gradient``) used to evaluate
   state-dependent coefficients, whose negative transpose under the cell
   quadrature is ``divergence`` -- discrete integration by parts holds
-  exactly, which the weak-form checks rely on.
+  exactly, which the weak-form checks rely on.  Both are built from one
+  centered difference, so the adjoint pair holds by construction.
 """
 
 from __future__ import annotations
@@ -81,6 +82,11 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _lattice(axes) -> np.ndarray:
+    """Points of the product of the 1-D ``axes``, (points, dim) in C order."""
+    return np.stack([c.ravel() for c in np.meshgrid(*axes, indexing="ij")], axis=1)
+
+
 @dataclass(frozen=True, eq=False)
 class Grid:
     """Uniform node lattice on an interval or rectangle.
@@ -116,14 +122,8 @@ class Grid:
         return np.asarray(values)[..., self.interior]
 
     def cell_centers(self) -> np.ndarray:
-        axes = [
-            self.extent[a][0] + (np.arange(self.counts[a]) + 0.5) * self.spacing[a]
-            for a in range(self.dim)
-        ]
-        if self.dim == 1:
-            return axes[0][:, None]
-        xx = np.meshgrid(*axes, indexing="ij")
-        return np.stack([c.ravel() for c in xx], axis=1)
+        return _lattice([self.extent[a][0] + (np.arange(self.counts[a]) + 0.5) * self.spacing[a]
+                         for a in range(self.dim)])
 
 
 def build_grid(dim: int, extent, counts) -> Grid:
@@ -151,12 +151,7 @@ def build_grid(dim: int, extent, counts) -> Grid:
 
     spacing = widths / cnt
     shape = tuple(int(c) + 1 for c in cnt)
-    axes = [np.linspace(ext[a, 0], ext[a, 1], shape[a]) for a in range(dim)]
-    if dim == 1:
-        coords = axes[0][:, None]
-    else:
-        xx = np.meshgrid(*axes, indexing="ij")
-        coords = np.stack([c.ravel() for c in xx], axis=1)
+    coords = _lattice([np.linspace(ext[a, 0], ext[a, 1], shape[a]) for a in range(dim)])
 
     multi = np.indices(shape).reshape(dim, -1)
     interior_mask = np.ones(coords.shape[0], dtype=bool)
@@ -228,21 +223,14 @@ def _axis_edges(grid: Grid, axis: int) -> tuple[np.ndarray, np.ndarray]:
 def _edge_coefficients_2d(grid: Grid, axis: int, cell_coef: np.ndarray) -> np.ndarray:
     """Per-edge coefficient for 2D axis edges: mean of the per-cell value
     over the (up to two) cells adjacent to the edge, in _axis_edges order."""
-    cc = cell_coef.reshape(grid.counts)
-    if axis == 0:
-        # edges (i, j)-(i+1, j): cells (i, j-1) and (i, j), clipped
-        n1, n2 = grid.counts[0], grid.shape[1]
-        j = np.arange(n2)
-        left = np.clip(j - 1, 0, grid.counts[1] - 1)
-        right = np.clip(j, 0, grid.counts[1] - 1)
-        out = 0.5 * (cc[:, left] + cc[:, right])      # (n1, n2)
-    else:
-        n1, n2 = grid.shape[0], grid.counts[1]
-        i = np.arange(n1)
-        below = np.clip(i - 1, 0, grid.counts[0] - 1)
-        above = np.clip(i, 0, grid.counts[0] - 1)
-        out = 0.5 * (cc[below, :] + cc[above, :])     # (n1, n2)
-    return out.reshape(-1)
+    other = 1 - axis
+    # the edge at node k of the other axis lies between cells k - 1 and k of
+    # that axis, clipped to the one cell on the rim
+    k = np.arange(grid.shape[other])
+    before = np.clip(k - 1, 0, grid.counts[other] - 1)
+    after = np.clip(k, 0, grid.counts[other] - 1)
+    cc = np.moveaxis(cell_coef.reshape(grid.counts), other, -1)
+    return np.moveaxis(0.5 * (cc[..., before] + cc[..., after]), -1, other).reshape(-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -262,26 +250,22 @@ class EllipticOperator:
 
 
 def _sample_coefficient(grid: Grid, a_field) -> np.ndarray:
+    """Cell-centered samples (cells, d, d) of ``a_field``: a callable of the
+    cell centers returning (cells, d, d), a scalar (times the identity) or
+    one (d, d) matrix for every cell."""
     centers = grid.cell_centers()
-    m = centers.shape[0]
-    d = grid.dim
+    m, d = centers.shape
     if callable(a_field):
         raw = np.asarray(a_field(centers), dtype=float)
-        if raw.shape == (m, d, d):
-            return raw
-        if raw.shape == (d, d):
-            return np.broadcast_to(raw, (m, d, d)).copy()
-        if raw.shape == (m,) and d == 1:
-            return raw.reshape(m, 1, 1)
-        raise ConfigurationError(f"coefficient callable returned shape {raw.shape}")
+        if raw.shape != (m, d, d):
+            raise ConfigurationError(f"coefficient callable returned shape {raw.shape}")
+        return raw
     raw = np.asarray(a_field, dtype=float)
     if raw.ndim == 0:
-        return np.broadcast_to(np.eye(d) * float(raw), (m, d, d)).copy()
-    if raw.shape == (d, d):
-        return np.broadcast_to(raw, (m, d, d)).copy()
-    if raw.shape == (m, d, d):
-        return raw.copy()
-    raise ConfigurationError(f"cannot interpret coefficient of shape {raw.shape} for d={d}")
+        raw = np.eye(d) * float(raw)
+    if raw.shape != (d, d):
+        raise ConfigurationError(f"cannot interpret coefficient of shape {raw.shape} for d={d}")
+    return np.broadcast_to(raw, (m, d, d)).copy()
 
 
 def _probe_directions(dim: int, n: int = 16) -> np.ndarray:
@@ -412,6 +396,16 @@ def energy(op: EllipticOperator, u: Field, v: Field) -> float:
 # -- discrete gradients -------------------------------------------------------
 
 
+def _centered(grid: Grid, v: np.ndarray, a: int) -> np.ndarray:
+    """Centered difference along grid axis ``a`` of ``v`` (..., *grid.shape),
+    zero on that axis's first and last nodes."""
+    lead = (slice(None),) * (v.ndim - grid.dim + a)
+    out = np.zeros_like(v)
+    out[lead + (slice(1, -1),)] = (v[lead + (slice(2, None),)]
+                                   - v[lead + (slice(None, -2),)]) / (2 * grid.spacing[a])
+    return out
+
+
 def node_gradient(grid: Grid, values: np.ndarray) -> np.ndarray:
     """Centered nodal gradient, (..., n_nodes, dim) of values (..., n_nodes):
     leading axes stack independent samples; boundary rows are zero."""
@@ -420,13 +414,7 @@ def node_gradient(grid: Grid, values: np.ndarray) -> np.ndarray:
     v = v.reshape(lead + grid.shape)
     out = np.zeros(lead + (grid.n_nodes, grid.dim))
     for a in range(grid.dim):
-        g = np.zeros_like(v)
-        sl_lo, sl_hi, sl_mid = ([Ellipsis] + [slice(None)] * grid.dim for _ in range(3))
-        sl_lo[a + 1] = slice(0, -2)
-        sl_hi[a + 1] = slice(2, None)
-        sl_mid[a + 1] = slice(1, -1)
-        g[tuple(sl_mid)] = (v[tuple(sl_hi)] - v[tuple(sl_lo)]) / (2 * grid.spacing[a])
-        out[..., a] = g.reshape(lead + (grid.n_nodes,))
+        out[..., a] = _centered(grid, v, a).reshape(lead + (grid.n_nodes,))
     out[..., grid.boundary, :] = 0.0
     return out
 
@@ -442,12 +430,7 @@ def divergence(grid: Grid, vec: np.ndarray) -> np.ndarray:
     w[..., grid.boundary, :] = 0.0
     out = np.zeros(lead + grid.shape)
     for a in range(grid.dim):
-        comp = w[..., a].reshape(lead + grid.shape)
-        sl_lo, sl_hi, sl_mid = ([Ellipsis] + [slice(None)] * grid.dim for _ in range(3))
-        sl_lo[a + 1] = slice(0, -2)
-        sl_hi[a + 1] = slice(2, None)
-        sl_mid[a + 1] = slice(1, -1)
-        out[tuple(sl_mid)] += (comp[tuple(sl_hi)] - comp[tuple(sl_lo)]) / (2 * grid.spacing[a])
+        out += _centered(grid, w[..., a].reshape(lead + grid.shape), a)
     flat = out.reshape(lead + (grid.n_nodes,))
     flat[..., grid.boundary] = 0.0
     return flat

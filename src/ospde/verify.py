@@ -288,7 +288,7 @@ def _estimate(name, data: ProblemData, paths: Sequence[FieldPath],
                                *(None if c is None else c[s] for c in dom_sources)))
 
     lhs_mean = float(np.mean(lhs_samples))
-    lhs_stderr = float(np.std(lhs_samples) / np.sqrt(S)) if S > 1 else 0.0
+    lhs_stderr = float(np.std(lhs_samples, ddof=1) / np.sqrt(S)) if S > 1 else 0.0
     ing_mean = {k: float(np.mean(v)) for k, v in zip(_INGREDIENTS, zip(*ing_samples))}
     rhs = sum(ing_mean.values())
     implied = lhs_mean / rhs if rhs > 1e-30 else None

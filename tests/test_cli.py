@@ -251,6 +251,47 @@ class TestSimulate:
         assert np.allclose(u.frames, res.u.frames, atol=1e-15)
         assert np.allclose(measure.weights, res.measure.weights, atol=1e-15)
 
+    @pytest.mark.parametrize("a", ["2.0", "[[2.0, 0.0], [0.0, 2.0]]"])
+    def test_ellipticity_upper_bound_defaults_to_lambda(self, tmp_path, a):
+        text = (BASE.replace("grid.dim = 1", "grid.dim = 2")
+                .replace("grid.extent = [0.0, 1.0]", "grid.extent = [[0.0, 1.0], [0.0, 1.0]]")
+                .replace("grid.counts = 16", "grid.counts = [6, 6]")
+                .replace("time.steps = 32", "time.steps = 8")
+                .replace("operator.a = 1.0", f"operator.a = {a}")
+                .replace("operator.lambda = 1.0", "operator.lambda = 2.0")
+                .replace("operator.Lambda = 1.0\n", ""))
+        cfg = write_cfg(tmp_path, text)
+        config = load_config(cfg)
+        assert config.make_operator(config.make_grid()).Lam == 2.0
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+
+    def test_cosine_profile_and_sine_2pi_start_run(self, tmp_path):
+        text = (BASE.replace("operator.profile = constant", "operator.profile = cosine_1d")
+                .replace("operator.lambda = 1.0", "operator.lambda = 0.5")
+                .replace("operator.Lambda = 1.0", "operator.Lambda = 1.5")
+                .replace("initial.preset = sine_pi", "initial.preset = sine_2pi")
+                .replace("initial.offset = 0.3", "initial.amplitude = 0.5")
+                .replace("obstacle.preset = constant", "obstacle.preset = sine")
+                .replace("obstacle.level = 0.2", "obstacle.amplitude = -2.0"))
+        cfg, _, sample = simulated(tmp_path, text)
+        config = load_config(cfg)
+        grid = config.make_grid()
+        u, _, _ = load_run(sample, grid, expected_hash=config.hash)
+        x = grid.coords[grid.interior, 0]
+        assert u.frames[0, grid.interior].tolist() == (0.5 * np.sin(2 * np.pi * x)).tolist()
+        assert np.all(np.isfinite(u.frames))
+
+    def test_summary_stderr_is_the_sample_deviation_over_root_samples(self, tmp_path):
+        cfg = write_cfg(tmp_path, BASE)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out), "--samples", "3"]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        for key in ("measure_mass", "skorokhod_defect", "sup_norm_2", "terminal_sq_norm"):
+            vals = np.array([row[key] for row in summary["per_sample"]])
+            assert summary["aggregates"][f"mean_{key}"] == vals.mean()
+            assert summary["aggregates"][f"stderr_{key}"] == vals.std(ddof=1) / np.sqrt(3)
+        assert summary["aggregates"]["stderr_measure_mass"] > 0
+
 
 class TestSubcommands:
     def test_penalize_sweep_distances_decrease(self, tmp_path):

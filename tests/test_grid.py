@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ospde.errors import ConfigurationError
-from ospde.grid import (Field, assemble_operator, build_grid, divergence, energy,
-                        gradient_sq, node_gradient, sobolev_ratio)
+from ospde.grid import (Field, _edge_coefficients_2d, assemble_operator, build_grid, divergence,
+                        energy, gradient_sq, node_gradient, sobolev_ratio)
+from ospde.presets import operator_profile
 
 
 def direct_gradient_sq_1d(grid, values):
@@ -128,6 +129,76 @@ class TestAssembleOperator:
         a = np.array([[1.0, 0.2], [0.2, 1.0]])
         with pytest.raises(ConfigurationError, match="square"):
             assemble_operator(g, a, 0.5, 1.5)
+
+    @pytest.mark.parametrize("dim, a_field", [
+        (1, lambda c: np.ones(c.shape[0])),
+        (2, lambda c: np.eye(2)),
+        (2, lambda c: np.ones((c.shape[0], 1, 1))),
+        (2, np.ones((16, 2, 2))),
+        (2, np.ones(2)),
+        (1, np.eye(2))], ids=["callable-cells", "callable-matrix", "callable-wrong-d",
+                              "array-per-cell", "vector", "matrix-wrong-d"])
+    def test_only_cellwise_callables_scalars_and_matrices_are_coefficients(self, dim, a_field):
+        g = build_grid(1, (0.0, 1.0), 4) if dim == 1 else build_grid(2, [(0, 1), (0, 1)], (4, 4))
+        with pytest.raises(ConfigurationError, match="coefficient"):
+            assemble_operator(g, a_field, 1.0, 1.0)
+
+    def test_cosine_profile_stiffness_per_edge(self):
+        g = build_grid(1, (0.0, 1.0), 12)
+        profile = operator_profile("cosine_1d", g, {"base": 1.0, "amplitude": 0.4})
+        op = assemble_operator(g, profile, 0.6, 1.4)
+        h2 = g.spacing[0] ** 2
+        K = op.stiffness.toarray()
+        edge = (1.0 + 0.4 * np.cos(np.pi * g.cell_centers()[:, 0])) / h2
+        # interior node i sits between cells i - 1 and i; K drops the boundary nodes
+        for i in range(g.n_interior):
+            assert K[i, i] == pytest.approx(edge[i] + edge[i + 1], rel=1e-14)
+            if i + 1 < g.n_interior:
+                assert -K[i, i + 1] == -K[i + 1, i] == edge[i + 1]
+
+    def test_2d_axis_edges_average_their_cells(self):
+        g = build_grid(2, [(0.0, 1.0), (0.0, 2.0)], (3, 4))
+
+        def a(centers):
+            out = np.zeros((centers.shape[0], 2, 2))
+            out[:, 0, 0] = 1.0 + centers[:, 0] + 0.25 * centers[:, 1] ** 2
+            out[:, 1, 1] = 2.0 - 0.5 * centers[:, 0] * centers[:, 1]
+            return out
+
+        op = assemble_operator(g, a, 0.5, 3.0)
+        cells = op.a.reshape(g.counts + (2, 2))
+        index = np.arange(g.n_nodes).reshape(g.shape)
+        full_to_int = {int(p): i for i, p in enumerate(g.interior)}
+        K = op.stiffness.toarray()
+        diagonal = np.zeros(g.n_interior)
+        for axis, h in enumerate(g.spacing):
+            expected = []
+            for node in np.ndindex(g.shape):
+                if node[axis] == g.counts[axis]:
+                    continue
+                # the cells on either side of the edge along the other axis;
+                # an edge on the rim has one
+                other = 1 - axis
+                sides = [node[other] - 1, node[other]]
+                coefs = []
+                for k in sides:
+                    if 0 <= k < g.counts[other]:
+                        cell = list(node)
+                        cell[other] = k
+                        coefs.append(cells[tuple(cell)][axis, axis])
+                mean = 0.5 * (coefs[0] + coefs[-1])
+                expected.append(mean)
+                nxt = list(node)
+                nxt[axis] += 1
+                p, q = full_to_int.get(int(index[node])), full_to_int.get(int(index[tuple(nxt)]))
+                for r in (p, q):
+                    if r is not None:
+                        diagonal[r] += mean / h ** 2
+                if p is not None and q is not None:
+                    assert -K[p, q] == -K[q, p] == mean / h ** 2
+            cell_coef = op.a[:, axis, axis]
+            assert _edge_coefficients_2d(g, axis, cell_coef).tolist() == expected
+        np.testing.assert_allclose(np.diag(K), diagonal, rtol=1e-14)
 
     def test_m_matrix_boundary_flux_structure(self):
         g = build_grid(2, [(0, 1), (0, 1)], (6, 6))

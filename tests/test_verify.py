@@ -298,7 +298,7 @@ class TestEstimates:
         lhs = [rep.lhs for rep in alone]
         assert batch.sample_count == 3
         assert batch.lhs == np.mean(lhs)
-        assert batch.lhs_stderr == np.std(lhs) / np.sqrt(3)
+        assert batch.lhs_stderr == np.std(lhs, ddof=1) / np.sqrt(3)
         assert batch.ingredients == {key: np.mean([rep.ingredients[key] for rep in alone])
                                      for key in batch.ingredients}
 
@@ -452,6 +452,29 @@ class TestComparison:
         for part in (result.frames, result.weights, np.array(result.diagnostics["iterations"])):
             digest.update(part.tobytes())
         assert digest.hexdigest() == expected
+
+    def test_benchmark_pair_marches_each_problem_on_its_own_data(self):
+        """The pair starts both problems from one state, so its per-seed gaps,
+        taken from t = 0, read 0 whatever the march does; past t = 0 each
+        half of the joined march is its own problem's march."""
+        cfgs = [load_config(PERF_CONFIGS / name) for name in COMPARE_PAIR]
+        seeds = [1000, 1001, 1002]
+        problems = [cfg.build_problem(seeds[0]) for cfg in cfgs]
+        d1 = problems[0]
+        noises = [sample_noise(d1.noise.J, d1.noise.dt, d1.noise.steps, s) for s in seeds]
+
+        def batches():
+            return [prepare_batch(d, noises, cfgs[0].solver_mode, cfgs[0].penalty_n)
+                    for d in problems]
+
+        joined = solve_batch(_join(*batches())).frames
+        alone = np.concatenate([solve_batch(batch).frames for batch in batches()])
+        assert joined.tobytes() == alone.tobytes()
+        interior = d1.op.grid.interior
+        S = len(seeds)
+        gaps = [(u2[1:, interior] - u1[1:, interior]).min()
+                for u1, u2 in zip(joined[:S], joined[S:])]
+        assert min(gaps) > 0 and gaps[0] >= 7.07e-05
 
     def test_no_seed_is_config_error(self):
         d1 = standard_problem(cells=16, steps=32)
