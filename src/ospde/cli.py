@@ -79,7 +79,7 @@ def _run_one_sample(raw_cfg: dict, seed: int, out_dir: str) -> dict:
              ("mixed", 2, 1, T, mixed_norm(result.u, 2, 1, T)),
              ("sharp", "", "", T, sharp_norm(result.u, T)),
              ("dual_sharp_upper", "", "", T, dual_sharp_upper(result.u, T))]
-    meta = save_run(out_dir, result, config_hash=cfg.hash, seed=seed, grid=grid,
+    meta = save_run(out_dir, result, config_hash=cfg.hash, seed=seed,
                     solver_mode=cfg.solver_mode,
                     penalty_n=result.diagnostics.get("penalty_level"),
                     norms=norms)
@@ -342,7 +342,7 @@ def main(argv=None) -> int:
                 raise ConfigurationError(f"output.directory = {directory!r} is not a "
                                          "non-empty path string")
             out_dir = Path(args.out or directory)
-        except (ConfigurationError, OSError) as exc:
+        except ConfigurationError as exc:
             return _fail(None, "config-error", str(exc))
         return args.func(args, cfg, out_dir)
     except StageError as exc:

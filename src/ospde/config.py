@@ -74,7 +74,6 @@ class RunConfig:
     """Validated view over a parsed config with problem builders."""
 
     raw: dict
-    path: str | None = None
 
     def __post_init__(self):
         for section in ("grid", "time", "noise"):
@@ -132,6 +131,9 @@ class RunConfig:
         return coerce(int, "noise.J", self.block("noise").get("J", 8))
 
     def sample_seeds(self, seed_override=None, samples_override=None) -> list[int]:
+        """The sample seeds: ``noise.seeds``, or consecutive seeds from
+        ``--seed`` or ``noise.seed``; every listed or generated seed must lie
+        in [0, 2^64).  ``samples_override`` keeps the first seeds."""
         noise = self.block("noise")
         if samples_override is not None and samples_override < 1:
             raise ConfigurationError(f"--samples = {samples_override} leaves no sample seeds: "
@@ -143,18 +145,20 @@ class RunConfig:
                     "the sample seeds: give one of them")
             if not isinstance(noise["seeds"], list):
                 raise ConfigurationError(f"noise.seeds = {noise['seeds']!r} is not a list of seeds")
-            seeds = [coerce(int, "noise.seeds", s) for s in noise["seeds"]]
-            if samples_override is not None:
-                seeds = seeds[:samples_override]
+            source, given = "noise.seeds", noise["seeds"]
+            seeds = [coerce(int, source, s) for s in given]
         else:
-            base = int(seed_override if seed_override is not None
-                       else coerce(int, "noise.seed", noise.get("seed", 0)))
+            source, given = (("--seed", seed_override) if seed_override is not None
+                             else ("noise.seed", noise.get("seed", 0)))
+            base = coerce(int, source, given)
             n = (samples_override if samples_override is not None
                  else coerce(int, "noise.samples", noise.get("samples", 1)))
             seeds = [base + i for i in range(n)]
         if not seeds:
             raise ConfigurationError("no sample seeds: need at least one sample")
-        return seeds
+        if min(seeds) < 0 or max(seeds) >= 2 ** 64:
+            raise ConfigurationError(f"{source} = {given!r} gives a seed outside [0, 2^64)")
+        return seeds[:samples_override]
 
     def build_problem(self, seed: int, grid: Grid | None = None,
                       op: EllipticOperator | None = None) -> ProblemData:
@@ -193,6 +197,12 @@ class RunConfig:
 
 
 def load_config(path) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = parse_config_text(fh.read())
-    return RunConfig(raw=raw, path=str(path))
+    """The config in the file ``path``; a file that cannot be read is a
+    ConfigurationError naming the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ConfigurationError(f"cannot read config file {str(path)!r}: {reason}") from None
+    return RunConfig(raw=parse_config_text(text))

@@ -4,8 +4,8 @@ table reader.
 A sample directory holds ``metadata.json``, ``u.csv``, ``measure.csv``
 and ``norms.csv``; the noise is not stored, since its seed rebuilds it bit
 for bit.  Every file embeds the config hash -- JSON files as a field, CSV
-files as a leading ``# config_hash=...`` line -- and loading against a
-mismatched hash is refused.
+files as a leading ``# config_hash=...`` line -- and a load always
+checks it: loading against a mismatched hash is refused.
 
 Every CSV table is the hash line, a header and rows: the hash line ends
 in LF, the header and data rows in CRLF, which is what ``csv.writer``
@@ -29,11 +29,11 @@ above.
 
 ``load_run`` refuses (``ConfigurationError``) a ``metadata.json`` that is
 not a JSON object with an integer ``steps`` >= 1, a positive ``dt`` and an
-integer ``seed``, a table whose first line is not a hash line or names
-another hash, and a table whose header or numbers do not parse, or that
-does not hold each (step, node) exactly once.  It parses a table in blocks
-of rows and scatters each block into place, so a load never holds the
-whole table as numbers.
+integer ``seed`` in [0, 2^64), a table whose first line is not a hash line
+or names another hash, and a table whose header or numbers do not parse,
+or that does not hold each (step, node) exactly once.  It parses a table
+in blocks of rows and scatters each block into place, so a load never
+holds the whole table as numbers.
 """
 
 from __future__ import annotations
@@ -93,13 +93,13 @@ def _write_frames(path, header, prefixes, times, frames, config_hash: str) -> No
 
 
 def save_run(directory, result: SolveResult, *, config_hash: str, seed: int,
-             grid: Grid, solver_mode: str, penalty_n: int | None = None,
-             norms=()) -> dict:
-    """Write the sample directory; returns the metadata.
+             solver_mode: str, penalty_n: int | None = None, norms=()) -> dict:
+    """Write the sample directory of ``result``, on its own grid; returns
+    the metadata.
 
     ``norms`` holds (norm_name, p, q, t, value) entries.
     """
-    directory = Path(directory)
+    directory, grid = Path(directory), result.u.grid
     directory.mkdir(parents=True, exist_ok=True)
     meta = {
         "config_hash": config_hash,
@@ -139,7 +139,7 @@ def save_run(directory, result: SolveResult, *, config_hash: str, seed: int,
 _BLOCK_ROWS = 1 << 14
 
 
-def _read_table(path, header, expected_hash: str | None = None):
+def _read_table(path, header, expected_hash: str):
     """The rows of a CSV table as 2D float arrays of at most _BLOCK_ROWS
     rows each, after the hash line and header checks."""
     name = Path(path).name
@@ -147,7 +147,7 @@ def _read_table(path, header, expected_hash: str | None = None):
         line = fh.readline()
         if not line.startswith(_HASH_LINE):
             raise ConfigurationError(f"{name} has no config hash line; refusing to load")
-        if expected_hash is not None and line.rstrip("\r\n") != _HASH_LINE + expected_hash:
+        if line.rstrip("\r\n") != _HASH_LINE + expected_hash:
             raise ConfigurationError(f"{name} embeds a different config hash; refusing to load")
         line = fh.readline()
         if line.rstrip("\r\n") != ",".join(header):
@@ -168,7 +168,7 @@ def _read_table(path, header, expected_hash: str | None = None):
             yield table
 
 
-def _scatter(path, header, expected_hash, steps: int, nodes: np.ndarray,
+def _scatter(path, header, expected_hash: str, steps: int, nodes: np.ndarray,
              n_nodes: int) -> np.ndarray:
     """Read a (step, time, node, ..., value) table into a (steps, nodes.size)
     array whose column j holds node ``nodes[j]``; every (step, node) pair must
@@ -194,8 +194,9 @@ def _scatter(path, header, expected_hash, steps: int, nodes: np.ndarray,
     return out.reshape(steps, nodes.size)
 
 
-def load_run(directory, grid: Grid, expected_hash: str | None = None):
-    """Load a stored run back into (FieldPath, DiscreteMeasure, metadata)."""
+def load_run(directory, grid: Grid, expected_hash: str):
+    """Load a stored run back into (FieldPath, DiscreteMeasure, metadata);
+    every file must embed ``expected_hash``."""
     directory = Path(directory)
     with open(directory / "metadata.json", "r", encoding="utf-8") as fh:
         try:
@@ -204,12 +205,12 @@ def load_run(directory, grid: Grid, expected_hash: str | None = None):
             meta = None
     if not isinstance(meta, dict):
         raise ConfigurationError("metadata.json is not a JSON object; refusing to load")
-    if expected_hash is not None and meta.get("config_hash") != expected_hash:
+    if meta.get("config_hash") != expected_hash:
         raise ConfigurationError(
             f"artifact config hash {meta.get('config_hash')!r} does not match "
             f"the supplied config ({expected_hash!r}); refusing to verify")
     steps, dt, seed = (meta.get(key) for key in ("steps", "dt", "seed"))
-    if not (type(steps) is int and steps >= 1 and type(seed) is int
+    if not (type(steps) is int and steps >= 1 and type(seed) is int and 0 <= seed < 2 ** 64
             and type(dt) in (int, float) and 0 < dt < math.inf):
         raise ConfigurationError(f"metadata.json has steps = {steps!r}, dt = {dt!r}, "
                                  f"seed = {seed!r}; refusing to load")

@@ -258,9 +258,9 @@ DOMINATOR_PRESETS = {
 }
 
 
-def make_dominator(name: str | None, grid: Grid, times, J: int, xi: Field,
+def make_dominator(name: str, grid: Grid, times, J: int, xi: Field,
                    params: dict | None = None) -> DominatorData | None:
-    if name is None or name == "none":
+    if name == "none":
         return None
     return _lookup(DOMINATOR_PRESETS, "dominator preset", name)(grid, times, J, xi, params or {})
 
@@ -277,6 +277,9 @@ def _profile_constant(grid, params):
 
 
 def _profile_cosine_1d(grid, params):
+    if grid.dim != 1:
+        raise ConfigurationError(f"operator.profile = cosine_1d needs a 1D grid, not "
+                                 f"grid.dim = {grid.dim}")
     p = _reader("operator", params)
     base = p("base", 1.0)
     amp = p("amplitude", 0.5)

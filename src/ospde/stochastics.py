@@ -67,7 +67,10 @@ class NoisePath:
 
 
 def sample_noise(J: int, dt: float, steps: int, seed: int) -> NoisePath:
-    """Draw a noise path; one Philox stream per mode keyed by (seed, mode)."""
+    """Draw a noise path; one Philox stream per mode keyed by (seed, mode),
+    for a seed in [0, 2^64)."""
+    if not 0 <= seed < 2 ** 64:
+        raise ConfigurationError(f"seed {seed} lies outside [0, 2^64)")
     if J < 1:
         raise ConfigurationError(f"need at least one mode, got J={J}")
     if dt <= 0 or steps < 1:
@@ -189,13 +192,6 @@ class AssumptionReport:
                          f"bound={item.bound:.6g}  {item.detail}")
         return "\n".join(lines)
 
-    def as_dict(self) -> dict:
-        return {
-            name: {"passed": item.passed, "observed": item.observed,
-                   "bound": item.bound, "detail": item.detail}
-            for name, item in self.items.items()
-        }
-
 
 _QUOTIENT_SLACK = 1 + 1e-6
 _MIN_DENOM = 1e-8
@@ -226,19 +222,17 @@ def _l2(arr):
     return np.sqrt(np.sum(arr ** 2, axis=-1))
 
 
-def validate_assumptions(coeffs: CoefficientSet, lam: float, grid=None,
-                         horizon: float = 1.0) -> AssumptionReport:
-    """Probe the declared Lipschitz constants and the contraction property.
+def validate_assumptions(coeffs: CoefficientSet, lam: float, grid,
+                         horizon: float) -> AssumptionReport:
+    """Probe the declared Lipschitz constants and the contraction property
+    at points of ``grid``'s box and times in [0, ``horizon``].
 
     Probes are drawn from a fixed-seed generator, so the report is a
     deterministic function of the coefficient set: enlarging declared
     constants can never flip a pass into a failure.
     """
     rng = np.random.default_rng(_PROBE_SEED)
-    if grid is not None:
-        dim, extent = grid.dim, grid.extent
-    else:
-        dim, extent = 1, ((0.0, 1.0),)
+    dim, extent = grid.dim, grid.extent
     rep = AssumptionReport()
 
     worst = [0.0] * len(_LIPSCHITZ_PROBES)

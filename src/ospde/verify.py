@@ -7,7 +7,8 @@ each step k the semi-implicit scheme satisfies, for any frame tau,
       - dt <f, tau> - <h dB_k, tau> - dt <nu_k, tau> = 0
 
 with s = u, up to linear-solver roundoff.  The weak form pairs u with a
-compactly supported test function; the squared-norm (Ito) balance pairs u
+compactly supported test function, a callable of t and the node
+coordinates sampled at every frame; the squared-norm (Ito) balance pairs u
 with itself, doubled, since |u_{k+1}|^2 - |u_k|^2 + |u_{k+1} - u_k|^2 (the
 realized bracket) is 2 <u_{k+1} - u_k, u_{k+1}>; the positive-part balance
 pairs u^+ with itself, doubled.  Every integrand is evaluated the way the
@@ -143,13 +144,8 @@ def _resolution_tag(data: ProblemData) -> str:
 
 def _phi_frames(data: ProblemData, phi) -> np.ndarray:
     grid = data.op.grid
-    if isinstance(phi, FieldPath):
-        if not same_grid(phi.grid, grid) or phi.steps != data.steps:
-            raise ConfigurationError("test function discretization mismatch")
-        frames = np.asarray(phi.frames, dtype=float)
-    else:
-        frames = np.stack([np.asarray(phi(float(t), grid.coords), dtype=float)
-                           for t in data.times])
+    frames = np.stack([np.asarray(phi(float(t), grid.coords), dtype=float)
+                       for t in data.times])
     # compact support: zero on the boundary and on the first interior ring
     multi = np.indices(grid.shape).reshape(grid.dim, -1)
     near = np.zeros(grid.n_nodes, dtype=bool)
@@ -206,9 +202,8 @@ def _step_balance(name: str, result: SolveResult, data: ProblemData, state: np.n
 def weak_form_residual(result: SolveResult, data: ProblemData, phi) -> ResidualReport:
     """Residual of the weak balance against one test function.
 
-    ``phi`` is a FieldPath on the same discretization or a callable
-    ``phi(t, coords) -> values`` sampled to the grid; it must be compactly
-    supported inside the domain.
+    ``phi`` is a callable ``phi(t, coords) -> values``, sampled to the grid
+    at every time; it must be compactly supported inside the domain.
     """
     return _step_balance("weak_form", result, data, result.u.frames, _phi_frames(data, phi), 1.0)
 
@@ -256,13 +251,13 @@ def _estimate(name, data: ProblemData, paths: Sequence[FieldPath],
     if t is None:
         t = float(times[-1])
     S = len(paths)
+    if (dom := data.dominator) is None:
+        raise ConfigurationError("problem data carries no dominator block")
     sp = np.stack([path.frames for path in dominators])
-    dom = data.dominator
-    # a source the dominator lacks, or a problem without one, counts as zero
-    s0 = dom.initial.values if dom is not None else np.zeros(grid.n_nodes)
-    sources = (dom.f, dom.g, dom.h) if dom is not None else (None,) * 3
+    s0 = dom.initial.values
+    # a source the dominator lacks counts as zero
     dom_sources = [None if c is None else np.broadcast_to(c, (S,) + np.shape(c))
-                   for c in sources]
+                   for c in (dom.f, dom.g, dom.h)]
     shifted = [m if c is None else m - c for m, c in zip(_maps_along(data, sp), dom_sources)]
 
     if positive:

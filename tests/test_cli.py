@@ -281,6 +281,20 @@ class TestSimulate:
         assert u.frames[0, grid.interior].tolist() == (0.5 * np.sin(2 * np.pi * x)).tolist()
         assert np.all(np.isfinite(u.frames))
 
+    def test_cosine_profile_on_a_2d_grid_is_config_error(self, tmp_path):
+        text = (BASE.replace("grid.dim = 1", "grid.dim = 2")
+                .replace("grid.extent = [0.0, 1.0]", "grid.extent = [[0.0, 1.0], [0.0, 1.0]]")
+                .replace("grid.counts = 16", "grid.counts = [6, 6]")
+                .replace("operator.profile = constant", "operator.profile = cosine_1d"))
+        cfg = write_cfg(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        err = json.loads((out / "error.json").read_text())
+        assert err["stage"] == "config-error"
+        assert err["error"].startswith("operator.profile = cosine_1d ")
+        assert "grid.dim = 2" in err["error"]
+        assert not list(out.glob("sample_*"))
+
     def test_summary_stderr_is_the_sample_deviation_over_root_samples(self, tmp_path):
         cfg = write_cfg(tmp_path, BASE)
         out = tmp_path / "out"
@@ -387,6 +401,40 @@ class TestSubcommands:
         err = json.loads((out / "error.json").read_text())
         assert err["stage"] == "config-error"
         assert "noise.seeds" in err["error"] and "--seed" in err["error"]
+        assert not list(out.glob("sample_*"))
+
+    @pytest.mark.parametrize("source, line, flags", [
+        ("noise.seed", "noise.seed = -3", []),
+        ("--seed", "noise.seed = 41", ["--seed", "18446744073709551616"]),
+        ("--seed", "noise.seed = 41", ["--seed", "18446744073709551615", "--samples", "2"]),
+        ("noise.seeds", "noise.seeds = [1, -2]", [])],
+        ids=["negative", "flag-past-u64", "flag-runs-past-u64", "list"])
+    def test_seed_outside_u64_is_config_error(self, tmp_path, source, line, flags):
+        cfg = write_cfg(tmp_path, BASE.replace("noise.seed = 41", line))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out), *flags]) == 2
+        err = json.loads((out / "error.json").read_text())
+        assert err["stage"] == "config-error"
+        assert err["error"].startswith(f"{source} = ") and "[0, 2^64)" in err["error"]
+        assert not list(out.glob("sample_*"))
+
+    @pytest.mark.parametrize("command, content", [
+        ("simulate", None), ("compare", None), ("compare", b"\xff\xfe not text\n")],
+        ids=["config-missing", "config2-missing", "config2-not-utf8"])
+    def test_unreadable_config_is_config_error(self, tmp_path, capsys, command, content):
+        cfg = write_cfg(tmp_path, BASE)
+        bad = tmp_path / "bad.cfg"
+        if content is not None:
+            bad.write_bytes(content)
+        out = tmp_path / "out"
+        argv = (["compare", "--config", str(cfg), "--config2", str(bad)] if command == "compare"
+                else [command, "--config", str(bad)])
+        assert main([*argv, "--out", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["stage"] == "config-error"
+        assert err["error"].startswith(f"cannot read config file {str(bad)!r}: ")
+        # only a config that was read names the output directory
+        assert (out / "error.json").exists() == (command == "compare")
         assert not list(out.glob("sample_*"))
 
     def test_penalize_sweep_runs_the_gate_once(self, tmp_path, monkeypatch):
@@ -608,8 +656,9 @@ class TestSubcommands:
         lambda meta: {k: v for k, v in meta.items() if k != "steps"},
         lambda meta: {k: v for k, v in meta.items() if k != "seed"},
         lambda meta: {**meta, "dt": "0.003"},
+        lambda meta: {**meta, "seed": -1},
         lambda meta: None,
-    ], ids=["no_steps", "no_seed", "dt_text", "not_json"])
+    ], ids=["no_steps", "no_seed", "dt_text", "negative_seed", "not_json"])
     def test_verify_refuses_bad_metadata(self, tmp_path, edit):
         cfg, out, sample = simulated(tmp_path)
         path = sample / "metadata.json"

@@ -47,7 +47,7 @@ def bits(a):
                          ids=["1d", "2d"])
 def test_round_trip_is_bitwise(tmp_path, grid):
     result = edge_result(grid)
-    save_run(tmp_path, result, config_hash="abc", seed=3, grid=grid,
+    save_run(tmp_path, result, config_hash="abc", seed=3,
              solver_mode="projected", norms=[("mixed", 2, "inf", 0.1, -0.0)])
     u, measure, meta = load_run(tmp_path, grid, expected_hash="abc")
     assert np.array_equal(bits(u.frames), bits(result.u.frames))
@@ -112,7 +112,7 @@ def test_frame_tables_match_row_writer(case):
         new, ref = Path(tmp) / "new", Path(tmp) / "ref"
         ref.mkdir()
         with np.errstate(over="ignore", invalid="ignore"):  # the metadata's measure mass
-            save_run(new, result, config_hash="abc", seed=3, grid=grid,
+            save_run(new, result, config_hash="abc", seed=3,
                      solver_mode="penalized")
         reference_frame_tables(ref, result, grid, "abc")
         for name in ("u.csv", "measure.csv"):
@@ -192,7 +192,7 @@ MALFORMED = [
 @pytest.mark.parametrize("name, edit, match", MALFORMED)
 def test_malformed_table_refused(tmp_path, name, edit, match):
     grid = build_grid(1, (0.0, 1.0), 8)
-    save_run(tmp_path, edge_result(grid), config_hash="abc", seed=3, grid=grid,
+    save_run(tmp_path, edge_result(grid), config_hash="abc", seed=3,
              solver_mode="projected")
     _edit_lines(tmp_path / name, edit)
     with pytest.raises(ConfigurationError, match=match):
@@ -206,7 +206,7 @@ def test_malformed_table_refused(tmp_path, name, edit, match):
 def test_hash_line_mismatch_refused(tmp_path, edit, match):
     grid = build_grid(1, (0.0, 1.0), 8)
     for name in ("u.csv", "measure.csv"):
-        save_run(tmp_path, edge_result(grid), config_hash="abc", seed=3, grid=grid,
+        save_run(tmp_path, edge_result(grid), config_hash="abc", seed=3,
                  solver_mode="projected")
         _edit_lines(tmp_path / name, edit)
         with pytest.raises(ConfigurationError, match=f"{name} .*{match}"):
@@ -234,7 +234,7 @@ def test_blank_lines_are_skipped(tmp_path, monkeypatch):
     monkeypatch.setattr(persist, "_BLOCK_ROWS", 5)
     grid = build_grid(1, (0.0, 1.0), 8)
     result = edge_result(grid)
-    save_run(tmp_path, result, config_hash="abc", seed=3, grid=grid,
+    save_run(tmp_path, result, config_hash="abc", seed=3,
              solver_mode="projected")
     _edit_lines(tmp_path / "u.csv", lambda ls: ls[:9] + [""] * 12 + ls[9:] + [""])
     u, _, _ = load_run(tmp_path, grid, expected_hash="abc")

@@ -6,10 +6,19 @@ import pytest
 from conftest import mix_coeffs, state_free_coeffs
 
 from ospde.errors import ConfigurationError
+from ospde.grid import build_grid
 from ospde.stochastics import CoefficientSet, coarsen, sample_noise, validate_assumptions
+
+# The box the assumption gate probes in these tests.
+BOX = build_grid(1, (0.0, 1.0), 8)
 
 
 class TestSampleNoise:
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    def test_seed_outside_u64_is_config_error(self, seed):
+        with pytest.raises(ConfigurationError, match=r"outside \[0, 2\^64\)"):
+            sample_noise(2, 0.01, 8, seed)
+
     def test_same_seed_bit_identical(self):
         a = sample_noise(4, 0.01, 64, 99)
         b = sample_noise(4, 0.01, 64, 99)
@@ -66,14 +75,14 @@ class TestValidateAssumptions:
 
         cs = CoefficientSet(f=lambda t, x, y, z: np.zeros(x.shape[0]),
                             g=g, h=h, C=0.0, alpha=0.1, beta=0.5, modes=1)
-        rep = validate_assumptions(cs, lam=0.5)
+        rep = validate_assumptions(cs, lam=0.5, grid=BOX, horizon=1.0)
         assert rep.ok
         assert rep.items["H4"].passed
 
     def test_contraction_boundary_fails(self):
         cs = CoefficientSet.zero(1)
         cs = CoefficientSet(f=cs.f, g=cs.g, h=cs.h, C=0.0, alpha=0.5, beta=0.0, modes=1)
-        rep = validate_assumptions(cs, lam=0.5)  # 2 alpha = 1.0 = 2 lambda
+        rep = validate_assumptions(cs, lam=0.5, grid=BOX, horizon=1.0)  # 2 alpha = 1.0 = 2 lambda
         assert not rep.items["H4"].passed
         assert not rep.ok
 
@@ -83,7 +92,7 @@ class TestValidateAssumptions:
 
         z = CoefficientSet.zero(1)
         cs = CoefficientSet(f=f, g=z.g, h=z.h, C=0.0, alpha=0.0, beta=0.0, modes=1)
-        rep = validate_assumptions(cs, lam=1.0)
+        rep = validate_assumptions(cs, lam=1.0, grid=BOX, horizon=1.0)
         assert not rep.items["H1-f"].passed
         assert rep.items["H1-f"].observed == pytest.approx(1.0, rel=1e-3)
 
@@ -95,25 +104,24 @@ class TestValidateAssumptions:
             return np.full(x.shape[0], float(len(calls)))
 
         z = CoefficientSet.zero(1)
-        rep = validate_assumptions(replace(z, f=f), lam=1.0)
+        rep = validate_assumptions(replace(z, f=f), lam=1.0, grid=BOX, horizon=1.0)
         assert not rep.items["purity"].passed and not rep.ok
         assert len(calls) == 12  # three f calls in each of four probe rounds
 
     def test_enlarging_constants_is_monotone(self):
         base = state_free_coeffs()
-        rep1 = validate_assumptions(base, lam=1.0)
+        rep1 = validate_assumptions(base, lam=1.0, grid=BOX, horizon=1.0)
         assert rep1.ok
         bigger = CoefficientSet(f=base.f, g=base.g, h=base.h,
                                 C=base.C + 1.0, alpha=0.3, beta=0.5, modes=base.modes)
-        rep2 = validate_assumptions(bigger, lam=1.0)  # 0.6 + 0.25 < 2
+        rep2 = validate_assumptions(bigger, lam=1.0, grid=BOX, horizon=1.0)  # 0.6 + 0.25 < 2
         for name, item in rep1.items.items():
             if item.passed:
                 assert rep2.items[name].passed
 
     def test_report_dict_shape(self):
-        rep = validate_assumptions(CoefficientSet.zero(1), lam=1.0)
-        d = rep.as_dict()
-        assert set(d) == {"H1-f", "H2-g-y", "H2-g-z", "H3-h-y", "H3-h-z", "H4", "purity"}
+        rep = validate_assumptions(CoefficientSet.zero(1), lam=1.0, grid=BOX, horizon=1.0)
+        assert set(rep.items) == {"H1-f", "H2-g-y", "H2-g-z", "H3-h-y", "H3-h-z", "H4", "purity"}
 
 
 class TestEvaluate:

@@ -250,6 +250,14 @@ class TestEstimates:
         with pytest.raises(ConfigurationError, match=f"^{count} dominator path"):
             check(data, [res.u], [sprime] * count)
 
+    @pytest.mark.parametrize("check", [apriori_check, positive_part_bound_check])
+    def test_problem_without_dominator_is_refused(self, check):
+        data = standard_problem(cells=16, steps=16)
+        res = solve_mode(data, "projected")
+        with pytest.raises(ConfigurationError,
+                           match="^problem data carries no dominator block$"):
+            check(data, [res.u], [res.u])
+
     def test_positive_part_bound_nonpositive_solution(self):
         # xi <= 0, f <= 0, g0 = h0 = 0, S <= 0: the solution stays nonpositive
         def f_neg(t, x, y, z):
